@@ -10,6 +10,10 @@ Comparisons are opaque atoms by default.  In interval-axioms mode the
 declared finite value domain of each numeric attribute is used to forbid
 sign patterns no domain value can realize, e.g. speed(a) > 50 implies
 speed(a) > 30 and excludes speed(a) < 30.
+
+A ClauseDB also keeps each grounded rule's own clauses and the interval
+axioms, so callers can solve sub-theories of one grounding (`rule_subset`)
+or add assumed literals to it (`extend`) without grounding the rules again.
 """
 
 from __future__ import annotations
@@ -72,14 +76,28 @@ class GroundingConfig:
 
 @dataclass
 class ClauseDB:
-    """Interned ground atoms plus deduplicated clauses with provenance."""
+    """Interned ground atoms plus deduplicated clauses with provenance.
+
+    `rule_clauses[i]` holds every clause of the i-th grounded rule's
+    instances, in instantiation order, including those deduplication kept
+    out of `clauses`.  `axioms` holds the interval axioms as generated.
+    """
 
     atoms: dict[str, int] = field(default_factory=dict)
     atom_names: list[str] = field(default_factory=list)
     clauses: list[frozenset[int]] = field(default_factory=list)
     provenance: list[tuple[str, dict[str, str]]] = field(default_factory=list)
     comparisons: dict[str, Comparison] = field(default_factory=dict)
+    rule_clauses: list[tuple[frozenset[int], ...]] = field(default_factory=list)
+    axioms: list[frozenset[int]] = field(default_factory=list)
     _seen: set[frozenset[int]] = field(default_factory=set)
+
+    def copy(self) -> "ClauseDB":
+        return ClauseDB(
+            dict(self.atoms), list(self.atom_names), list(self.clauses),
+            list(self.provenance), dict(self.comparisons), list(self.rule_clauses),
+            list(self.axioms), set(self._seen),
+        )
 
     def intern(self, ground: Atom | Comparison) -> int:
         name = render_literal(Literal(False, ground))
@@ -176,35 +194,57 @@ def _evaluate(cmp: Comparison, value: Any) -> bool:
     return ops[cmp.op]
 
 
-def append_comparison_axioms(db: ClauseDB, onto: Ontology) -> None:
+def comparison_axioms(
+    comparisons: Mapping[str, Comparison], atoms: Mapping[str, int], onto: Ontology
+) -> list[frozenset[int]]:
     """Interval axioms: for comparisons over one attribute and subject,
-    forbid every sign pattern that no declared domain value realizes."""
+    forbid every sign pattern that no declared domain value realizes.
+
+    Each axiom mentions one comparison or a pair of them, so the axioms of
+    a set of comparisons include those of every subset.
+    """
     groups: dict[tuple[str, str], list[str]] = {}
-    for name, cmp in db.comparisons.items():
+    for name, cmp in comparisons.items():
         groups.setdefault((cmp.attribute, cmp.subject.name), []).append(name)
+    axioms = []
     for (attribute, _subject), names in sorted(groups.items()):
         domain = onto.numeric_attributes[attribute].domain
         names.sort()
         for name in names:
-            truths = {_evaluate(db.comparisons[name], v) for v in domain}
+            truths = {_evaluate(comparisons[name], v) for v in domain}
             if truths == {True}:
-                db.add_clause([db.atoms[name]], "interval-axiom", {})
+                axioms.append(frozenset([atoms[name]]))
             elif truths == {False}:
-                db.add_clause([-db.atoms[name]], "interval-axiom", {})
+                axioms.append(frozenset([-atoms[name]]))
         for i, first in enumerate(names):
             for second in names[i + 1 :]:
                 patterns = {
-                    (_evaluate(db.comparisons[first], v), _evaluate(db.comparisons[second], v))
+                    (_evaluate(comparisons[first], v), _evaluate(comparisons[second], v))
                     for v in domain
                 }
                 for a_sign in (True, False):
                     for b_sign in (True, False):
                         if (a_sign, b_sign) not in patterns:
-                            clause = [
-                                -db.atoms[first] if a_sign else db.atoms[first],
-                                -db.atoms[second] if b_sign else db.atoms[second],
-                            ]
-                            db.add_clause(clause, "interval-axiom", {})
+                            axioms.append(frozenset([
+                                -atoms[first] if a_sign else atoms[first],
+                                -atoms[second] if b_sign else atoms[second],
+                            ]))
+    return axioms
+
+
+def append_comparison_axioms(db: ClauseDB, onto: Ontology) -> None:
+    """Add the interval axioms over all of db's comparison atoms."""
+    db.axioms = comparison_axioms(db.comparisons, db.atoms, onto)
+    for clause in db.axioms:
+        db.add_clause(clause, "interval-axiom", {})
+
+
+def _add_assumptions(
+    db: ClauseDB, assumptions: Sequence[tuple[Literal, Mapping[str, str]]]
+) -> None:
+    for lit, substitution in assumptions:
+        index = db.intern(ground_inner(lit, substitution))
+        db.add_clause([-index if lit.negated else index], "assumption", substitution)
 
 
 def ground(
@@ -221,12 +261,54 @@ def ground(
     """
     db = ClauseDB()
     for rule in rules:
+        own = []
         for substitution in rule_substitutions(rule, config, onto):
             for clause in instantiate_rule(rule, substitution, db):
+                own.append(clause)
                 db.add_clause(clause, rule.id, substitution)
-    for lit, substitution in assumptions:
-        index = db.intern(ground_inner(lit, substitution))
-        db.add_clause([-index if lit.negated else index], "assumption", substitution)
+        db.rule_clauses.append(tuple(own))
+    _add_assumptions(db, assumptions)
     if config.comparison_mode == "interval-axioms":
         append_comparison_axioms(db, onto)
     return db
+
+
+def extend(
+    db: ClauseDB,
+    assumptions: Sequence[tuple[Literal, Mapping[str, str]]],
+    config: GroundingConfig,
+    onto: Ontology,
+) -> ClauseDB:
+    """`db` plus assumed unit literals, without grounding its rules again.
+
+    When db is ground(rules, config, onto), the result has the atom
+    numbering and the clause set of ground(rules, config, onto,
+    assumptions); only the clause order may differ.  New assumption atoms
+    take the next indices, and interval axioms cover their comparisons.
+    """
+    extended = db.copy()
+    _add_assumptions(extended, assumptions)
+    if (config.comparison_mode == "interval-axioms"
+            and len(extended.comparisons) > len(db.comparisons)):
+        append_comparison_axioms(extended, onto)
+    return extended
+
+
+def rule_subset(
+    db: ClauseDB, indexes: Sequence[int], config: GroundingConfig, onto: Ontology
+) -> list[frozenset[int]]:
+    """Clauses of grounding only the rules at `indexes` of db's rule list,
+    in db's atom numbering (a renaming of that grounding's own).
+
+    In interval-axioms mode the axioms cover exactly the comparison atoms
+    those rules contain, as that grounding's do; axioms over db's other
+    comparisons are left out, so the clause set is that grounding's.
+    """
+    clauses = [clause for i in indexes for clause in db.rule_clauses[i]]
+    if config.comparison_mode == "interval-axioms":
+        used = {abs(lit) for clause in clauses for lit in clause}
+        comparisons = {
+            name: cmp for name, cmp in db.comparisons.items() if db.atoms[name] in used
+        }
+        clauses += comparison_axioms(comparisons, db.atoms, onto)
+    return clauses

@@ -21,8 +21,9 @@ def solve(
     normalized = [frozenset(c) for c in clauses]
     seen = max((abs(l) for c in normalized for l in c), default=0)
     total = max(num_vars or 0, seen)
-    assignment: dict[int, bool] = {}
-    result = _dpll(normalized, assignment)
+    if any(not clause for clause in normalized):
+        return None
+    result = _dpll(normalized)
     if result is None:
         return None
     for variable in range(1, total + 1):
@@ -44,10 +45,9 @@ def _assign(clauses: list[Clause], literal: int) -> list[Clause] | None:
     return out
 
 
-def _dpll(clauses: list[Clause], assignment: dict[int, bool]) -> dict[int, bool] | None:
-    if any(not clause for clause in clauses):
-        return None
-    # unit propagation to fixpoint
+def _propagate(clauses: list[Clause], assignment: dict[int, bool]) -> list[Clause] | None:
+    """Unit propagation to fixpoint, then pure-literal elimination; records
+    the assigned literals in `assignment`.  None signals a conflict."""
     while True:
         unit = None
         for clause in clauses:
@@ -71,7 +71,7 @@ def _dpll(clauses: list[Clause], assignment: dict[int, bool]) -> dict[int, bool]
                 (positive if literal > 0 else negative).add(abs(literal))
         pure = sorted((positive - negative) | (negative - positive))
         if not pure:
-            break
+            return clauses
         for variable in pure:
             literal = variable if variable in positive else -variable
             assignment[abs(literal)] = literal > 0
@@ -80,17 +80,30 @@ def _dpll(clauses: list[Clause], assignment: dict[int, bool]) -> dict[int, bool]
                 return None
             clauses = simplified
 
-    if not clauses:
-        return assignment
 
-    variable = min(abs(l) for clause in clauses for l in clause)
-    for literal in (variable, -variable):
-        simplified = _assign(clauses, literal)
-        if simplified is None:
-            continue
-        branched = dict(assignment)
-        branched[variable] = literal > 0
-        result = _dpll(simplified, branched)
-        if result is not None:
-            return result
-    return None
+def _dpll(clauses: list[Clause]) -> dict[int, bool] | None:
+    """Depth-first search over decisions, with an explicit stack of the
+    decisions whose False branch is still untried, so the search depth is
+    not bounded by Python's recursion limit."""
+    assignment: dict[int, bool] = {}
+    untried: list[tuple[list[Clause], dict[int, bool], int]] = []
+    while True:
+        remaining = _propagate(clauses, assignment)
+        if remaining is not None:
+            if not remaining:
+                return assignment
+            variable = min(abs(l) for clause in remaining for l in clause)
+            untried.append((remaining, assignment, variable))
+            simplified = _assign(remaining, variable)
+            if simplified is not None:
+                clauses, assignment = simplified, {**assignment, variable: True}
+                continue
+        # backtrack: the False branch of the latest decision that has one
+        while True:
+            if not untried:
+                return None
+            remaining, parent, variable = untried.pop()
+            simplified = _assign(remaining, -variable)
+            if simplified is not None:
+                clauses, assignment = simplified, {**parent, variable: False}
+                break

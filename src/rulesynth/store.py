@@ -9,6 +9,9 @@ pipeline produce identical files.
 from __future__ import annotations
 
 import json
+import os
+import secrets
+import shutil
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -394,7 +397,25 @@ def store_to_json(store: TheoryStore) -> dict[str, Any]:
 
 
 def save_store(store: TheoryStore, path: str | Path) -> None:
-    """Write the store; output bytes depend only on the store value."""
+    """Write the store; output bytes depend only on the store value.
+
+    The bytes go to a temporary file in the same directory, which then
+    replaces `path` in one step, so a failure part-way through leaves the
+    previous store intact and no temporary file behind.  A symlinked path
+    keeps its link, and an existing store keeps its permission bits.
+    """
     _check_integrity(store)
     payload = json.dumps(store_to_json(store), sort_keys=True, indent=2, ensure_ascii=False)
-    Path(path).write_text(payload + "\n", encoding="utf-8")
+    path = Path(path).resolve()
+    temporary = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    try:
+        with temporary.open("x", encoding="utf-8") as out:
+            out.write(payload + "\n")
+            out.flush()
+            os.fsync(out.fileno())
+        if path.exists():
+            shutil.copymode(path, temporary)
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise

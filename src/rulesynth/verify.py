@@ -14,23 +14,36 @@ Stages run in a fixed order with fail-fast verdicts:
 The quantification semantics is finite-model: rules are grounded over the
 configured constant domain, so every verdict is relative to the grounding
 config recorded in the report.
+
+One `verify()` call grounds theory plus candidate once, in the consistency
+stage, and every later SAT call solves clauses built from that ClauseDB:
+core shrinking solves the kept rules' own clause lists, entailment the
+theory's clauses plus a negated candidate clause, and each invariant check
+extends the DB with its assumed unit literals.  Each of these clause sets,
+and its atom numbering, equals what grounding that check's rules (and
+assumptions) afresh would give, up to clause order, and the DPLL answer
+depends only on those two.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Sequence
 
 from . import sat
 from .fol import Ontology, Rule, render_rule, validate_schema
+# append_comparison_axioms and instantiate_rule are not called here, but the
+# benchmark's --trace mode rebinds them in this module, next to ground.
 from .grounding import (
     ClauseDB,
     GroundingConfig,
     append_comparison_axioms,
+    extend,
     ground,
     instantiate_rule,
+    rule_subset,
     rule_substitutions,
 )
 from .store import Invariant, TheoryStore
@@ -47,38 +60,50 @@ class ConsistencyResult:
     consistent: bool
     core: tuple[str, ...] = ()  # theory rule ids; empty core means the
     # candidate is self-contradictory under the grounding
+    db: ClauseDB | None = field(default=None, compare=False, repr=False)
+    # the grounding of theory plus candidate, for the later stages
 
 
 def check_consistency(
     theory: Sequence[Rule], candidate: Rule, config: GroundingConfig, onto: Ontology
 ) -> ConsistencyResult:
     """SAT check of theory plus candidate; on UNSAT, shrink the theory to a
-    minimal subset that still conflicts with the candidate."""
-    if _solve_db(ground([*theory, candidate], config, onto)) is not None:
-        return ConsistencyResult(True)
-    kept = list(theory)
-    for rule in list(kept):
-        trial = [r for r in kept if r is not rule]
-        if _solve_db(ground([*trial, candidate], config, onto)) is None:
+    minimal subset that still conflicts with the candidate.
+
+    Theory plus candidate is grounded once; each shrinking trial solves the
+    clauses of its kept rules and the candidate from that grounding."""
+    db = ground([*theory, candidate], config, onto)
+    if _solve_db(db) is not None:
+        return ConsistencyResult(True, db=db)
+    candidate_index = len(theory)
+    kept = list(range(len(theory)))
+    for dropped in range(len(theory)):
+        trial = [i for i in kept if theory[i] is not theory[dropped]]
+        clauses = rule_subset(db, [*trial, candidate_index], config, onto)
+        if sat.solve(clauses, num_vars=len(db.atom_names)) is None:
             kept = trial
-    return ConsistencyResult(False, tuple(r.id for r in kept))
+    return ConsistencyResult(False, tuple(theory[i].id for i in kept), db)
 
 
 def check_entailment(
-    theory: Sequence[Rule], candidate: Rule, config: GroundingConfig, onto: Ontology
+    theory: Sequence[Rule],
+    candidate: Rule,
+    config: GroundingConfig,
+    onto: Ontology,
+    *,
+    db: ClauseDB | None = None,
 ) -> bool:
     """True when every grounding clause of the candidate is refuted by the
     theory (clause-by-clause negation + SAT), i.e. the candidate is redundant.
-    Precondition: theory plus candidate is consistent."""
-    db = ground(theory, config, onto)
-    candidate_clauses = []
-    for substitution in rule_substitutions(candidate, config, onto):
-        candidate_clauses.extend(instantiate_rule(candidate, substitution, db))
-    if config.comparison_mode == "interval-axioms":
-        append_comparison_axioms(db, onto)
-    for clause in candidate_clauses:
+    Precondition: theory plus candidate is consistent.  `db`, when given,
+    is ground([*theory, candidate], config, onto)."""
+    if db is None:
+        db = ground([*theory, candidate], config, onto)
+    theory_clauses = [clause for own in db.rule_clauses[:-1] for clause in own]
+    theory_clauses += db.axioms
+    for clause in db.rule_clauses[-1]:
         negation = [frozenset([-lit]) for lit in clause]
-        if sat.solve(db.clauses + negation, num_vars=len(db.atom_names)) is not None:
+        if sat.solve(theory_clauses + negation, num_vars=len(db.atom_names)) is not None:
             return False
     return True
 
@@ -96,6 +121,8 @@ def check_invariants(
     invariants: Sequence[Invariant],
     config: GroundingConfig,
     onto: Ontology,
+    *,
+    db: ClauseDB | None = None,
 ) -> InvariantResult:
     """Check that the theory (plus candidate, if given) entails each invariant.
 
@@ -103,18 +130,22 @@ def check_invariants(
     satisfies I's body while falsifying one of its head literals, for some
     substitution.  Conjunctive heads are negated one literal per SAT
     attempt.  The first violation (store order, then substitution order,
-    then head-literal order) is reported with its countermodel.
+    then head-literal order) is reported with its countermodel.  Each
+    attempt extends the grounding `db` of those rules (grounded here when
+    not given) with its assumed literals.
     """
-    rules = [*theory] if candidate is None else [*theory, candidate]
+    if db is None:
+        rules = [*theory] if candidate is None else [*theory, candidate]
+        db = ground(rules, config, onto)
     for invariant in invariants:
         for substitution in rule_substitutions(invariant.rule, config, onto):
             assumptions = [(lit, substitution) for lit in invariant.rule.body]
             for head_lit in invariant.rule.head:
                 negated = [*assumptions, (head_lit.complement(), substitution)]
-                db = ground(rules, config, onto, assumptions=negated)
-                model = _solve_db(db)
+                attempt = extend(db, negated, config, onto)
+                model = _solve_db(attempt)
                 if model is not None:
-                    return InvariantResult(False, invariant.id, db.render_model(model))
+                    return InvariantResult(False, invariant.id, attempt.render_model(model))
     return InvariantResult(True)
 
 
@@ -179,19 +210,23 @@ def verify(
     theory = store.theory_rules()
     stages.append("consistency")
     consistency = check_consistency(theory, candidate, config, onto)
+    db = consistency.db
+    consistency = replace(consistency, db=None)  # the report keeps no grounding
     if not consistency.consistent:
         return VerificationReport(
             candidate.id, render_rule(candidate), "Inconsistent", tuple(stages),
             (), consistency, None, None, grounding_used,
         )
     stages.append("redundancy")
-    if check_entailment(theory, candidate, config, onto):
+    if check_entailment(theory, candidate, config, onto, db=db):
         return VerificationReport(
             candidate.id, render_rule(candidate), "Redundant", tuple(stages),
             (), consistency, "entailed", None, grounding_used,
         )
     stages.append("invariants")
-    invariant_result = check_invariants(theory, candidate, store.invariants, config, onto)
+    invariant_result = check_invariants(
+        theory, candidate, store.invariants, config, onto, db=db
+    )
     if not invariant_result.preserved:
         return VerificationReport(
             candidate.id, render_rule(candidate), "Unsafe", tuple(stages),
@@ -209,9 +244,10 @@ def theory_soundness(
     """Promotion soundness: the committed theory is satisfiable and every
     declared invariant is entailed by it."""
     theory = store.theory_rules()
-    if _solve_db(ground(theory, config, onto)) is None:
+    db = ground(theory, config, onto)
+    if _solve_db(db) is None:
         return False, "verified theory is unsatisfiable"
-    result = check_invariants(theory, None, store.invariants, config, onto)
+    result = check_invariants(theory, None, store.invariants, config, onto, db=db)
     if not result.preserved:
         return False, f"invariant {result.violated_id} not entailed by the theory"
     return True, "ok"

@@ -88,3 +88,15 @@ def test_pigeonhole_4_into_3_is_unsat():
 def test_pigeonhole_3_into_3_is_sat():
     clauses, num_vars = pigeonhole(3, 3)
     assert solve(clauses, num_vars) is not None
+
+
+def test_deep_decision_chain_does_not_hit_recursion_limit():
+    # 1200 independent pairs (x or y) and (not x or not y): no unit or pure
+    # literal ever appears, so the search takes 1200 nested decisions
+    clauses = []
+    for i in range(1200):
+        x, y = 2 * i + 1, 2 * i + 2
+        clauses += [frozenset({x, y}), frozenset({-x, -y})]
+    model = solve(clauses)
+    # lowest variable first, True first: every x true, every y false
+    assert model == {v: v % 2 == 1 for v in range(1, 2401)}

@@ -79,6 +79,42 @@ def test_save_is_byte_deterministic(tmp_path, seed_store):
     assert a.read_bytes() == (SCENARIOS / "merge.kb.json").read_bytes()
 
 
+@pytest.mark.parametrize("failing", ["fsync", "replace"])
+def test_failed_save_keeps_old_store_and_leaves_no_temp_file(
+    tmp_path, seed_store, onto, monkeypatch, failing
+):
+    path = tmp_path / "store.json"
+    save_store(seed_store, path)
+    before = path.read_bytes()
+    changed, _duplicate = _commit_collide(seed_store, onto)
+
+    def crash(*args):
+        raise OSError("disk gone")
+
+    monkeypatch.setattr(f"rulesynth.store.os.{failing}", crash)
+    with pytest.raises(OSError, match="disk gone"):
+        save_store(changed, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["store.json"]
+    monkeypatch.undo()
+    save_store(changed, path)
+    assert load_store(path, onto) == changed
+
+
+def test_save_through_symlink_keeps_link_and_mode(tmp_path, seed_store):
+    target = tmp_path / "kb" / "store.json"
+    target.parent.mkdir()
+    save_store(seed_store, target)
+    target.chmod(0o600)
+    link = tmp_path / "store.json"
+    link.symlink_to(target)
+    target.write_text("stale")
+    save_store(seed_store, link)
+    assert link.is_symlink()
+    assert target.read_bytes() == (SCENARIOS / "merge.kb.json").read_bytes()
+    assert target.stat().st_mode & 0o777 == 0o600
+
+
 def _commit_collide(store, onto, report=None):
     rule = parse_rule(COLLIDE_RULE, onto)
     from rulesynth.store import Cause
