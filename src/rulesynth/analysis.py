@@ -1,16 +1,22 @@
 """Minimal necessary and minimal sufficient cause-set search.
 
-Subsets are enumerated bottom-up: ascending cardinality, lexicographic by
-cause index within a cardinality.  A candidate that contains an already
-found set is skipped, which is sound exactly when the achievement oracle
-is monotone (adding causes never destroys achievement).  Monotonicity is
-checked rather than assumed: any answer contradicting it is recorded and
-disables pruning for the remainder of the run.
+One kernel, `minimal_sets`, walks subsets as bitmasks bottom-up:
+ascending cardinality, lexicographic by cause index within a cardinality.
+It keeps the minimal subsets on which a predicate holds: the judge
+achieves on them (sufficient), the judge fails on the universe minus them
+(necessary), or they hit every member of a family (transversals).  A
+candidate that contains an already found set is skipped, which is sound
+exactly when the achievement oracle is monotone (adding causes never
+destroys achievement).  Monotonicity is checked rather than assumed: any
+answer contradicting it is recorded and disables pruning for the
+remainder of the run, after which such a candidate is still judged but
+never kept.
 
 A removal set N is necessary when judging universe minus N fails; for a
 monotone oracle the minimal necessary sets are precisely the minimal
 transversals (hitting sets) of the minimal sufficient family, which
-analyze() cross-checks.
+analyze() cross-checks.  brute_force_families is the reference: it judges
+every subset and shares no code with the kernel.
 """
 
 from __future__ import annotations
@@ -89,41 +95,42 @@ class MonotonicityViolation:
 class MonotoneMonitor:
     """Cross-checks every observed answer against sets found so far.
 
-    A failing answer on a superset of a known sufficient set, or an
-    achieving answer on a set disjoint from a known necessary removal
-    set, contradicts monotonicity.  Either observation disables superset
-    pruning for the rest of the run.
+    Sets are bitmasks (bit i is cause i).  A failing answer on a superset
+    of a known sufficient set, or an achieving answer on a set disjoint
+    from a known necessary removal set, contradicts monotonicity.  Either
+    observation disables superset pruning for the rest of the run.
     """
 
     def __init__(self, universe: Sequence[str]):
         self.universe = frozenset(universe)
-        self.sufficient: list[frozenset[str]] = []
-        self.necessary: list[frozenset[str]] = []
+        self.ids = _mask_ids(tuple(universe))
+        self.sufficient: list[int] = []
+        self.necessary: list[int] = []
         self.violations: list[MonotonicityViolation] = []
 
     @property
     def pruning_enabled(self) -> bool:
         return not self.violations
 
-    def observe(self, subset: frozenset[str], achieves: bool) -> None:
+    def observe(self, subset: int, achieves: bool) -> None:
         if achieves:
             for removal in self.necessary:
                 if not (subset & removal):  # subset survives the breaking removal
                     self.violations.append(
                         MonotonicityViolation(
                             "achieving-subset-of-failing-set",
-                            tuple(sorted(subset)),
-                            tuple(sorted(self.universe - removal)),
+                            tuple(sorted(self.ids(subset))),
+                            tuple(sorted(self.universe - self.ids(removal))),
                         )
                     )
         else:
             for sufficient in self.sufficient:
-                if sufficient <= subset:
+                if sufficient & subset == sufficient:
                     self.violations.append(
                         MonotonicityViolation(
                             "failing-superset-of-sufficient-set",
-                            tuple(sorted(sufficient)),
-                            tuple(sorted(subset)),
+                            tuple(sorted(self.ids(sufficient))),
+                            tuple(sorted(self.ids(subset))),
                         )
                     )
 
@@ -139,6 +146,68 @@ def _subsets_ascending(n: int) -> Iterable[tuple[int, ...]]:
         yield from combinations(range(n), size)
 
 
+def _mask_ids(universe: tuple[str, ...]) -> Callable[[int], frozenset[str]]:
+    """Mask -> cause ids, one table lookup per 8 bits of the mask."""
+    tables = []
+    for lo in range(0, len(universe), 8):
+        table: list[tuple[str, ...]] = [()]
+        for cause in universe[lo : lo + 8]:  # entry b lists the causes of b's bits
+            table += [t + (cause,) for t in table]
+        tables.append(table)
+
+    def ids(mask: int) -> frozenset[str]:
+        out: tuple[str, ...] = ()
+        for table in tables:
+            out += table[mask & 255]
+            mask >>= 8
+        return frozenset(out)
+
+    return ids
+
+
+def minimal_sets(
+    n: int, holds: Callable[[int], bool], found: list[int], prune: Callable[[], bool] = lambda: True
+) -> list[int]:
+    """The minimal masks over n bits on which `holds` is true.
+
+    Candidates are walked bottom-up: ascending cardinality, lexicographic
+    by bit index within a cardinality.  A candidate containing a mask
+    already in `found` is skipped while `prune()` is true; otherwise it is
+    still judged but never kept.  Minimal masks are appended to `found`,
+    which is returned.
+    """
+    bits = [1 << i for i in range(n)]
+    for size in range(n + 1):
+        for combo in combinations(bits, size):
+            mask = sum(combo)
+            covered = any(f & mask == f for f in found)
+            if covered and prune():
+                continue
+            if holds(mask) and not covered:
+                found.append(mask)
+    return found
+
+
+def _monitored_search(
+    universe: Sequence[str], judge: Judge, monitor: MonotoneMonitor | None, removal: bool
+) -> SearchOutcome:
+    if not universe:
+        raise ValueError("universe must be nonempty")
+    monitor = monitor if monitor is not None else MonotoneMonitor(universe)
+    flip = (1 << len(universe)) - 1 if removal else 0
+
+    def holds(mask: int) -> bool:
+        subset = mask ^ flip
+        achieves = judge(monitor.ids(subset))
+        monitor.observe(subset, achieves)
+        return achieves != removal
+
+    found = monitor.necessary if removal else monitor.sufficient
+    minimal_sets(len(universe), holds, found, lambda: monitor.pruning_enabled)
+    family = CauseSetFamily.from_id_sets(universe, map(monitor.ids, found))
+    return SearchOutcome(family, tuple(monitor.violations))
+
+
 def minimal_sufficient_search(
     universe: Sequence[str], judge: Judge, monitor: MonotoneMonitor | None = None
 ) -> SearchOutcome:
@@ -147,24 +216,7 @@ def minimal_sufficient_search(
     The empty set is tested first; if it achieves, the family is {{}} and
     every other candidate is pruned as its superset.
     """
-    if not universe:
-        raise ValueError("universe must be nonempty")
-    universe = tuple(universe)
-    monitor = monitor if monitor is not None else MonotoneMonitor(universe)
-    found: list[set[int]] = []
-    for combo in _subsets_ascending(len(universe)):
-        candidate = set(combo)
-        if monitor.pruning_enabled and any(f <= candidate for f in found):
-            continue
-        ids = frozenset(universe[i] for i in combo)
-        achieves = judge(ids)
-        monitor.observe(ids, achieves)
-        if achieves and not any(f <= candidate for f in found):
-            found.append(candidate)
-            monitor.sufficient.append(ids)
-    return SearchOutcome(
-        CauseSetFamily.build(universe, found), tuple(monitor.violations)
-    )
+    return _monitored_search(universe, judge, monitor, removal=False)
 
 
 def minimal_necessary_search(
@@ -176,25 +228,7 @@ def minimal_necessary_search(
     is tested first: when the full set already fails the effect is
     unachievable and the family collapses to {{}}.
     """
-    if not universe:
-        raise ValueError("universe must be nonempty")
-    universe = tuple(universe)
-    monitor = monitor if monitor is not None else MonotoneMonitor(universe)
-    found: list[set[int]] = []
-    for combo in _subsets_ascending(len(universe)):
-        removal = set(combo)
-        if monitor.pruning_enabled and any(f <= removal for f in found):
-            continue
-        removal_ids = frozenset(universe[i] for i in combo)
-        remaining = frozenset(universe) - removal_ids
-        achieves = judge(remaining)
-        monitor.observe(remaining, achieves)
-        if not achieves and not any(f <= removal for f in found):
-            found.append(removal)
-            monitor.necessary.append(removal_ids)
-    return SearchOutcome(
-        CauseSetFamily.build(universe, found), tuple(monitor.violations)
-    )
+    return _monitored_search(universe, judge, monitor, removal=True)
 
 
 def find_minimal_sufficient_sets(universe: Sequence[str], judge: Judge) -> CauseSetFamily:
@@ -246,15 +280,9 @@ def minimal_transversals(family: CauseSetFamily) -> CauseSetFamily:
     result is {{}}; for a family containing the empty set no transversal
     exists and the result is empty.
     """
-    members = [set(s) for s in family.sets]
-    found: list[set[int]] = []
-    for combo in _subsets_ascending(len(family.universe)):
-        candidate = set(combo)
-        if any(f <= candidate for f in found):
-            continue
-        if all(candidate & member for member in members):
-            found.append(candidate)
-    return CauseSetFamily.build(family.universe, found)
+    members = [sum(1 << i for i in s) for s in family.sets]
+    found = minimal_sets(len(family.universe), lambda mask: all(mask & m for m in members), [])
+    return CauseSetFamily.from_id_sets(family.universe, map(_mask_ids(family.universe), found))
 
 
 @dataclass(frozen=True)

@@ -150,56 +150,57 @@ def _run(args: argparse.Namespace) -> int:
     onto = load_ontology(config.ontology_path)
     store = load_store(config.store_path, onto)
     oracle = build_oracle(config)
-    recorder: RecordingOracle | None = None
-    if args.record:
-        recorder = RecordingOracle(oracle)
-        oracle = recorder
+    recorder = RecordingOracle(oracle) if args.record else None
+    oracle = recorder or oracle
 
     exit_code = 0
-    if args.command in ("synthesize", "run-all"):
-        store, synthesis = run_synthesize(store, onto, oracle, config)
-        write_json_artifact(
-            config.out_dir / f"{synthesis.goal.id}.synthesis.json",
-            synthesis.to_json_dict(),
-        )
-        print(f"goal {synthesis.goal.id}: {synthesis.goal.text}")
-        print(f"  raw causes generated: {len(synthesis.raw_causes)}")
-        print(f"  consolidated causes: {len(synthesis.causes)}")
-        for cause in synthesis.causes:
-            print(f"    {cause.id}  {cause.text}")
-        print(f"  translated rules: {sum(1 for c in synthesis.causes if c.rule)}")
+    try:
+        if args.command in ("synthesize", "run-all"):
+            store, synthesis = run_synthesize(store, onto, oracle, config)
+            write_json_artifact(
+                config.out_dir / f"{synthesis.goal.id}.synthesis.json",
+                synthesis.to_json_dict(),
+            )
+            print(f"goal {synthesis.goal.id}: {synthesis.goal.text}")
+            print(f"  raw causes generated: {len(synthesis.raw_causes)}")
+            print(f"  consolidated causes: {len(synthesis.causes)}")
+            for cause in synthesis.causes:
+                print(f"    {cause.id}  {cause.text}")
+            print(f"  translated rules: {sum(1 for c in synthesis.causes if c.rule)}")
 
-    if args.command in ("analyze", "run-all"):
-        store, report = run_analyze(
-            store, oracle, config, brute_force=getattr(args, "brute_force", False)
-        )
-        write_json_artifact(
-            config.out_dir / f"{report.goal_id}.analysis.json", report.to_json_dict()
-        )
-        print("\n".join(_family_lines(report)))
-        if getattr(args, "strict_monotone", False) and not report.duality_ok:
-            exit_code = 5
+        if args.command in ("analyze", "run-all"):
+            store, report = run_analyze(
+                store, oracle, config, brute_force=getattr(args, "brute_force", False)
+            )
+            write_json_artifact(
+                config.out_dir / f"{report.goal_id}.analysis.json", report.to_json_dict()
+            )
+            print("\n".join(_family_lines(report)))
+            if getattr(args, "strict_monotone", False) and not report.duality_ok:
+                exit_code = 5
 
-    if args.command in ("verify", "run-all"):
-        rule_ids = None
-        if args.command == "verify" and args.rules:
-            rule_ids = [r.strip() for r in args.rules.split(",") if r.strip()]
-        store, reports = run_verify(store, onto, config, rule_ids)
-        goal = store.goal_by_text(config.goal_text)
-        stem = goal.id if goal is not None else "verification"
-        write_json_artifact(
-            config.out_dir / f"{stem}.verification.json",
-            {"reports": [r.to_json_dict() for r in reports]},
-        )
-        print("\n".join(_verdict_table(reports)))
-        if any(r.verdict in ("Inconsistent", "Unsafe") for r in reports):
-            exit_code = 6
+        if args.command in ("verify", "run-all"):
+            rule_ids = None
+            if args.command == "verify" and args.rules:
+                rule_ids = [r.strip() for r in args.rules.split(",") if r.strip()]
+            store, reports = run_verify(store, onto, config, rule_ids)
+            goal = store.goal_by_text(config.goal_text)
+            stem = goal.id if goal is not None else "verification"
+            write_json_artifact(
+                config.out_dir / f"{stem}.verification.json",
+                {"reports": [r.to_json_dict() for r in reports]},
+            )
+            print("\n".join(_verdict_table(reports)))
+            if any(r.verdict in ("Inconsistent", "Unsafe") for r in reports):
+                exit_code = 6
 
-    # persist only when the stages ran to completion; a hard error above
-    # leaves the store file untouched
-    save_store(store, config.store_path)
-    if recorder is not None:
-        recorder.save(Path(args.record))
+        # persist only when the stages ran to completion; a hard error above
+        # leaves the store file untouched
+        save_store(store, config.store_path)
+    finally:
+        # the transcript holds answers already paid for, so keep it on error too
+        if recorder is not None:
+            recorder.save(Path(args.record))
     return exit_code
 
 

@@ -17,7 +17,6 @@ budget accounting all share.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
@@ -261,56 +260,25 @@ class DeterministicOracle(Oracle):
 # --- query cache ---
 
 
-class _Cell:
-    __slots__ = ("event", "value", "error")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.value: Any = None
-        self.error: BaseException | None = None
-
-
 class QueryCache:
-    """Answer cache keyed by canonical query key.
+    """Answer cache keyed by canonical query key, with hit and miss counts.
 
-    Thread-safe with single-flight semantics: two concurrent queries for
-    one key trigger exactly one backend call, the second caller waits for
-    the first result.  Errors are propagated to all waiters but are not
-    memoized.
+    Not synchronised: use one instance from one thread.  An answer whose
+    computation raises is not memoized; the next query computes it again.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._cells: dict[str, _Cell] = {}
+        self._answers: dict[str, Any] = {}
         self.hits = 0
         self.misses = 0
 
     def get_or_compute(self, key: str, compute: Callable[[], Any]) -> Any:
-        owner = False
-        with self._lock:
-            cell = self._cells.get(key)
-            if cell is None:
-                cell = _Cell()
-                self._cells[key] = cell
-                self.misses += 1
-                owner = True
-            else:
-                self.hits += 1
-        if not owner:
-            cell.event.wait()
-            if cell.error is not None:
-                raise cell.error
-            return cell.value
-        try:
-            cell.value = compute()
-        except BaseException as exc:
-            cell.error = exc
-            with self._lock:
-                self._cells.pop(key, None)
-            cell.event.set()
-            raise
-        cell.event.set()
-        return cell.value
+        if key in self._answers:
+            self.hits += 1
+            return self._answers[key]
+        self.misses += 1
+        value = self._answers[key] = compute()
+        return value
 
 
 class CachedAchievementJudge:

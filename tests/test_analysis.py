@@ -11,6 +11,7 @@ from rulesynth.analysis import (
     find_minimal_necessary_sets,
     find_minimal_sufficient_sets,
     minimal_necessary_search,
+    minimal_sets,
     minimal_sufficient_search,
     minimal_transversals,
 )
@@ -127,6 +128,16 @@ def test_pruned_equals_brute_force_on_random_monotone_oracles():
         assert minimal_transversals(sufficient) == necessary
 
 
+def test_searches_match_brute_force_past_eight_causes():
+    # cause ids are decoded from masks eight bits at a time
+    universe = ids(11)
+    judge = monotone_judge([frozenset(["c9", "c10"]), frozenset(["c2", "c11"])])
+    brute_sufficient, brute_necessary = brute_force_families(universe, judge)
+    assert find_minimal_sufficient_sets(universe, judge) == brute_sufficient
+    assert find_minimal_necessary_sets(universe, judge) == brute_necessary
+    assert brute_sufficient.to_json() == [["c2", "c11"], ["c9", "c10"]]
+
+
 def test_returned_sufficient_sets_are_sound_and_minimal():
     rng = random.Random(7)
     for _ in range(20):
@@ -169,9 +180,36 @@ def test_pruning_saves_queries_and_is_deterministic():
     assert counts[0] < 2 ** len(universe)
 
 
+def test_search_order_is_pinned():
+    # ascending cardinality, then lexicographic by cause index; supersets
+    # of found sets are never shown to the judge
+    universe = ids(4)
+    family = [frozenset(["c1", "c2"]), frozenset(["c3"])]
+    for search, expected in (
+        (minimal_sufficient_search, ["", "1", "2", "3", "4", "12", "14", "24"]),
+        (
+            minimal_necessary_search,
+            ["1234", "234", "134", "124", "123", "34", "24", "23", "14", "13", "12", "3"],
+        ),
+    ):
+        seen = []
+        judge = monotone_judge(family)
+        search(universe, lambda s: seen.append("".join(sorted(c[1:] for c in s))) or judge(s))
+        assert seen == expected, search.__name__
+
+
+def test_kernel_judges_covered_candidates_without_keeping_them_when_not_pruning():
+    for prune, judged in ((True, [0]), (False, [0, 1, 2, 4, 3, 5, 6, 7])):
+        seen = []
+        found = minimal_sets(3, lambda mask: seen.append(mask) or True, [], lambda: prune)
+        assert seen == judged
+        assert found == [0]
+
+
 def test_non_monotone_oracle_detected_and_pruning_disabled():
     universe = ids(3)
-    judge = lambda s: len(s) == 1  # noqa: E731  (achieves only on singletons)
+    calls = []
+    judge = lambda s: calls.append(s) or len(s) == 1  # noqa: E731  (achieves only on singletons)
     monitor = MonotoneMonitor(universe)
     necessary = minimal_necessary_search(universe, judge, monitor)
     sufficient = minimal_sufficient_search(universe, judge, monitor)
@@ -181,7 +219,24 @@ def test_non_monotone_oracle_detected_and_pruning_disabled():
         frozenset(["c2"]),
         frozenset(["c3"]),
     )
-    assert monitor.violations  # achieving singleton inside a failing universe
+    # one necessary query (every other removal contains the empty one), then
+    # the whole lattice once the first singleton disables pruning
+    assert len(calls) == 9
+    achieving, failing = "achieving-subset-of-failing-set", "failing-superset-of-sufficient-set"
+    assert [(v.kind, v.witness_small, v.witness_large) for v in monitor.violations] == [
+        (achieving, ("c1",), ("c1", "c2", "c3")),
+        (achieving, ("c2",), ("c1", "c2", "c3")),
+        (achieving, ("c3",), ("c1", "c2", "c3")),
+        (failing, ("c1",), ("c1", "c2")),
+        (failing, ("c2",), ("c1", "c2")),
+        (failing, ("c1",), ("c1", "c3")),
+        (failing, ("c3",), ("c1", "c3")),
+        (failing, ("c2",), ("c2", "c3")),
+        (failing, ("c3",), ("c2", "c3")),
+        (failing, ("c1",), ("c1", "c2", "c3")),
+        (failing, ("c2",), ("c1", "c2", "c3")),
+        (failing, ("c3",), ("c1", "c2", "c3")),
+    ]
     assert not monitor.pruning_enabled
 
 

@@ -102,6 +102,28 @@ def test_record_then_replay_reproduces_artifacts(tmp_path):
         assert (work_a / "out" / name).read_bytes() == (work_b / "out" / name).read_bytes()
 
 
+def test_record_keeps_paid_answers_when_a_stage_fails(work_dir, capsys):
+    spec_path = work_dir / "scenario1.oracle.json"
+    doc = read(spec_path)
+    del doc["goals"]["g1"]["translations"][
+        "Driver maintains control of the vehicle and is aware of surrounding traffic"
+    ]
+    spec_path.write_text(json.dumps(doc))
+    store_before = (work_dir / "merge.kb.json").read_bytes()
+
+    transcript = work_dir / "partial.transcript.json"
+    code = run([
+        "run-all", "--config", str(work_dir / "scenario1.config.json"),
+        "--record", str(transcript),
+    ])
+    assert code == 3
+    assert "no translation" in capsys.readouterr().err
+    kinds = {json.loads(key)[0] for key in read(transcript)["entries"]}
+    assert {"generate", "equivalent"} <= kinds
+    # the store is still saved only when every stage completed
+    assert (work_dir / "merge.kb.json").read_bytes() == store_before
+
+
 def test_verify_exit_6_on_injected_contradiction(work_dir, capsys, onto):
     config = str(work_dir / "scenario1.config.json")
     assert run(["synthesize", "--config", config]) == 0

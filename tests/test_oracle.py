@@ -1,7 +1,5 @@
 import itertools
 import json
-import threading
-import time
 
 import pytest
 
@@ -149,29 +147,6 @@ def test_cache_soundness_counts_distinct_keys():
         cache.get_or_compute(key, lambda key=key: calls.append(key) or key)
     assert cache.misses == len(set(keys)) == len(calls)
     assert cache.hits == len(keys) - len(set(keys))
-
-
-def test_cache_single_flight_under_concurrency():
-    cache = QueryCache()
-    backend_calls = []
-
-    def slow_compute():
-        backend_calls.append(1)
-        time.sleep(0.05)
-        return "answer"
-
-    results = []
-    threads = [
-        threading.Thread(target=lambda: results.append(cache.get_or_compute("k", slow_compute)))
-        for _ in range(8)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert results == ["answer"] * 8
-    assert len(backend_calls) == 1
-    assert cache.misses == 1 and cache.hits == 7
 
 
 def test_cache_does_not_memoize_errors():
