@@ -61,7 +61,6 @@ from .verify import (
     check_entailment,
     check_invariants,
     theory_soundness,
-    verify,
 )
 
 __version__ = "0.1.0"

@@ -16,13 +16,15 @@ configured constant domain, so every verdict is relative to the grounding
 config recorded in the report.
 
 One `verify()` call grounds theory plus candidate once, in the consistency
-stage, and every later SAT call solves clauses built from that ClauseDB:
-core shrinking solves the kept rules' own clause lists, entailment the
-theory's clauses plus a negated candidate clause, and each invariant check
-extends the DB with its assumed unit literals.  Each of these clause sets,
-and its atom numbering, equals what grounding that check's rules (and
-assumptions) afresh would give, up to clause order, and the DPLL answer
-depends only on those two.
+stage, and indexes that ClauseDB once (`sat.Index`); every later check is
+one solve of that index.  Consistency solves it whole; each core-shrinking
+trial switches off the clauses its kept rules and the candidate lack;
+entailment switches off the clauses only the candidate has and adds one negated
+candidate clause as unit assumptions; each invariant check adds the new
+clauses of the DB extended with its assumed unit literals.  Each of these
+clause sets, and its atom numbering, equals what grounding that check's
+rules (and assumptions) afresh would give, up to clause order, and the DPLL
+answer depends only on those two.
 """
 
 from __future__ import annotations
@@ -51,17 +53,15 @@ from .store import Invariant, TheoryStore
 VERDICTS = ("Accepted", "Malformed", "Inconsistent", "Redundant", "Unsafe")
 
 
-def _solve_db(db: ClauseDB) -> dict[int, bool] | None:
-    return sat.solve(db.clauses, num_vars=len(db.atom_names))
-
-
 @dataclass(frozen=True)
 class ConsistencyResult:
     consistent: bool
     core: tuple[str, ...] = ()  # theory rule ids; empty core means the
     # candidate is self-contradictory under the grounding
     db: ClauseDB | None = field(default=None, compare=False, repr=False)
-    # the grounding of theory plus candidate, for the later stages
+    index: sat.Index | None = field(default=None, compare=False, repr=False)
+    # the grounding of theory plus candidate and its clause index, for the
+    # later stages
 
 
 def check_consistency(
@@ -70,19 +70,31 @@ def check_consistency(
     """SAT check of theory plus candidate; on UNSAT, shrink the theory to a
     minimal subset that still conflicts with the candidate.
 
-    Theory plus candidate is grounded once; each shrinking trial solves the
-    clauses of its kept rules and the candidate from that grounding."""
+    Theory plus candidate is grounded and indexed once; each shrinking trial
+    switches off the clauses its kept rules and the candidate do not have."""
     db = ground([*theory, candidate], config, onto)
-    if _solve_db(db) is not None:
-        return ConsistencyResult(True, db=db)
+    index = sat.Index(db.clauses)
+    if sat.solve(index, len(db.atom_names)) is not None:
+        return ConsistencyResult(True, db=db, index=index)
     candidate_index = len(theory)
     kept = list(range(len(theory)))
+    indexed = set(db.clauses)  # a subset's clauses, axioms included, are all here
     for dropped in range(len(theory)):
         trial = [i for i in kept if theory[i] is not theory[dropped]]
-        clauses = rule_subset(db, [*trial, candidate_index], config, onto)
-        if sat.solve(clauses, num_vars=len(db.atom_names)) is None:
+        off = indexed.difference(rule_subset(db, [*trial, candidate_index], config, onto))
+        if sat.solve(index, len(db.atom_names), off=off) is None:
             kept = trial
-    return ConsistencyResult(False, tuple(theory[i].id for i in kept), db)
+    return ConsistencyResult(False, tuple(theory[i].id for i in kept), db, index)
+
+
+def _indexed(
+    rules: Sequence[Rule], config: GroundingConfig, onto: Ontology,
+    db: ClauseDB | None, index: sat.Index | None,
+) -> tuple[ClauseDB, sat.Index]:
+    """The given grounding of `rules` and its index, made when not given."""
+    if db is None:
+        db = ground(rules, config, onto)
+    return db, sat.Index(db.clauses) if index is None else index
 
 
 def check_entailment(
@@ -92,18 +104,20 @@ def check_entailment(
     onto: Ontology,
     *,
     db: ClauseDB | None = None,
+    index: sat.Index | None = None,
 ) -> bool:
     """True when every grounding clause of the candidate is refuted by the
     theory (clause-by-clause negation + SAT), i.e. the candidate is redundant.
     Precondition: theory plus candidate is consistent.  `db`, when given,
-    is ground([*theory, candidate], config, onto)."""
-    if db is None:
-        db = ground([*theory, candidate], config, onto)
-    theory_clauses = [clause for own in db.rule_clauses[:-1] for clause in own]
-    theory_clauses += db.axioms
+    is ground([*theory, candidate], config, onto) and `index` its index.
+    Each check switches off the clauses only the candidate has and assumes
+    the negated literals of one candidate clause."""
+    db, index = _indexed([*theory, candidate], config, onto, db, index)
+    theory_clauses = {clause for own in db.rule_clauses[:-1] for clause in own}
+    candidate_only = set(db.rule_clauses[-1]).difference(theory_clauses, db.axioms)
     for clause in db.rule_clauses[-1]:
-        negation = [frozenset([-lit]) for lit in clause]
-        if sat.solve(theory_clauses + negation, num_vars=len(db.atom_names)) is not None:
+        negation = [[-lit] for lit in clause]
+        if sat.solve(index, len(db.atom_names), off=candidate_only, extra=negation) is not None:
             return False
     return True
 
@@ -123,6 +137,7 @@ def check_invariants(
     onto: Ontology,
     *,
     db: ClauseDB | None = None,
+    index: sat.Index | None = None,
 ) -> InvariantResult:
     """Check that the theory (plus candidate, if given) entails each invariant.
 
@@ -131,19 +146,20 @@ def check_invariants(
     substitution.  Conjunctive heads are negated one literal per SAT
     attempt.  The first violation (store order, then substitution order,
     then head-literal order) is reported with its countermodel.  Each
-    attempt extends the grounding `db` of those rules (grounded here when
-    not given) with its assumed literals.
+    attempt extends the grounding `db` of those rules (grounded and indexed
+    here when not given) with its assumed literals, and solves db's index
+    with the extension's new clauses added.
     """
-    if db is None:
-        rules = [*theory] if candidate is None else [*theory, candidate]
-        db = ground(rules, config, onto)
+    rules = [*theory] if candidate is None else [*theory, candidate]
+    db, index = _indexed(rules, config, onto, db, index)
     for invariant in invariants:
         for substitution in rule_substitutions(invariant.rule, config, onto):
             assumptions = [(lit, substitution) for lit in invariant.rule.body]
             for head_lit in invariant.rule.head:
                 negated = [*assumptions, (head_lit.complement(), substitution)]
                 attempt = extend(db, negated, config, onto)
-                model = _solve_db(attempt)
+                new_clauses = attempt.clauses[len(db.clauses):]
+                model = sat.solve(index, len(attempt.atom_names), extra=new_clauses)
                 if model is not None:
                     return InvariantResult(False, invariant.id, attempt.render_model(model))
     return InvariantResult(True)
@@ -210,22 +226,22 @@ def verify(
     theory = store.theory_rules()
     stages.append("consistency")
     consistency = check_consistency(theory, candidate, config, onto)
-    db = consistency.db
-    consistency = replace(consistency, db=None)  # the report keeps no grounding
+    db, index = consistency.db, consistency.index
+    consistency = replace(consistency, db=None, index=None)  # the report keeps no grounding
     if not consistency.consistent:
         return VerificationReport(
             candidate.id, render_rule(candidate), "Inconsistent", tuple(stages),
             (), consistency, None, None, grounding_used,
         )
     stages.append("redundancy")
-    if check_entailment(theory, candidate, config, onto, db=db):
+    if check_entailment(theory, candidate, config, onto, db=db, index=index):
         return VerificationReport(
             candidate.id, render_rule(candidate), "Redundant", tuple(stages),
             (), consistency, "entailed", None, grounding_used,
         )
     stages.append("invariants")
     invariant_result = check_invariants(
-        theory, candidate, store.invariants, config, onto, db=db
+        theory, candidate, store.invariants, config, onto, db=db, index=index
     )
     if not invariant_result.preserved:
         return VerificationReport(
@@ -245,9 +261,10 @@ def theory_soundness(
     declared invariant is entailed by it."""
     theory = store.theory_rules()
     db = ground(theory, config, onto)
-    if _solve_db(db) is None:
+    index = sat.Index(db.clauses)
+    if sat.solve(index, len(db.atom_names)) is None:
         return False, "verified theory is unsatisfiable"
-    result = check_invariants(theory, None, store.invariants, config, onto, db=db)
+    result = check_invariants(theory, None, store.invariants, config, onto, db=db, index=index)
     if not result.preserved:
         return False, f"invariant {result.violated_id} not entailed by the theory"
     return True, "ok"

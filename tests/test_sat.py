@@ -1,8 +1,14 @@
 import random
+import shutil
 
 import numpy as np
 
-from rulesynth.sat import solve
+from rulesynth import sat
+from rulesynth.cli import main
+from rulesynth.sat import Index, solve
+
+import reference_dpll
+from conftest import SCENARIOS
 
 
 def truth_table_satisfiable(clauses, num_vars):
@@ -100,3 +106,81 @@ def test_deep_decision_chain_does_not_hit_recursion_limit():
     model = solve(clauses)
     # lowest variable first, True first: every x true, every y false
     assert model == {v: v % 2 == 1 for v in range(1, 2401)}
+
+
+# --- exact models against the reference DPLL ---
+
+def messy_cnf(rng):
+    """Random CNF with tautologies, unit clauses, duplicate clauses and
+    variables that occur in no clause."""
+    num_vars = rng.randint(1, 12)
+    clauses = []
+    for _ in range(rng.randint(0, 40)):
+        width = rng.randint(1, min(4, num_vars))
+        clause = {v if rng.random() < 0.5 else -v
+                  for v in rng.sample(range(1, num_vars + 1), width)}
+        if rng.random() < 0.05:
+            v = rng.randint(1, num_vars)
+            clause |= {v, -v}
+        clauses.append(frozenset(clause))
+    if clauses and rng.random() < 0.3:
+        clauses += rng.sample(clauses, min(3, len(clauses)))
+    return clauses, num_vars + rng.randint(0, 2)
+
+
+def reference_call(index, num_vars=None, off=(), extra=()):
+    """The same call answered by the reference on the explicit clause list."""
+    kept = [clause for clause in index.clauses if clause not in set(off)]
+    extra = [frozenset(clause) for clause in extra]
+    return reference_dpll.solve(kept + extra, max(num_vars or 0, index.num_vars))
+
+
+def test_models_equal_reference_on_random_cnfs():
+    rng = random.Random("reference-plain")
+    for _ in range(1500):
+        clauses, num_vars = messy_cnf(rng)
+        assert solve(clauses, num_vars) == reference_dpll.solve(clauses, num_vars)
+
+
+def test_models_equal_reference_with_switched_off_and_extra_clauses():
+    rng = random.Random("reference-switches")
+    outcomes = set()
+    for _ in range(1500):
+        clauses, num_vars = messy_cnf(rng)
+        index = Index(clauses)
+        off = {clause for clause in index.clauses if rng.random() < 0.3}
+        extra = []
+        for _ in range(rng.randint(0, 3)):
+            # up to 3 variables above the index's range
+            literal = rng.randint(1, index.num_vars + 3) * rng.choice((1, -1))
+            extra.append([literal])
+            if rng.random() < 0.2:
+                extra.append([-literal])  # contradictory assumptions
+        if rng.random() < 0.3:  # a wider clause, as interval axioms over new atoms are
+            variables = rng.sample(range(1, index.num_vars + 4), 2)
+            extra.append([v * rng.choice((1, -1)) for v in variables])
+        model = solve(index, num_vars, off=off, extra=extra)
+        assert model == reference_call(index, num_vars, off, extra)
+        outcomes.add(model is None)
+    assert outcomes == {True, False}
+
+
+def test_models_equal_reference_on_run_all_solver_calls(tmp_path, monkeypatch):
+    calls = []
+    engine = sat.solve
+
+    def recording(*args, **kwargs):
+        model = engine(*args, **kwargs)
+        calls.append((args, kwargs, model))
+        return model
+
+    monkeypatch.setattr(sat, "solve", recording)
+    for path in SCENARIOS.glob("*.json"):
+        shutil.copy(path, tmp_path / path.name)
+    for config in ("scenario1.config.json", "scenario2.config.json"):
+        assert main(["run-all", "--config", str(tmp_path / config)]) == 0
+    assert len(calls) > 50
+    assert any(kwargs.get("off") for _, kwargs, _ in calls)
+    assert any(kwargs.get("extra") for _, kwargs, _ in calls)
+    for (index, num_vars), kwargs, model in calls:
+        assert model == reference_call(index, num_vars, **kwargs)

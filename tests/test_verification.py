@@ -1,5 +1,8 @@
+import types
+
 import pytest
 
+import rulesynth
 from rulesynth.fol import parse_rule
 from rulesynth.grounding import GroundingConfig
 from rulesynth.store import Invariant
@@ -164,3 +167,11 @@ def test_report_ids_are_content_derived(onto, config, seed_store):
     second = verify(candidate, seed_store, config, onto)
     assert first.id == second.id
     assert first.to_json_dict() == second.to_json_dict()
+
+
+def test_package_attribute_verify_is_the_module():
+    # the package re-exports the check_* functions, not the function verify,
+    # which would shadow the module
+    assert isinstance(rulesynth.verify, types.ModuleType)
+    assert callable(rulesynth.verify.verify)
+    assert rulesynth.check_consistency is check_consistency

@@ -1,5 +1,6 @@
 """Verification over one shared grounding against the reference composition,
-which grounds its rules (and assumptions) afresh for every check.
+which grounds its rules (and assumptions) afresh for every check and solves
+each grounding with the reference DPLL solver, not with `rulesynth.sat`.
 
 Verdicts, conflict cores and countermodels must be equal on seeded random
 theories, candidates and invariants in both comparison modes and at domain
@@ -12,7 +13,6 @@ from dataclasses import replace
 
 import pytest
 
-from rulesynth import sat
 from rulesynth.fol import validate_schema
 from rulesynth.grounding import (
     GroundingConfig,
@@ -32,13 +32,14 @@ from rulesynth.verify import (
     verify,
 )
 
+import reference_dpll
 from rulegen import random_rule
 
 
 # --- reference: one fresh grounding per check ---
 
 def _solve_db(db):
-    return sat.solve(db.clauses, num_vars=len(db.atom_names))
+    return reference_dpll.solve(db.clauses, num_vars=len(db.atom_names))
 
 
 def reference_consistency(theory, candidate, config, onto):
@@ -61,7 +62,7 @@ def reference_entailment(theory, candidate, config, onto):
         append_comparison_axioms(db, onto)
     for clause in candidate_clauses:
         negation = [frozenset([-lit]) for lit in clause]
-        if sat.solve(db.clauses + negation, num_vars=len(db.atom_names)) is not None:
+        if reference_dpll.solve(db.clauses + negation, num_vars=len(db.atom_names)) is not None:
             return False
     return True
 
