@@ -180,7 +180,11 @@ def minimal_sets(
     for size in range(n + 1):
         for combo in combinations(bits, size):
             mask = sum(combo)
-            covered = any(f & mask == f for f in found)
+            covered = False
+            for f in found:
+                if f & mask == f:
+                    covered = True
+                    break
             if covered and prune():
                 continue
             if holds(mask) and not covered:

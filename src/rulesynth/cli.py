@@ -4,9 +4,11 @@ Subcommands mirror the pipeline stages (synthesize, analyze, verify) plus
 a run-all composite.  Exit codes:
 
   0  success
-  2  configuration error (bad config, missing file, unknown goal/rule)
-  3  oracle error (backend unavailable, malformed answer, missing
-     transcript key)
+  2  configuration error (bad arguments, bad config or grounding
+     settings, missing file, unknown goal/rule, --brute-force over more
+     causes than analysis.BRUTE_FORCE_LIMIT)
+  3  oracle error (backend unavailable, malformed answer, malformed
+     oracle spec or transcript, missing transcript key)
   4  translation failure (names the cause id)
   5  duality mismatch under --strict-monotone
   6  verification found an Inconsistent or Unsafe rule
@@ -22,7 +24,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .analysis import AnalysisReport
+from .analysis import AnalysisReport, UniverseTooLarge
 from .fol import OntologyError, load_ontology
 from .oracle import MalformedResponse, OracleUnavailable, RecordingOracle, UntranslatableCause
 from .pipeline import (
@@ -38,6 +40,16 @@ from .store import StoreFormatError, StoreIntegrityError, load_store, save_store
 from .verify import VerificationReport
 
 _ORACLE_FLAGS = {"det": "deterministic", "llm": "llm", "replay": "replay"}
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -56,7 +68,7 @@ def _parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="scenario config JSON")
         cmd.add_argument("--oracle", choices=sorted(_ORACLE_FLAGS), help="override oracle mode")
         cmd.add_argument("--record", metavar="TRANSCRIPT", help="record oracle answers to a transcript file")
-        cmd.add_argument("--domain-size", type=int, metavar="N", help="grounding constants per sort")
+        cmd.add_argument("--domain-size", type=_positive_int, metavar="N", help="grounding constants per sort")
         cmd.add_argument("--out", metavar="DIR", help="artifact output directory")
         if name in ("analyze", "run-all"):
             cmd.add_argument("--brute-force", action="store_true", help="exhaustive subset search")
@@ -78,7 +90,7 @@ def _load_config(args: argparse.Namespace) -> ScenarioConfig:
     config = ScenarioConfig.from_file(args.config)
     if args.oracle:
         config = replace(config, oracle_mode=_ORACLE_FLAGS[args.oracle])
-    if args.domain_size:
+    if args.domain_size is not None:
         config = replace(config, domain_size=args.domain_size)
     if args.out:
         config = replace(config, out_dir=Path(args.out))
@@ -128,14 +140,17 @@ def _verdict_table(reports: list[VerificationReport]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage or the help
+        return 0 if exc.code is None else int(exc.code)
     try:
         return _run(args)
-    except ConfigError as exc:
+    except (ConfigError, StoreFormatError, StoreIntegrityError, OntologyError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (StoreFormatError, StoreIntegrityError, OntologyError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except UniverseTooLarge as exc:
+        print(f"config error: --brute-force refused: {exc}", file=sys.stderr)
         return 2
     except UntranslatableCause as exc:
         print(f"translation failure: {exc}", file=sys.stderr)

@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 CONSTANT_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 VARIABLE_RE = re.compile(r"[A-Z][a-z0-9_]*\Z")
@@ -204,6 +204,9 @@ class Ontology:
         bad_ops = self.comparison_ops - set(COMPARISON_OPS)
         if bad_ops or not self.comparison_ops:
             raise OntologyError(f"bad comparison operator set {sorted(bad_ops)}")
+        for sort in self.sorts():  # grounding names a sort's constants <sort>1, <sort>2, ...
+            if not CONSTANT_RE.match(sort):
+                raise OntologyError(f"bad sort name {sort!r}")
 
     def sorts(self) -> tuple[str, ...]:
         found = {s for d in self.predicates.values() for s in d.sorts}
@@ -221,18 +224,35 @@ def load_ontology(path: str | Path) -> Ontology:
         raise OntologyError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise OntologyError(f"{path}: top level must be an object")
+
+    def section(key: str) -> dict[str, Any]:
+        value = doc.get(key, {})
+        if not isinstance(value, dict) or not all(isinstance(d, dict) for d in value.values()):
+            raise OntologyError(f"{path}: {key} must be an object of objects")
+        return value
+
+    def strings(value: Any, where: str) -> tuple[str, ...]:
+        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            raise OntologyError(f"{path}: {where} must be a list of strings")
+        return tuple(value)
+
+    constants = doc.get("constants", {})
+    if not isinstance(constants, dict) or not all(isinstance(s, str) for s in constants.values()):
+        raise OntologyError(f"{path}: constants must map names to sort names")
+    default_sort = doc.get("default_sort")
+    if default_sort is not None and not isinstance(default_sort, str):
+        raise OntologyError(f"{path}: default_sort must be a sort name")
     try:
         predicates = {
-            name: PredicateDecl(int(d["arity"]), tuple(d["sorts"]))
-            for name, d in doc.get("predicates", {}).items()
+            name: PredicateDecl(int(d["arity"]), strings(d.get("sorts"), f"{name}.sorts"))
+            for name, d in section("predicates").items()
         }
         attributes = {
             name: AttributeDecl(d["unit"], tuple(Fraction(str(v)) for v in d["domain"]))
-            for name, d in doc.get("numeric_attributes", {}).items()
+            for name, d in section("numeric_attributes").items()
         }
-        constants = dict(doc.get("constants", {}))
         ops = frozenset(doc.get("comparison_ops", COMPARISON_OPS))
-        return Ontology(predicates, attributes, constants, ops, doc.get("default_sort"))
+        return Ontology(predicates, attributes, dict(constants), ops, default_sort)
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, OntologyError):
             raise

@@ -49,9 +49,22 @@ class LlmOracleConfig:
             raise ValueError("pipeline determinism requires temperature 0")
         if not 0 <= self.max_retries <= 5:
             raise ValueError("max_retries must be between 0 and 5")
-        if self.prompts is not None and not set(self.prompts) <= set(PROMPTS):
-            unknown = sorted(set(self.prompts) - set(PROMPTS))
-            raise ValueError(f"unknown prompt template keys: {unknown}")
+        for name in ("endpoint", "model", "api_key_env"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"llm {name} must be a string")
+        if self.prompts is not None:
+            if not isinstance(self.prompts, Mapping) or not all(
+                isinstance(template, str) for template in self.prompts.values()
+            ):
+                raise ValueError("llm prompts must map query kinds to template strings")
+            if not set(self.prompts) <= set(PROMPTS):
+                unknown = sorted(set(self.prompts) - set(PROMPTS))
+                raise ValueError(f"unknown prompt template keys: {unknown}")
+            for kind, template in self.prompts.items():
+                try:  # the fields each query fills in, with values of their types
+                    template.format(**_PROMPT_FIELDS[kind])
+                except (KeyError, IndexError, ValueError, AttributeError, TypeError) as exc:
+                    raise ValueError(f"llm prompt {kind!r} does not format: {exc!r}") from None
 
     @classmethod
     def from_json(cls, doc: Mapping[str, Any]) -> "LlmOracleConfig":
@@ -121,6 +134,14 @@ _SYSTEM_PROMPT = (
     "use no outside knowledge. Answer with JSON that matches the required "
     "schema exactly, and nothing else."
 )
+
+_PROMPT_FIELDS: dict[str, dict[str, Any]] = {
+    "generate": {"goal": "", "principles": "", "count_hint": 1},
+    "equivalent": {"a": "", "b": ""},
+    "necessity": {"goal": "", "principles": "", "cause": ""},
+    "achieves": {"goal": "", "principles": "", "subset": ""},
+    "translate": {"grammar": "", "cause": ""},
+}
 
 PROMPTS: dict[str, str] = {
     "generate": (

@@ -10,8 +10,11 @@ and translation of a cause into the rule language.  Implementations:
 * ReplayOracle - replays a recorded transcript with no backend at all.
 
 Every query has a canonical string key (subset ids sorted, equivalence
-pairs ordered), which is what the cache, the transcripts, and the query
-budget accounting all share.
+pairs ordered).  Transcripts are keyed by it, and so is the LLM backend's
+prompt text.  The achievement cache is not: within one goal it keys a
+subset by its bitmask over the goal's causes, which maps one-to-one to the
+string key, so a subset query costs integer work only and the number of
+distinct backend queries is the same.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Hashable, Mapping, Sequence
 
 from .fol import Ontology
 from .store import Cause, Goal, Principle
@@ -144,18 +147,29 @@ class DeterministicOracleSpec:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "DeterministicOracleSpec":
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        try:
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise MalformedResponse(f"{path}: oracle spec is not valid JSON: {exc}") from exc
         return cls.from_json(doc)
 
     @classmethod
     def from_json(cls, doc: Mapping[str, Any]) -> "DeterministicOracleSpec":
         goals: dict[str, GoalScript] = {}
-        for goal_id, entry in doc.get("goals", {}).items():
-            raw = tuple(entry["raw_causes"])
+        goal_docs = _object(_object(doc, "oracle spec").get("goals", {}), "goals")
+        for goal_id, entry in goal_docs.items():
+            where = f"goals.{goal_id}"
+            entry = _object(entry, where)
+            raw = _strings(entry.get("raw_causes"), f"{where}.raw_causes")
             classes = []
             claimed: set[str] = set()
-            for cls_doc in entry.get("equivalence_classes", []):
-                members = tuple(cls_doc["members"])
+            class_docs = _list(entry.get("equivalence_classes", []), f"{where}.equivalence_classes")
+            for cls_doc in class_docs:
+                cls_doc = _object(cls_doc, f"{where}.equivalence_classes[]")
+                members = _strings(cls_doc.get("members"), f"{where} class members")
+                representative = cls_doc.get("representative")
+                if not isinstance(representative, str):
+                    raise MalformedResponse(f"{where}: class representative must be a string")
                 if len(members) < 1:
                     raise MalformedResponse(f"{goal_id}: empty equivalence class")
                 for member in members:
@@ -168,25 +182,63 @@ class DeterministicOracleSpec:
                             f"{goal_id}: candidate in two classes: {member!r}"
                         )
                     claimed.add(member)
-                classes.append((cls_doc["representative"], members))
+                classes.append((representative, members))
             # candidates not named by any class are implicit singletons
-            necessity = {
-                cause_id: NecessityVerdict(bool(v["necessary"]), v.get("rationale", ""))
-                for cause_id, v in entry.get("individual_necessity", {}).items()
-            }
-            family = tuple(frozenset(s) for s in entry.get("sufficient_family", []))
+            necessity = {}
+            for cause_id, v in _object(entry.get("individual_necessity", {}), where).items():
+                if not (
+                    isinstance(v, dict)
+                    and isinstance(v.get("necessary"), bool)
+                    and isinstance(v.get("rationale", ""), str)
+                ):
+                    raise MalformedResponse(
+                        f"{where}: necessity of {cause_id} needs a boolean and a string rationale"
+                    )
+                necessity[cause_id] = NecessityVerdict(v["necessary"], v.get("rationale", ""))
+            family = tuple(
+                frozenset(_strings(s, f"{where}.sufficient_family"))
+                for s in _list(entry.get("sufficient_family", []), f"{where}.sufficient_family")
+            )
             for subset in family:
                 unknown = subset - set(necessity)
                 if unknown:
                     raise MalformedResponse(
                         f"{goal_id}: sufficient set references undeclared ids {sorted(unknown)}"
                     )
-            translations = {
-                text: Translation(t["rule"], t.get("explanation", ""))
-                for text, t in entry.get("translations", {}).items()
-            }
+            translations = {}
+            for text, t in _object(entry.get("translations", {}), where).items():
+                if not (
+                    isinstance(t, dict)
+                    and isinstance(t.get("rule"), str)
+                    and isinstance(t.get("explanation", ""), str)
+                ):
+                    raise MalformedResponse(
+                        f"{where}: translation of {text!r} needs a string rule and explanation"
+                    )
+                translations[text] = Translation(t["rule"], t.get("explanation", ""))
             goals[goal_id] = GoalScript(raw, tuple(classes), necessity, family, translations)
         return cls(goals)
+
+
+# structural checks for parsed JSON spec documents; each names where the problem is
+
+
+def _object(value: Any, where: str) -> dict[str, Any]:
+    if not isinstance(value, dict):
+        raise MalformedResponse(f"{where}: expected an object")
+    return value
+
+
+def _list(value: Any, where: str) -> list[Any]:
+    if not isinstance(value, list):
+        raise MalformedResponse(f"{where}: expected a list")
+    return value
+
+
+def _strings(value: Any, where: str) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        raise MalformedResponse(f"{where}: expected a list of strings")
+    return tuple(value)
 
 
 class DeterministicOracle(Oracle):
@@ -239,8 +291,10 @@ class DeterministicOracle(Oracle):
         causes: Sequence[Cause],
         principles: Sequence[Principle],
     ) -> bool:
-        family = self._script(goal.id).sufficient_family
-        return any(required <= subset for required in family)
+        for required in self._script(goal.id).sufficient_family:
+            if required <= subset:
+                return True
+        return False
 
     def translate_to_fol(
         self,
@@ -261,32 +315,38 @@ class DeterministicOracle(Oracle):
 
 
 class QueryCache:
-    """Answer cache keyed by canonical query key, with hit and miss counts.
+    """Answer cache with hit and miss counts, keyed by any hashable key.
 
     Not synchronised: use one instance from one thread.  An answer whose
     computation raises is not memoized; the next query computes it again.
     """
 
     def __init__(self) -> None:
-        self._answers: dict[str, Any] = {}
+        self._answers: dict[Hashable, Any] = {}
         self.hits = 0
         self.misses = 0
 
-    def get_or_compute(self, key: str, compute: Callable[[], Any]) -> Any:
+    def get_or_compute(self, key: Hashable, compute: Callable[..., Any], *args: Any) -> Any:
+        """The answer for `key`, computing `compute(*args)` on a miss."""
         if key in self._answers:
             self.hits += 1
             return self._answers[key]
         self.misses += 1
-        value = self._answers[key] = compute()
+        value = self._answers[key] = compute(*args)
         return value
 
 
 class CachedAchievementJudge:
-    """Binds an oracle to one goal and caches subset judgments.
+    """Binds an oracle to one goal and its causes and caches subset judgments.
 
     The judge is a plain callable frozenset[str] -> bool so the search
-    code (and its property tests) never touch oracle plumbing.  Distinct
-    backend queries equal cache misses, which is the query budget.
+    code (and its property tests) never touch oracle plumbing.  Cause i is
+    bit i, and a subset's cache key is the sum of its causes' bits: an int
+    that maps one-to-one to `achieves_key` within the goal, built without
+    sorting or JSON.  A miss passes the subset itself to the oracle, so
+    backends, recorders and transcripts see the same queries.  Distinct
+    backend queries equal cache misses, which is the query budget.  A
+    subset naming an id outside the causes raises ValueError.
     """
 
     def __init__(
@@ -295,23 +355,26 @@ class CachedAchievementJudge:
         goal: Goal,
         causes: Sequence[Cause],
         principles: Sequence[Principle],
-        cache: QueryCache | None = None,
     ):
         self.oracle = oracle
         self.goal = goal
         self.causes = tuple(causes)
         self.principles = tuple(principles)
-        self.cache = cache if cache is not None else QueryCache()
+        self.cache = QueryCache()
+        self._bit = {cause.id: 1 << i for i, cause in enumerate(self.causes)}.__getitem__
 
     def __call__(self, subset: frozenset[str]) -> bool:
-        key = achieves_key(self.goal.id, subset)
-        return self.cache.get_or_compute(
-            key,
-            lambda: bool(
-                self.oracle.judge_subset_achieves(
-                    self.goal, subset, self.causes, self.principles
-                )
-            ),
+        try:
+            key = sum(map(self._bit, subset))
+        except KeyError as exc:
+            raise ValueError(
+                f"subset names {exc.args[0]!r}, not a cause of goal {self.goal.id!r}"
+            ) from None
+        return self.cache.get_or_compute(key, self._ask, subset)
+
+    def _ask(self, subset: frozenset[str]) -> bool:
+        return bool(
+            self.oracle.judge_subset_achieves(self.goal, subset, self.causes, self.principles)
         )
 
     @property
@@ -382,7 +445,10 @@ class ReplayOracle(Oracle):
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ReplayOracle":
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        try:
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise MalformedResponse(f"{path}: transcript is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict) or not isinstance(doc.get("entries"), dict):
             raise MalformedResponse(f"{path}: not a transcript file")
         return cls(doc["entries"])
@@ -394,24 +460,33 @@ class ReplayOracle(Oracle):
 
     def generate_causes(self, goal, principles, count_hint):
         answer = self._lookup(query_key("generate", goal.id, count_hint))
-        if not isinstance(answer, list) or not all(isinstance(t, str) for t in answer):
-            raise MalformedResponse("recorded generate answer is not a list of strings")
+        if not (answer and isinstance(answer, list) and all(isinstance(t, str) for t in answer)):
+            raise MalformedResponse("recorded generate answer is not a nonempty list of strings")
         return list(answer)
 
     def judge_equivalent(self, a, b):
         answer = self._lookup(equivalence_key(a, b))
-        try:
-            return EquivalenceVerdict(bool(answer["equivalent"]), answer["merged_text"])
-        except (TypeError, KeyError) as exc:
-            raise MalformedResponse(f"recorded equivalence answer malformed: {exc}") from exc
+        if not (
+            isinstance(answer, dict)
+            and isinstance(answer.get("equivalent"), bool)
+            and isinstance(answer.get("merged_text", 0), (str, type(None)))
+        ):
+            raise MalformedResponse(
+                "recorded equivalence answer is not {equivalent: boolean, merged_text: string or null}"
+            )
+        return EquivalenceVerdict(answer["equivalent"], answer["merged_text"])
 
     def judge_individual_necessity(self, cause, goal, principles):
         answer = self._lookup(query_key("necessity", goal.id, cause.id))
-        try:
-            verdict = NecessityVerdict(bool(answer["necessary"]), str(answer["rationale"]))
-        except (TypeError, KeyError) as exc:
-            raise MalformedResponse(f"recorded necessity answer malformed: {exc}") from exc
-        return check_necessity(verdict, principles)
+        if not (
+            isinstance(answer, dict)
+            and isinstance(answer.get("necessary"), bool)
+            and isinstance(answer.get("rationale"), str)
+        ):
+            raise MalformedResponse(
+                "recorded necessity answer is not {necessary: boolean, rationale: string}"
+            )
+        return check_necessity(NecessityVerdict(answer["necessary"], answer["rationale"]), principles)
 
     def judge_subset_achieves(self, goal, subset, causes, principles):
         answer = self._lookup(achieves_key(goal.id, subset))
@@ -421,7 +496,10 @@ class ReplayOracle(Oracle):
 
     def translate_to_fol(self, cause, onto, grammar_doc, feedback=None):
         answer = self._lookup(query_key("translate", cause.goal_id, cause.text, feedback or ""))
-        try:
-            return Translation(str(answer["rule"]), str(answer["explanation"]))
-        except (TypeError, KeyError) as exc:
-            raise MalformedResponse(f"recorded translation malformed: {exc}") from exc
+        if not (
+            isinstance(answer, dict)
+            and isinstance(answer.get("rule"), str)
+            and isinstance(answer.get("explanation"), str)
+        ):
+            raise MalformedResponse("recorded translation is not {rule: string, explanation: string}")
+        return Translation(answer["rule"], answer["explanation"])

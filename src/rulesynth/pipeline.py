@@ -24,7 +24,7 @@ from .fol import (
     parse_rule,
     render_rule,
 )
-from .grounding import GroundingConfig
+from .grounding import COMPARISON_MODES, GroundingConfig
 from .llm import LlmOracle, LlmOracleConfig
 from .oracle import (
     DeterministicOracle,
@@ -61,10 +61,19 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.oracle_mode not in ORACLE_MODES:
             raise ConfigError(f"oracle mode must be one of {ORACLE_MODES}")
-        if not self.goal_text.strip():
-            raise ConfigError("goal text must be nonempty")
-        if self.count_hint < 1:
-            raise ConfigError("count_hint must be positive")
+        if not isinstance(self.goal_text, str) or not self.goal_text.strip():
+            raise ConfigError("goal text must be a nonempty string")
+        for name, value in (
+            ("count_hint", self.count_hint),
+            ("grounding.domain_size", self.domain_size),
+        ):
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+        if self.comparison_mode not in COMPARISON_MODES:
+            raise ConfigError(
+                f"grounding.comparison_mode must be one of {COMPARISON_MODES},"
+                f" got {self.comparison_mode!r}"
+            )
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScenarioConfig":
@@ -82,10 +91,18 @@ class ScenarioConfig:
         def resolve(value: str | None) -> Path | None:
             return None if value is None else (base_dir / value)
 
+        def section(key: str) -> Mapping[str, Any]:
+            value = doc.get(key, {})
+            if not isinstance(value, Mapping):
+                raise ConfigError(f"{key} must be a JSON object")
+            return value
+
         try:
-            oracle_doc = doc.get("oracle", {})
+            if not isinstance(doc, Mapping):
+                raise ConfigError("scenario config must be a JSON object")
+            oracle_doc = section("oracle")
             mode = oracle_doc.get("mode", "")
-            grounding = doc.get("grounding", {})
+            grounding = section("grounding")
             llm_doc = oracle_doc.get("llm")
             return cls(
                 goal_text=doc["goal"],
@@ -95,10 +112,10 @@ class ScenarioConfig:
                 oracle_spec_path=resolve(oracle_doc.get("spec")),
                 llm=None if llm_doc is None else LlmOracleConfig.from_json(llm_doc),
                 transcript_path=resolve(oracle_doc.get("transcript")),
-                domain_size=int(grounding.get("domain_size", 3)),
+                domain_size=grounding.get("domain_size", 3),
                 comparison_mode=grounding.get("comparison_mode", "opaque"),
                 out_dir=base_dir / doc.get("out", "out"),
-                count_hint=int(doc.get("count_hint", 8)),
+                count_hint=doc.get("count_hint", 8),
             )
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, ConfigError):

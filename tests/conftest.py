@@ -1,12 +1,19 @@
+import os
 import shutil
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from rulesynth.fol import load_ontology
 from rulesynth.store import load_store
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+# CI runs with HYPOTHESIS_PROFILE=ci: a fixed example sequence per test and no
+# example database, so every run checks the same inputs
+settings.register_profile("ci", derandomize=True, database=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 COLLIDE_RULE = "forall X . not collide(X) <- sd_front(X) and sd_rear(X) and not lane_change(X)"
 DENSE_RULE = "forall X . sd_front(X) and sd_rear(X) <- not dense(X)"

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -204,6 +205,39 @@ def test_kernel_judges_covered_candidates_without_keeping_them_when_not_pruning(
         found = minimal_sets(3, lambda mask: seen.append(mask) or True, [], lambda: prune)
         assert seen == judged
         assert found == [0]
+
+
+def _reference_minimal_sets(n, holds, found, prune):
+    # the kernel as first written: any() over all found masks
+    for size in range(n + 1):
+        for combo in itertools.combinations(range(n), size):
+            mask = sum(1 << i for i in combo)
+            covered = any(f & mask == f for f in found)
+            if covered and prune():
+                continue
+            if holds(mask) and not covered:
+                found.append(mask)
+    return found
+
+
+def test_kernel_walk_matches_reference_on_random_predicates():
+    # non-monotone answers, and pruning that switches off part-way
+    rng = random.Random(5)
+    for _ in range(60):
+        n = rng.randint(0, 8)
+        answers = [rng.random() < 0.3 for _ in range(1 << n)]
+        cutoff = rng.choice([None, rng.randint(0, 1 << n)])
+        walks = []
+        for kernel in (minimal_sets, _reference_minimal_sets):
+            seen = []
+
+            def holds(mask):
+                seen.append(mask)
+                return answers[mask]
+
+            found = kernel(n, holds, [], lambda: cutoff is None or len(seen) < cutoff)
+            walks.append((seen, found))
+        assert walks[0] == walks[1]
 
 
 def test_non_monotone_oracle_detected_and_pruning_disabled():

@@ -1,6 +1,9 @@
 import json
 import shutil
 
+import pytest
+
+from rulesynth import analysis, cli
 from rulesynth.cli import main
 from rulesynth.fol import parse_rule
 
@@ -250,3 +253,71 @@ def test_domain_size_and_out_flags(work_dir, tmp_path):
     reports = read(out / "g1.verification.json")["reports"]
     assert reports[0]["grounding"]["domain_constants"] == {"vehicle": ["vehicle1"]}
     assert not (work_dir / "out").exists()
+
+
+def _refuse_oracle(monkeypatch):
+    def build_oracle(config):
+        raise AssertionError("an oracle was built for an invalid configuration")
+
+    monkeypatch.setattr(cli, "build_oracle", build_oracle)
+
+
+def _write_config(work_dir, edit):
+    doc = read(work_dir / "scenario1.config.json")
+    edit(doc)
+    path = work_dir / "edited.config.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_config_that_is_not_an_object_exits_2(work_dir, capsys, monkeypatch):
+    _refuse_oracle(monkeypatch)
+    config = work_dir / "list.config.json"
+    config.write_text("[]")
+    assert run(["run-all", "--config", str(config)]) == 2
+    assert "JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "grounding, message",
+    [
+        ({"domain_size": 0}, "domain_size"),
+        ({"domain_size": -2}, "domain_size"),
+        ({"comparison_mode": "fuzzy"}, "comparison_mode"),
+        ("flat", "grounding"),
+    ],
+)
+def test_bad_grounding_settings_exit_2_before_any_oracle_call(
+    work_dir, capsys, monkeypatch, grounding, message
+):
+    _refuse_oracle(monkeypatch)
+    store_before = (work_dir / "merge.kb.json").read_bytes()
+
+    def edit(doc):
+        if isinstance(grounding, dict):
+            doc["grounding"].update(grounding)
+        else:
+            doc["grounding"] = grounding
+
+    assert run(["run-all", "--config", _write_config(work_dir, edit)]) == 2
+    assert message in capsys.readouterr().err
+    assert (work_dir / "merge.kb.json").read_bytes() == store_before
+    assert not (work_dir / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "three"])
+def test_domain_size_flag_must_be_a_positive_integer(work_dir, capsys, monkeypatch, value):
+    _refuse_oracle(monkeypatch)
+    config = str(work_dir / "scenario1.config.json")
+    assert run(["run-all", "--config", config, "--domain-size", value]) == 2
+    assert "--domain-size" in capsys.readouterr().err
+
+
+def test_brute_force_past_the_limit_exits_2(work_dir, capsys, monkeypatch):
+    monkeypatch.setattr(analysis, "BRUTE_FORCE_LIMIT", 3)  # scenario 1 has 4 causes
+    store_before = (work_dir / "merge.kb.json").read_bytes()
+    config = str(work_dir / "scenario1.config.json")
+    assert run(["run-all", "--config", config, "--brute-force"]) == 2
+    err = capsys.readouterr().err
+    assert "--brute-force" in err and "exceeds 3" in err
+    assert (work_dir / "merge.kb.json").read_bytes() == store_before

@@ -1,3 +1,4 @@
+import json
 import random
 import string
 from fractions import Fraction
@@ -10,11 +11,13 @@ from rulesynth.fol import (
     Atom,
     Literal,
     Ontology,
+    OntologyError,
     PredicateDecl,
     Rule,
     RuleSyntaxError,
     SchemaError,
     grammar_reference,
+    load_ontology,
     parse_rule,
     render_number,
     render_rule,
@@ -22,7 +25,7 @@ from rulesynth.fol import (
     var,
 )
 
-from conftest import COLLIDE_RULE, DENSE_RULE
+from conftest import COLLIDE_RULE, DENSE_RULE, SCENARIOS
 from rulegen import random_rule
 
 
@@ -204,3 +207,22 @@ def test_grammar_reference_lists_vocabulary(onto):
     assert "collide/1" in doc
     assert "speed in km/h" in doc
     assert "forall" in doc
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc["predicates"]["collide"].update(sorts=[""]),  # constants would be "1", "2"
+        lambda doc: doc["predicates"]["collide"].update(sorts=[3]),
+        lambda doc: doc.update(predicates=["collide"]),
+        lambda doc: doc.update(constants={"ego": 5}),
+        lambda doc: doc.update(default_sort=["vehicle"]),
+    ],
+)
+def test_load_ontology_rejects_malformed_documents(tmp_path, edit):
+    doc = json.loads((SCENARIOS / "traffic.onto.json").read_text())
+    edit(doc)
+    path = tmp_path / "bad.onto.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(OntologyError):
+        load_ontology(path)

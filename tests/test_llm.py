@@ -3,7 +3,7 @@ import json
 import pytest
 import requests
 
-from rulesynth.llm import LlmOracle, LlmOracleConfig
+from rulesynth.llm import PROMPTS, LlmOracle, LlmOracleConfig
 from rulesynth.oracle import MalformedResponse, OracleUnavailable
 from rulesynth.store import Cause, Goal, Principle
 
@@ -43,6 +43,22 @@ def test_temperature_zero_is_mandatory():
         make_config(temperature=0.7)
     with pytest.raises(ValueError):
         make_config(max_retries=99)
+
+
+def test_prompt_overrides_must_be_templates_of_their_query_fields():
+    assert make_config(prompts=dict(PROMPTS)).prompts == PROMPTS  # the defaults pass
+    for prompts in (
+        ["generate"],
+        {"generate": 5},
+        {"generate": "{nope}"},
+        {"equivalent": "{a} {b} {}"},
+        {"achieves": "{goal:d}"},
+        {"translate": "{cause"},
+    ):
+        with pytest.raises(ValueError):
+            make_config(prompts=prompts)
+    with pytest.raises(ValueError):
+        make_config(model=7)
 
 
 def test_every_call_carries_temperature_zero_and_schema():

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import pytest
 
@@ -139,6 +140,59 @@ def test_spec_rejects_undeclared_ids_in_family():
         )
 
 
+@pytest.mark.parametrize(
+    "goal",
+    [
+        {"raw_causes": "x"},
+        {"raw_causes": ["x", 2]},
+        {"raw_causes": ["x"], "equivalence_classes": [{"representative": 1, "members": ["x"]}]},
+        {"raw_causes": ["x"], "individual_necessity": {"c": {"necessary": "yes"}}},
+        {"raw_causes": ["x"], "individual_necessity": {"c": {"necessary": True, "rationale": []}}},
+        {"raw_causes": ["x"], "individual_necessity": {}, "sufficient_family": [[{"c": 1}]]},
+        {"raw_causes": ["x"], "translations": {"x": {"rule": None}}},
+        {"raw_causes": ["x"], "translations": ["x"]},
+    ],
+)
+def test_spec_rejects_wrong_value_types_at_load(goal):
+    with pytest.raises(MalformedResponse):
+        DeterministicOracleSpec.from_json({"goals": {"t": goal}})
+
+
+CAUSE = Cause("g1-c1", "g1", "cause 1", ("cause 1",))
+
+
+@pytest.mark.parametrize(
+    "key, answer, ask",
+    [
+        (query_key("generate", "g1", 8), [], lambda r: r.generate_causes(GOAL, PRINCIPLES, 8)),
+        (
+            equivalence_key("a", "b"),
+            {"equivalent": "no", "merged_text": None},
+            lambda r: r.judge_equivalent("a", "b"),
+        ),
+        (
+            equivalence_key("a", "b"),
+            {"equivalent": True, "merged_text": ["a"]},
+            lambda r: r.judge_equivalent("a", "b"),
+        ),
+        (
+            query_key("necessity", "g1", "g1-c1"),
+            {"necessary": "false", "rationale": "p-control"},
+            lambda r: r.judge_individual_necessity(CAUSE, GOAL, PRINCIPLES),
+        ),
+        (
+            query_key("translate", "g1", "cause 1", ""),
+            {"rule": 5, "explanation": ""},
+            lambda r: r.translate_to_fol(CAUSE, None, "grammar"),
+        ),
+    ],
+    ids=["empty-causes", "text-equivalent", "list-merged-text", "text-necessary", "number-rule"],
+)
+def test_replay_rejects_answers_of_the_wrong_type(key, answer, ask):
+    with pytest.raises(MalformedResponse):
+        ask(ReplayOracle({key: answer}))
+
+
 def test_cache_soundness_counts_distinct_keys():
     calls = []
     cache = QueryCache()
@@ -169,6 +223,49 @@ def test_cached_judge_counts_backend_queries():
     assert judge(full) is True
     assert judge(frozenset(["g1-c1"])) is False
     assert judge.query_count == 2
+
+
+class CountingOracle(DeterministicOracle):
+    def __init__(self, spec):
+        super().__init__(spec)
+        self.asked = []
+
+    def judge_subset_achieves(self, goal, subset, causes, principles):
+        self.asked.append(subset)
+        return super().judge_subset_achieves(goal, subset, causes, principles)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_cached_judge_matches_uncached_oracle_and_asks_once_per_key(seed):
+    rng = random.Random(seed)
+    n = 16 if seed == 0 else rng.randint(1, 16)
+    causes = make_causes("g1", n)
+    ids = [c.id for c in causes]
+    family = [sorted(rng.sample(ids, rng.randint(1, min(4, n)))) for _ in range(rng.randint(0, 4))]
+    spec = DeterministicOracleSpec.from_json({"goals": {"g1": {
+        "raw_causes": ["x"],
+        "individual_necessity": {i: {"necessary": False} for i in ids},
+        "sufficient_family": family,
+    }}})
+    uncached = DeterministicOracle(spec)
+    counting = CountingOracle(spec)
+    recorder = RecordingOracle(counting)
+    judge = CachedAchievementJudge(recorder, GOAL, causes, PRINCIPLES)
+    pool = [frozenset(rng.sample(ids, rng.randint(0, n))) for _ in range(60)]
+    queries = [rng.choice(pool) for _ in range(300)]  # repeats on purpose
+    for subset in queries:
+        assert judge(subset) is uncached.judge_subset_achieves(GOAL, subset, causes, PRINCIPLES)
+    keys = {achieves_key(GOAL.id, subset) for subset in queries}
+    assert judge.query_count == len(keys) == len(counting.asked)
+    assert set(recorder.entries) == keys
+    assert judge.cache.hits == len(queries) - len(keys)
+
+
+def test_cached_judge_rejects_ids_outside_its_causes():
+    judge = CachedAchievementJudge(scenario1_oracle(), GOAL, make_causes("g1", 4), PRINCIPLES)
+    with pytest.raises(ValueError, match="g1-c9"):
+        judge(frozenset(["g1-c1", "g1-c9"]))
+    assert judge.query_count == 0
 
 
 def test_query_keys_are_canonical():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from rulesynth.fol import load_ontology, render_rule
@@ -8,6 +10,7 @@ from rulesynth.oracle import (
     UntranslatableCause,
 )
 from rulesynth.pipeline import (
+    ConfigError,
     ScenarioConfig,
     resolve_goal,
     run_synthesize,
@@ -125,3 +128,44 @@ def test_verify_commits_grow_the_theory_in_order(work_dir):
         cause = store.cause_by_id(entry.cause_id)
         assert cause.goal_id == entry.goal_id == "g1"
         assert store.report_by_id(entry.report_id) is not None
+
+
+CONFIG_DOC = {
+    "goal": "Successfully merge into heavy traffic",
+    "store": "merge.kb.json",
+    "ontology": "traffic.onto.json",
+    "oracle": {"mode": "deterministic", "spec": "scenario1.oracle.json"},
+}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"grounding": {"domain_size": 0}}, "domain_size must be a positive integer"),
+        ({"grounding": {"domain_size": -4}}, "domain_size must be a positive integer"),
+        ({"grounding": {"domain_size": 2.5}}, "domain_size must be a positive integer"),
+        ({"grounding": {"domain_size": True}}, "domain_size must be a positive integer"),
+        ({"count_hint": "8"}, "count_hint must be a positive integer"),
+        ({"grounding": {"comparison_mode": "fuzzy"}}, "comparison_mode must be one of"),
+        ({"grounding": [3]}, "grounding must be a JSON object"),
+        ({"oracle": "deterministic"}, "oracle must be a JSON object"),
+        ({"goal": 7}, "goal text must be a nonempty string"),
+    ],
+)
+def test_config_rejects_bad_settings_at_load(edit, message):
+    with pytest.raises(ConfigError, match=message):
+        ScenarioConfig.from_json({**CONFIG_DOC, **edit})
+
+
+def test_config_rejects_a_document_that_is_not_an_object():
+    with pytest.raises(ConfigError, match="JSON object"):
+        ScenarioConfig.from_json(["goal", "store"])
+
+
+def test_config_validates_replaced_grounding_settings():
+    config = ScenarioConfig.from_json(CONFIG_DOC)
+    assert (config.domain_size, config.comparison_mode) == (3, "opaque")
+    with pytest.raises(ConfigError):
+        replace(config, domain_size=0)
+    with pytest.raises(ConfigError):
+        replace(config, comparison_mode="exact")
