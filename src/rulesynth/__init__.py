@@ -13,8 +13,8 @@ from .analysis import (
     CauseSetFamily,
     analyze,
     brute_force_families,
-    find_minimal_necessary_sets,
-    find_minimal_sufficient_sets,
+    minimal_necessary_search,
+    minimal_sufficient_search,
     minimal_transversals,
 )
 from .consolidate import MergePartition, consolidate

@@ -135,12 +135,6 @@ class MonotoneMonitor:
                     )
 
 
-@dataclass
-class SearchOutcome:
-    family: CauseSetFamily
-    violations: tuple[MonotonicityViolation, ...] = ()
-
-
 def _subsets_ascending(n: int) -> Iterable[tuple[int, ...]]:
     for size in range(n + 1):
         yield from combinations(range(n), size)
@@ -194,7 +188,7 @@ def minimal_sets(
 
 def _monitored_search(
     universe: Sequence[str], judge: Judge, monitor: MonotoneMonitor | None, removal: bool
-) -> SearchOutcome:
+) -> CauseSetFamily:
     if not universe:
         raise ValueError("universe must be nonempty")
     monitor = monitor if monitor is not None else MonotoneMonitor(universe)
@@ -208,13 +202,12 @@ def _monitored_search(
 
     found = monitor.necessary if removal else monitor.sufficient
     minimal_sets(len(universe), holds, found, lambda: monitor.pruning_enabled)
-    family = CauseSetFamily.from_id_sets(universe, map(monitor.ids, found))
-    return SearchOutcome(family, tuple(monitor.violations))
+    return CauseSetFamily.from_id_sets(universe, map(monitor.ids, found))
 
 
 def minimal_sufficient_search(
     universe: Sequence[str], judge: Judge, monitor: MonotoneMonitor | None = None
-) -> SearchOutcome:
+) -> CauseSetFamily:
     """All minimal sufficient cause sets, smallest first.
 
     The empty set is tested first; if it achieves, the family is {{}} and
@@ -225,7 +218,7 @@ def minimal_sufficient_search(
 
 def minimal_necessary_search(
     universe: Sequence[str], judge: Judge, monitor: MonotoneMonitor | None = None
-) -> SearchOutcome:
+) -> CauseSetFamily:
     """All minimal necessary removal sets, smallest first.
 
     N is necessary when judging universe minus N fails.  The empty removal
@@ -233,14 +226,6 @@ def minimal_necessary_search(
     unachievable and the family collapses to {{}}.
     """
     return _monitored_search(universe, judge, monitor, removal=True)
-
-
-def find_minimal_sufficient_sets(universe: Sequence[str], judge: Judge) -> CauseSetFamily:
-    return minimal_sufficient_search(universe, judge).family
-
-
-def find_minimal_necessary_sets(universe: Sequence[str], judge: Judge) -> CauseSetFamily:
-    return minimal_necessary_search(universe, judge).family
 
 
 def brute_force_families(
@@ -386,10 +371,8 @@ def analyze(
         sufficient_family, necessary_family = brute_force_families(universe, judge)
         violations: tuple[MonotonicityViolation, ...] = ()
     else:
-        necessary_outcome = minimal_necessary_search(universe, judge, monitor)
-        sufficient_outcome = minimal_sufficient_search(universe, judge, monitor)
-        necessary_family = necessary_outcome.family
-        sufficient_family = sufficient_outcome.family
+        necessary_family = minimal_necessary_search(universe, judge, monitor)
+        sufficient_family = minimal_sufficient_search(universe, judge, monitor)
         violations = tuple(monitor.violations)
 
     duality_ok = minimal_transversals(sufficient_family) == necessary_family

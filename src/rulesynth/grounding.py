@@ -11,17 +11,22 @@ declared finite value domain of each numeric attribute is used to forbid
 sign patterns no domain value can realize, e.g. speed(a) > 50 implies
 speed(a) > 30 and excludes speed(a) < 30.
 
-A ClauseDB also keeps each grounded rule's own clauses and the interval
-axioms, so callers can solve sub-theories of one grounding (`rule_subset`)
-or add assumed literals to it (`extend`) without grounding the rules again.
+A grounding is one ClauseDB: the atom table, each grounded rule's own
+clauses, the interval axioms, and the `sat.Index` of its distinct clauses,
+built once.  Callers solve sub-theories of it (`rule_subset`) or add
+assumed literals to it (`extend`) without grounding the rules again and
+without copying it: `extend` returns only the clauses and atoms that an
+attempt adds, for one solve of the same index.
 """
 
 from __future__ import annotations
 
+from collections import ChainMap
 from dataclasses import dataclass, field
-from itertools import product
-from typing import Any, Iterable, Mapping, Sequence
+from itertools import chain, product
+from typing import Any, KeysView, Mapping, Sequence
 
+from . import sat
 from .fol import (
     Atom,
     Comparison,
@@ -76,61 +81,44 @@ class GroundingConfig:
 
 @dataclass
 class ClauseDB:
-    """Interned ground atoms plus deduplicated clauses with provenance.
+    """One grounding: interned ground atoms, each rule's clauses, the
+    interval axioms and the index of their distinct clauses.
 
+    `atoms` maps each atom name to its variable, in numbering order.
     `rule_clauses[i]` holds every clause of the i-th grounded rule's
-    instances, in instantiation order, including those deduplication kept
-    out of `clauses`.  `axioms` holds the interval axioms as generated.
+    instances, in instantiation order, duplicates included.  `axioms` holds
+    the interval axioms as generated.  `index`, built once by `ground`,
+    holds the distinct clauses of the rules, assumptions and axioms in
+    first-occurrence order.
     """
 
     atoms: dict[str, int] = field(default_factory=dict)
-    atom_names: list[str] = field(default_factory=list)
-    clauses: list[frozenset[int]] = field(default_factory=list)
-    provenance: list[tuple[str, dict[str, str]]] = field(default_factory=list)
     comparisons: dict[str, Comparison] = field(default_factory=dict)
     rule_clauses: list[tuple[frozenset[int], ...]] = field(default_factory=list)
     axioms: list[frozenset[int]] = field(default_factory=list)
-    _seen: set[frozenset[int]] = field(default_factory=set)
+    index: sat.Index = field(init=False, repr=False)
 
-    def copy(self) -> "ClauseDB":
-        return ClauseDB(
-            dict(self.atoms), list(self.atom_names), list(self.clauses),
-            list(self.provenance), dict(self.comparisons), list(self.rule_clauses),
-            list(self.axioms), set(self._seen),
-        )
+    @property
+    def clauses(self) -> list[frozenset[int]]:
+        return self.index.clauses
+
+    @property
+    def atom_names(self) -> KeysView[str]:
+        return self.atoms.keys()
 
     def intern(self, ground: Atom | Comparison) -> int:
         name = render_literal(Literal(False, ground))
         index = self.atoms.get(name)
         if index is None:
-            index = len(self.atom_names) + 1
-            self.atoms[name] = index
-            self.atom_names.append(name)
+            index = self.atoms[name] = len(self.atoms) + 1
             if isinstance(ground, Comparison):
                 self.comparisons[name] = ground
         return index
 
-    def add_clause(
-        self, literals: Iterable[int], origin: str, substitution: Mapping[str, str]
-    ) -> bool:
-        clause = frozenset(literals)
-        if clause in self._seen:
-            return False
-        self._seen.add(clause)
-        self.clauses.append(clause)
-        self.provenance.append((origin, dict(substitution)))
-        return True
 
-    def atom_name(self, index: int) -> str:
-        return self.atom_names[index - 1]
-
-    def render_model(self, model: Mapping[int, bool]) -> tuple[str, ...]:
-        """Model as signed ground atoms, sorted by atom name."""
-        signed = []
-        for name in sorted(self.atoms):
-            value = model.get(self.atoms[name], True)
-            signed.append(name if value else f"not {name}")
-        return tuple(signed)
+def render_model(atoms: Mapping[str, int], model: Mapping[int, bool]) -> tuple[str, ...]:
+    """Model as signed ground atoms, sorted by atom name."""
+    return tuple(name if model.get(atoms[name], True) else f"not {name}" for name in sorted(atoms))
 
 
 def substitute(term: Term, substitution: Mapping[str, str]) -> Term:
@@ -233,18 +221,12 @@ def comparison_axioms(
 
 
 def append_comparison_axioms(db: ClauseDB, onto: Ontology) -> None:
-    """Add the interval axioms over all of db's comparison atoms."""
+    """Set db's interval axioms: those over all of its comparison atoms."""
     db.axioms = comparison_axioms(db.comparisons, db.atoms, onto)
-    for clause in db.axioms:
-        db.add_clause(clause, "interval-axiom", {})
 
 
-def _add_assumptions(
-    db: ClauseDB, assumptions: Sequence[tuple[Literal, Mapping[str, str]]]
-) -> None:
-    for lit, substitution in assumptions:
-        index = db.intern(ground_inner(lit, substitution))
-        db.add_clause([-index if lit.negated else index], "assumption", substitution)
+def _unit(lit: Literal, index: int) -> frozenset[int]:
+    return frozenset([-index if lit.negated else index])
 
 
 def ground(
@@ -261,15 +243,15 @@ def ground(
     """
     db = ClauseDB()
     for rule in rules:
-        own = []
-        for substitution in rule_substitutions(rule, config, onto):
-            for clause in instantiate_rule(rule, substitution, db):
-                own.append(clause)
-                db.add_clause(clause, rule.id, substitution)
-        db.rule_clauses.append(tuple(own))
-    _add_assumptions(db, assumptions)
+        db.rule_clauses.append(tuple(
+            clause
+            for substitution in rule_substitutions(rule, config, onto)
+            for clause in instantiate_rule(rule, substitution, db)
+        ))
+    units = [_unit(lit, db.intern(ground_inner(lit, s))) for lit, s in assumptions]
     if config.comparison_mode == "interval-axioms":
         append_comparison_axioms(db, onto)
+    db.index = sat.Index(chain(*db.rule_clauses, units, db.axioms))
     return db
 
 
@@ -278,20 +260,34 @@ def extend(
     assumptions: Sequence[tuple[Literal, Mapping[str, str]]],
     config: GroundingConfig,
     onto: Ontology,
-) -> ClauseDB:
-    """`db` plus assumed unit literals, without grounding its rules again.
+) -> tuple[dict[str, int], list[frozenset[int]]]:
+    """What assumed unit literals add to `db`, which is left unchanged.
 
-    When db is ground(rules, config, onto), the result has the atom
-    numbering and the clause set of ground(rules, config, onto,
-    assumptions); only the clause order may differ.  New assumption atoms
-    take the next indices, and interval axioms cover their comparisons.
+    Returns the atoms `db` lacks, numbered after db's in first-occurrence
+    order, and the distinct unit and interval-axiom clauses `db` lacks.
+    When db is ground(rules, config, onto), db's atoms followed by the new
+    ones are the atom numbering of ground(rules, config, onto, assumptions),
+    and db's clauses plus the new ones are its clause set.
     """
-    extended = db.copy()
-    _add_assumptions(extended, assumptions)
-    if (config.comparison_mode == "interval-axioms"
-            and len(extended.comparisons) > len(db.comparisons)):
-        append_comparison_axioms(extended, onto)
-    return extended
+    atoms: dict[str, int] = {}
+    comparisons: dict[str, Comparison] = {}
+    units = []
+    for lit, substitution in assumptions:
+        inner = ground_inner(lit, substitution)
+        name = render_literal(Literal(False, inner))
+        index = db.atoms.get(name) or atoms.get(name)
+        if index is None:
+            index = atoms[name] = len(db.atoms) + len(atoms) + 1
+            if isinstance(inner, Comparison):
+                comparisons[name] = inner
+        units.append(_unit(lit, index))
+    axioms = []
+    if config.comparison_mode == "interval-axioms" and comparisons:
+        axioms = comparison_axioms(
+            ChainMap(comparisons, db.comparisons), ChainMap(atoms, db.atoms), onto
+        )
+    known = db.index.ids
+    return atoms, [c for c in dict.fromkeys(chain(units, axioms)) if c not in known]
 
 
 def rule_subset(

@@ -205,6 +205,9 @@ def _rule_to_json(rule: Rule) -> dict[str, str]:
 def _rule_from_json(doc: Any, path: str, onto: Ontology | None) -> Rule:
     if not isinstance(doc, Mapping) or not isinstance(doc.get("text"), str):
         raise StoreFormatError(path, "rule must be an object with a text field")
+    for key in ("id", "origin"):
+        if key in doc and not isinstance(doc[key], str):
+            raise StoreFormatError(f"{path}.{key}", "expected str")
     try:
         rule = parse_rule(doc["text"], onto)
     except (SchemaError, ValueError) as exc:

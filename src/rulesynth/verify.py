@@ -16,15 +16,16 @@ configured constant domain, so every verdict is relative to the grounding
 config recorded in the report.
 
 One `verify()` call grounds theory plus candidate once, in the consistency
-stage, and indexes that ClauseDB once (`sat.Index`); every later check is
-one solve of that index.  Consistency solves it whole; each core-shrinking
-trial switches off the clauses its kept rules and the candidate lack;
-entailment switches off the clauses only the candidate has and adds one negated
-candidate clause as unit assumptions; each invariant check adds the new
-clauses of the DB extended with its assumed unit literals.  Each of these
-clause sets, and its atom numbering, equals what grounding that check's
-rules (and assumptions) afresh would give, up to clause order, and the DPLL
-answer depends only on those two.
+stage, into one ClauseDB with its clause index, and passes that ClauseDB
+to the later checks; every check is one solve of that index.  Consistency
+solves it whole; each core-shrinking trial switches off the clauses its
+kept rules and the candidate lack; entailment switches off the clauses only
+the candidate has and adds one negated candidate clause as unit
+assumptions; each invariant attempt adds the unit and axiom clauses that
+its assumed literals bring (`extend`), without copying the ClauseDB.  Each
+of these clause sets, and its atom numbering, equals what grounding that
+check's rules (and assumptions) afresh would give, up to clause order, and
+the DPLL answer depends only on those two.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .grounding import (
     extend,
     ground,
     instantiate_rule,
+    render_model,
     rule_subset,
     rule_substitutions,
 )
@@ -59,9 +61,7 @@ class ConsistencyResult:
     core: tuple[str, ...] = ()  # theory rule ids; empty core means the
     # candidate is self-contradictory under the grounding
     db: ClauseDB | None = field(default=None, compare=False, repr=False)
-    index: sat.Index | None = field(default=None, compare=False, repr=False)
-    # the grounding of theory plus candidate and its clause index, for the
-    # later stages
+    # the grounding of theory plus candidate, for the later stages
 
 
 def check_consistency(
@@ -70,54 +70,35 @@ def check_consistency(
     """SAT check of theory plus candidate; on UNSAT, shrink the theory to a
     minimal subset that still conflicts with the candidate.
 
-    Theory plus candidate is grounded and indexed once; each shrinking trial
-    switches off the clauses its kept rules and the candidate do not have."""
+    Theory plus candidate is grounded once; each shrinking trial switches
+    off the clauses its kept rules and the candidate do not have."""
     db = ground([*theory, candidate], config, onto)
-    index = sat.Index(db.clauses)
-    if sat.solve(index, len(db.atom_names)) is not None:
-        return ConsistencyResult(True, db=db, index=index)
+    if sat.solve(db.index, len(db.atoms)) is not None:
+        return ConsistencyResult(True, db=db)
     candidate_index = len(theory)
     kept = list(range(len(theory)))
-    indexed = set(db.clauses)  # a subset's clauses, axioms included, are all here
     for dropped in range(len(theory)):
         trial = [i for i in kept if theory[i] is not theory[dropped]]
-        off = indexed.difference(rule_subset(db, [*trial, candidate_index], config, onto))
-        if sat.solve(index, len(db.atom_names), off=off) is None:
+        # a subset's clauses, axioms included, are all in the index
+        off = db.index.ids.keys() - rule_subset(db, [*trial, candidate_index], config, onto)
+        if sat.solve(db.index, len(db.atoms), off=off) is None:
             kept = trial
-    return ConsistencyResult(False, tuple(theory[i].id for i in kept), db, index)
+    return ConsistencyResult(False, tuple(theory[i].id for i in kept), db)
 
 
-def _indexed(
-    rules: Sequence[Rule], config: GroundingConfig, onto: Ontology,
-    db: ClauseDB | None, index: sat.Index | None,
-) -> tuple[ClauseDB, sat.Index]:
-    """The given grounding of `rules` and its index, made when not given."""
-    if db is None:
-        db = ground(rules, config, onto)
-    return db, sat.Index(db.clauses) if index is None else index
-
-
-def check_entailment(
-    theory: Sequence[Rule],
-    candidate: Rule,
-    config: GroundingConfig,
-    onto: Ontology,
-    *,
-    db: ClauseDB | None = None,
-    index: sat.Index | None = None,
-) -> bool:
+def check_entailment(db: ClauseDB) -> bool:
     """True when every grounding clause of the candidate is refuted by the
     theory (clause-by-clause negation + SAT), i.e. the candidate is redundant.
-    Precondition: theory plus candidate is consistent.  `db`, when given,
-    is ground([*theory, candidate], config, onto) and `index` its index.
-    Each check switches off the clauses only the candidate has and assumes
-    the negated literals of one candidate clause."""
-    db, index = _indexed([*theory, candidate], config, onto, db, index)
+
+    `db` grounds the theory's rules and then the candidate, and the theory
+    plus candidate is consistent.  Each check switches off the clauses only
+    the candidate has and assumes the negated literals of one candidate
+    clause."""
     theory_clauses = {clause for own in db.rule_clauses[:-1] for clause in own}
     candidate_only = set(db.rule_clauses[-1]).difference(theory_clauses, db.axioms)
     for clause in db.rule_clauses[-1]:
         negation = [[-lit] for lit in clause]
-        if sat.solve(index, len(db.atom_names), off=candidate_only, extra=negation) is not None:
+        if sat.solve(db.index, len(db.atoms), off=candidate_only, extra=negation) is not None:
             return False
     return True
 
@@ -130,38 +111,27 @@ class InvariantResult:
 
 
 def check_invariants(
-    theory: Sequence[Rule],
-    candidate: Rule | None,
-    invariants: Sequence[Invariant],
-    config: GroundingConfig,
-    onto: Ontology,
-    *,
-    db: ClauseDB | None = None,
-    index: sat.Index | None = None,
+    db: ClauseDB, invariants: Sequence[Invariant], config: GroundingConfig, onto: Ontology
 ) -> InvariantResult:
-    """Check that the theory (plus candidate, if given) entails each invariant.
+    """Check that the rules grounded in `db` entail each invariant.
 
     Invariant I is violated when some model of the grounded theory
     satisfies I's body while falsifying one of its head literals, for some
     substitution.  Conjunctive heads are negated one literal per SAT
     attempt.  The first violation (store order, then substitution order,
     then head-literal order) is reported with its countermodel.  Each
-    attempt extends the grounding `db` of those rules (grounded and indexed
-    here when not given) with its assumed literals, and solves db's index
-    with the extension's new clauses added.
+    attempt solves db's index with the clauses its assumed literals add.
     """
-    rules = [*theory] if candidate is None else [*theory, candidate]
-    db, index = _indexed(rules, config, onto, db, index)
     for invariant in invariants:
         for substitution in rule_substitutions(invariant.rule, config, onto):
             assumptions = [(lit, substitution) for lit in invariant.rule.body]
             for head_lit in invariant.rule.head:
                 negated = [*assumptions, (head_lit.complement(), substitution)]
-                attempt = extend(db, negated, config, onto)
-                new_clauses = attempt.clauses[len(db.clauses):]
-                model = sat.solve(index, len(attempt.atom_names), extra=new_clauses)
+                atoms, clauses = extend(db, negated, config, onto)
+                model = sat.solve(db.index, len(db.atoms) + len(atoms), extra=clauses)
                 if model is not None:
-                    return InvariantResult(False, invariant.id, attempt.render_model(model))
+                    countermodel = render_model({**db.atoms, **atoms}, model)
+                    return InvariantResult(False, invariant.id, countermodel)
     return InvariantResult(True)
 
 
@@ -226,23 +196,21 @@ def verify(
     theory = store.theory_rules()
     stages.append("consistency")
     consistency = check_consistency(theory, candidate, config, onto)
-    db, index = consistency.db, consistency.index
-    consistency = replace(consistency, db=None, index=None)  # the report keeps no grounding
+    db = consistency.db
+    consistency = replace(consistency, db=None)  # the report keeps no grounding
     if not consistency.consistent:
         return VerificationReport(
             candidate.id, render_rule(candidate), "Inconsistent", tuple(stages),
             (), consistency, None, None, grounding_used,
         )
     stages.append("redundancy")
-    if check_entailment(theory, candidate, config, onto, db=db, index=index):
+    if check_entailment(db):
         return VerificationReport(
             candidate.id, render_rule(candidate), "Redundant", tuple(stages),
             (), consistency, "entailed", None, grounding_used,
         )
     stages.append("invariants")
-    invariant_result = check_invariants(
-        theory, candidate, store.invariants, config, onto, db=db, index=index
-    )
+    invariant_result = check_invariants(db, store.invariants, config, onto)
     if not invariant_result.preserved:
         return VerificationReport(
             candidate.id, render_rule(candidate), "Unsafe", tuple(stages),
@@ -261,10 +229,9 @@ def theory_soundness(
     declared invariant is entailed by it."""
     theory = store.theory_rules()
     db = ground(theory, config, onto)
-    index = sat.Index(db.clauses)
-    if sat.solve(index, len(db.atom_names)) is None:
+    if sat.solve(db.index, len(db.atoms)) is None:
         return False, "verified theory is unsatisfiable"
-    result = check_invariants(theory, None, store.invariants, config, onto, db=db, index=index)
+    result = check_invariants(db, store.invariants, config, onto)
     if not result.preserved:
         return False, f"invariant {result.violated_id} not entailed by the theory"
     return True, "ok"

@@ -10,10 +10,11 @@ from rulesynth.store import load_store
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
-# CI runs with HYPOTHESIS_PROFILE=ci: a fixed example sequence per test and no
-# example database, so every run checks the same inputs
+# The "ci" profile, loaded unless HYPOTHESIS_PROFILE names another: a fixed
+# example sequence per test and no example database, so every run checks the
+# same inputs.  HYPOTHESIS_PROFILE=default explores random examples instead.
 settings.register_profile("ci", derandomize=True, database=None)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
 
 COLLIDE_RULE = "forall X . not collide(X) <- sd_front(X) and sd_rear(X) and not lane_change(X)"
 DENSE_RULE = "forall X . sd_front(X) and sd_rear(X) <- not dense(X)"

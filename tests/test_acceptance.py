@@ -16,8 +16,8 @@ import pytest
 from rulesynth.analysis import (
     analyze,
     brute_force_families,
-    find_minimal_necessary_sets,
-    find_minimal_sufficient_sets,
+    minimal_necessary_search,
+    minimal_sufficient_search,
     minimal_transversals,
 )
 from rulesynth.cli import main as cli_main
@@ -133,8 +133,8 @@ def test_criterion_3_search_correctness_on_random_monotone_oracles():
             n = rng.randint(1, 10)
             universe = tuple(f"c{i}" for i in range(1, n + 1))
             judge = monotone_judge(random_antichain(rng, list(universe)))
-            sufficient = find_minimal_sufficient_sets(universe, judge)
-            necessary = find_minimal_necessary_sets(universe, judge)
+            sufficient = minimal_sufficient_search(universe, judge)
+            necessary = minimal_necessary_search(universe, judge)
             brute_sufficient, brute_necessary = brute_force_families(universe, judge)
             assert sufficient == brute_sufficient, f"oracle {index}"
             assert necessary == brute_necessary, f"oracle {index}"
@@ -164,10 +164,10 @@ def test_criterion_4_pruning_efficacy_and_deterministic_query_counts():
             sufficient_counts, necessary_counts = [], []
             for _repeat in range(2):
                 counter = Counting()
-                find_minimal_sufficient_sets(universe, counter)
+                minimal_sufficient_search(universe, counter)
                 sufficient_counts.append(counter.count)
                 counter = Counting()
-                find_minimal_necessary_sets(universe, counter)
+                minimal_necessary_search(universe, counter)
                 necessary_counts.append(counter.count)
             assert sufficient_counts[0] == sufficient_counts[1]
             assert necessary_counts[0] == necessary_counts[1]

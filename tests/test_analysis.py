@@ -9,8 +9,6 @@ from rulesynth.analysis import (
     UniverseTooLarge,
     analyze,
     brute_force_families,
-    find_minimal_necessary_sets,
-    find_minimal_sufficient_sets,
     minimal_necessary_search,
     minimal_sets,
     minimal_sufficient_search,
@@ -59,21 +57,21 @@ def random_antichain(rng, universe):
 
 def test_every_singleton_minimal_when_any_nonempty_achieves():
     universe = ids(3)
-    family = find_minimal_sufficient_sets(universe, lambda s: bool(s))
+    family = minimal_sufficient_search(universe, lambda s: bool(s))
     assert family.id_sets() == (frozenset(["c1"]), frozenset(["c2"]), frozenset(["c3"]))
 
 
 def test_unbreakable_effect_has_no_necessary_sets():
     universe = ids(3)
-    family = find_minimal_necessary_sets(universe, lambda s: True)
+    family = minimal_necessary_search(universe, lambda s: True)
     assert family.sets == ()
 
 
 def test_unachievable_effect_collapses_to_empty_removal():
     universe = ids(3)
-    family = find_minimal_necessary_sets(universe, lambda s: False)
+    family = minimal_necessary_search(universe, lambda s: False)
     assert family.sets == ((),)
-    sufficient = find_minimal_sufficient_sets(universe, lambda s: False)
+    sufficient = minimal_sufficient_search(universe, lambda s: False)
     assert sufficient.sets == ()
     # duality holds on the raw search outputs
     assert minimal_transversals(sufficient) == family
@@ -81,7 +79,7 @@ def test_unachievable_effect_collapses_to_empty_removal():
 
 def test_empty_set_tested_first():
     universe = ids(4)
-    family = find_minimal_sufficient_sets(universe, lambda s: True)
+    family = minimal_sufficient_search(universe, lambda s: True)
     assert family.sets == ((),)
 
 
@@ -103,7 +101,7 @@ def test_scenario2_transversals_match_necessary_sets():
     )
     assert minimal_transversals(family) == expected
     judge = monotone_judge(family.id_sets())
-    assert find_minimal_necessary_sets(universe, judge) == expected
+    assert minimal_necessary_search(universe, judge) == expected
 
 
 def test_brute_force_trivial_cases():
@@ -120,8 +118,8 @@ def test_pruned_equals_brute_force_on_random_monotone_oracles():
         n = rng.randint(1, 8)
         universe = ids(n)
         judge = monotone_judge(random_antichain(rng, list(universe)))
-        sufficient = find_minimal_sufficient_sets(universe, judge)
-        necessary = find_minimal_necessary_sets(universe, judge)
+        sufficient = minimal_sufficient_search(universe, judge)
+        necessary = minimal_necessary_search(universe, judge)
         brute_sufficient, brute_necessary = brute_force_families(universe, judge)
         assert sufficient == brute_sufficient
         assert necessary == brute_necessary
@@ -134,8 +132,8 @@ def test_searches_match_brute_force_past_eight_causes():
     universe = ids(11)
     judge = monotone_judge([frozenset(["c9", "c10"]), frozenset(["c2", "c11"])])
     brute_sufficient, brute_necessary = brute_force_families(universe, judge)
-    assert find_minimal_sufficient_sets(universe, judge) == brute_sufficient
-    assert find_minimal_necessary_sets(universe, judge) == brute_necessary
+    assert minimal_sufficient_search(universe, judge) == brute_sufficient
+    assert minimal_necessary_search(universe, judge) == brute_necessary
     assert brute_sufficient.to_json() == [["c2", "c11"], ["c9", "c10"]]
 
 
@@ -145,7 +143,7 @@ def test_returned_sufficient_sets_are_sound_and_minimal():
         n = rng.randint(2, 8)
         universe = ids(n)
         judge = monotone_judge(random_antichain(rng, list(universe)))
-        for subset in find_minimal_sufficient_sets(universe, judge).id_sets():
+        for subset in minimal_sufficient_search(universe, judge).id_sets():
             assert judge(subset)
             for cause in subset:
                 assert not judge(subset - {cause})
@@ -159,8 +157,8 @@ def test_membership_characterization():
         n = rng.randint(1, 7)
         universe = ids(n)
         judge = monotone_judge(random_antichain(rng, list(universe)))
-        sufficient = find_minimal_sufficient_sets(universe, judge)
-        necessary = find_minimal_necessary_sets(universe, judge)
+        sufficient = minimal_sufficient_search(universe, judge)
+        necessary = minimal_necessary_search(universe, judge)
         singletons = {next(iter(s)) for s in necessary.id_sets() if len(s) == 1}
         if sufficient.sets:
             in_all = set(universe)
@@ -175,7 +173,7 @@ def test_pruning_saves_queries_and_is_deterministic():
     counts = []
     for _ in range(2):
         judge = CountingJudge(monotone_judge(family))
-        find_minimal_sufficient_sets(universe, judge)
+        minimal_sufficient_search(universe, judge)
         counts.append(judge.count)
     assert counts[0] == counts[1]
     assert counts[0] < 2 ** len(universe)
@@ -247,8 +245,8 @@ def test_non_monotone_oracle_detected_and_pruning_disabled():
     monitor = MonotoneMonitor(universe)
     necessary = minimal_necessary_search(universe, judge, monitor)
     sufficient = minimal_sufficient_search(universe, judge, monitor)
-    assert necessary.family.sets == ((),)  # the full set fails
-    assert sufficient.family.id_sets() == (
+    assert necessary.sets == ((),)  # the full set fails
+    assert sufficient.id_sets() == (
         frozenset(["c1"]),
         frozenset(["c2"]),
         frozenset(["c3"]),

@@ -196,3 +196,28 @@ def test_duplicate_verified_rules_rejected_on_load(tmp_path, seed_store, onto):
     with pytest.raises(StoreIntegrityError) as err:
         load_store(path, onto)
     assert "duplicate" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "section, field", [
+        ("principles", "formal"),
+        ("causes", "rule"),
+        ("verified_rules", "rule"),
+        ("invariants", "rule"),
+    ],
+)
+def test_rule_id_and_origin_must_be_strings(tmp_path, seed_store, onto, section, field):
+    store, _ = _commit_collide(seed_store, onto)
+    doc = store_to_json(store)
+    path = tmp_path / "store.json"
+    path.write_text(json.dumps(doc))
+    assert load_store(path, onto) == store
+    i, entry = next((i, e) for i, e in enumerate(doc[section]) if e.get(field))
+    for key in ("id", "origin"):
+        for value in (7, [1], {"x": 1}, None):
+            rule = {**entry[field], key: value}
+            doc[section][i] = {**entry, field: rule}
+            path.write_text(json.dumps(doc))
+            with pytest.raises(StoreFormatError) as err:
+                load_store(path, onto)
+            assert f"$.{section}[{i}].{field}.{key}" in str(err.value)

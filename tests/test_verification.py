@@ -4,7 +4,7 @@ import pytest
 
 import rulesynth
 from rulesynth.fol import parse_rule
-from rulesynth.grounding import GroundingConfig
+from rulesynth.grounding import GroundingConfig, ground
 from rulesynth.store import Invariant
 from rulesynth.verify import (
     check_consistency,
@@ -84,25 +84,25 @@ def test_interval_axioms_expose_cross_threshold_contradictions(onto):
 def test_identical_rule_is_entailed(onto, config):
     theory = rules(onto, COLLIDE_RULE)
     candidate = parse_rule(COLLIDE_RULE, onto)
-    assert check_entailment(theory, candidate, config, onto)
+    assert check_entailment(ground([*theory, candidate], config, onto))
 
 
 def test_weaker_rule_is_entailed(onto, config):
     theory = rules(onto, "forall X . sd_front(X) <- true")
     candidate = parse_rule("forall X . sd_front(X) <- dense(X)", onto)
-    assert check_entailment(theory, candidate, config, onto)
+    assert check_entailment(ground([*theory, candidate], config, onto))
 
 
 def test_collide_rule_is_novel_against_dense_rule(onto, config):
     theory = rules(onto, DENSE_RULE)
     candidate = parse_rule(COLLIDE_RULE, onto)
-    assert not check_entailment(theory, candidate, config, onto)
+    assert not check_entailment(ground([*theory, candidate], config, onto))
 
 
 def test_invariant_self_entailment_preserved(onto, config):
     theory = rules(onto, COLLIDE_RULE)
     invariant = Invariant("inv-collision-free", parse_rule(COLLIDE_RULE, onto))
-    result = check_invariants(theory, None, [invariant], config, onto)
+    result = check_invariants(ground(theory, config, onto), [invariant], config, onto)
     assert result.preserved
 
 
@@ -113,7 +113,7 @@ def test_invariant_violation_yields_countermodel(onto, config):
     candidate = parse_rule(
         "forall X . sd_front(X) and sd_rear(X) and not lane_change(X) <- true", onto
     )
-    result = check_invariants([], candidate, [invariant], config, onto)
+    result = check_invariants(ground([candidate], config, onto), [invariant], config, onto)
     assert not result.preserved
     assert result.violated_id == "inv-collision-free"
     assert "collide(a)" in result.countermodel
@@ -122,7 +122,8 @@ def test_invariant_violation_yields_countermodel(onto, config):
 
 
 def test_no_invariants_is_vacuously_preserved(onto, config):
-    result = check_invariants([], parse_rule(COLLIDE_RULE, onto), [], config, onto)
+    db = ground([parse_rule(COLLIDE_RULE, onto)], config, onto)
+    result = check_invariants(db, [], config, onto)
     assert result.preserved
 
 

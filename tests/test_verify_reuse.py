@@ -16,10 +16,9 @@ import pytest
 from rulesynth.fol import validate_schema
 from rulesynth.grounding import (
     GroundingConfig,
-    append_comparison_axioms,
     extend,
     ground,
-    instantiate_rule,
+    render_model,
     rule_subset,
     rule_substitutions,
 )
@@ -39,7 +38,7 @@ from rulegen import random_rule
 # --- reference: one fresh grounding per check ---
 
 def _solve_db(db):
-    return reference_dpll.solve(db.clauses, num_vars=len(db.atom_names))
+    return reference_dpll.solve(db.clauses, num_vars=len(db.atoms))
 
 
 def reference_consistency(theory, candidate, config, onto):
@@ -54,15 +53,13 @@ def reference_consistency(theory, candidate, config, onto):
 
 
 def reference_entailment(theory, candidate, config, onto):
-    db = ground(theory, config, onto)
-    candidate_clauses = []
-    for substitution in rule_substitutions(candidate, config, onto):
-        candidate_clauses.extend(instantiate_rule(candidate, substitution, db))
-    if config.comparison_mode == "interval-axioms":
-        append_comparison_axioms(db, onto)
-    for clause in candidate_clauses:
+    """The theory's clauses, with the interval axioms over the comparisons
+    of theory and candidate, refute each negated candidate clause."""
+    db = ground([*theory, candidate], config, onto)
+    theory_clauses = [clause for own in db.rule_clauses[:-1] for clause in own] + db.axioms
+    for clause in db.rule_clauses[-1]:
         negation = [frozenset([-lit]) for lit in clause]
-        if reference_dpll.solve(db.clauses + negation, num_vars=len(db.atom_names)) is not None:
+        if reference_dpll.solve(theory_clauses + negation, num_vars=len(db.atoms)) is not None:
             return False
     return True
 
@@ -77,7 +74,7 @@ def reference_invariants(theory, candidate, invariants, config, onto):
                 db = ground(rules, config, onto, assumptions=negated)
                 model = _solve_db(db)
                 if model is not None:
-                    return False, invariant.id, db.render_model(model)
+                    return False, invariant.id, render_model(db.atoms, model)
     return True, None, ()
 
 
@@ -122,15 +119,15 @@ def small_vocabulary(onto):
 
 def named(db, clauses):
     """Clauses as sets of signed atom names, independent of atom numbering."""
-    return {
-        frozenset((lit > 0, db.atom_name(abs(lit))) for lit in clause) for clause in clauses
-    }
+    names = list(db.atoms)
+    return {frozenset((lit > 0, names[abs(lit) - 1]) for lit in clause) for clause in clauses}
 
 
 @pytest.mark.parametrize("mode", ["opaque", "interval-axioms"])
 def test_subset_and_extension_clause_sets_equal_fresh_groundings(onto, mode):
     vocabulary = small_vocabulary(onto)
     rng = random.Random(f"clause-sets-{mode}")
+    added = Counter()
     for case in range(60):
         config = GroundingConfig.default(onto, case % 3 + 1, mode)
         rules = [valid_rule(rng, vocabulary, onto) for _ in range(rng.randint(1, 5))]
@@ -139,13 +136,21 @@ def test_subset_and_extension_clause_sets_equal_fresh_groundings(onto, mode):
         fresh = ground([rules[i] for i in indexes], config, onto)
         assert named(db, rule_subset(db, indexes, config, onto)) == named(fresh, fresh.clauses)
 
+        # an extension adds to db without changing it
+        before = (dict(db.atoms), list(db.clauses), dict(db.comparisons), list(db.axioms))
         assumed = valid_rule(rng, vocabulary, onto)
         substitution = rng.choice(rule_substitutions(assumed, config, onto))
         assumptions = [(lit, substitution) for lit in assumed.literals()]
-        extended = extend(db, assumptions, config, onto)
+        assumptions += rng.sample(assumptions, rng.randint(0, 1))  # a repeated literal
+        atoms, clauses = extend(db, assumptions, config, onto)
+        assert (dict(db.atoms), list(db.clauses), dict(db.comparisons), list(db.axioms)) == before
         fresh = ground(rules, config, onto, assumptions=assumptions)
-        assert extended.atom_names == fresh.atom_names
-        assert set(extended.clauses) == set(fresh.clauses)
+        assert list(fresh.atoms.items()) == [*db.atoms.items(), *atoms.items()]
+        assert len(set(clauses)) == len(clauses) and not set(clauses) & set(db.clauses)
+        assert set(db.clauses) | set(clauses) == set(fresh.clauses)
+        added["atoms"] += bool(atoms)
+        added["axioms"] += len(fresh.axioms) > len(db.axioms)
+    assert added["atoms"] and (mode == "opaque" or added["axioms"]), added
 
 
 @pytest.mark.parametrize("mode", ["opaque", "interval-axioms"])
@@ -176,10 +181,11 @@ def test_shared_grounding_matches_fresh_groundings(onto, mode):
         assert (consistency.consistent, consistency.core) == reference_consistency(
             theory, candidate, config, onto), case
         if consistency.consistent:
-            assert check_entailment(theory, candidate, config, onto) == reference_entailment(
+            assert check_entailment(consistency.db) == reference_entailment(
                 theory, candidate, config, onto), case
         for with_candidate in (candidate, None):
-            result = check_invariants(theory, with_candidate, invariants, config, onto)
+            rules = [*theory] if with_candidate is None else [*theory, candidate]
+            result = check_invariants(ground(rules, config, onto), invariants, config, onto)
             assert (result.preserved, result.violated_id, result.countermodel) == (
                 reference_invariants(theory, with_candidate, invariants, config, onto)), case
 
