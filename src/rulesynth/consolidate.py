@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .oracle import EquivalenceVerdict, MalformedResponse, Oracle
+from .oracle import MalformedResponse, Oracle
 
 
 @dataclass(frozen=True)
@@ -33,14 +33,6 @@ class MergePartition:
 
     def representatives(self) -> tuple[str, ...]:
         return tuple(c.representative for c in self.classes)
-
-
-def judge_pair(oracle: Oracle, a: str, b: str) -> EquivalenceVerdict:
-    """Equivalence query with the identity short-circuit: identical texts
-    are trivially equivalent and never reach the oracle."""
-    if a == b:
-        return EquivalenceVerdict(True, a)
-    return oracle.judge_equivalent(a, b)
 
 
 def consolidate(raw: list[str] | tuple[str, ...], oracle: Oracle) -> MergePartition:

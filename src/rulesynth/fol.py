@@ -434,13 +434,23 @@ def render_number(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def render_inner(inner: Atom | Comparison, substitution: Mapping[str, str] | None = None) -> str:
+    """Text of an atom or comparison.  Given a substitution, each variable
+    is written as its constant there (a variable it lacks is a KeyError);
+    without one, variables keep their names."""
+
+    def name(term: Term) -> str:
+        if substitution is None or term.kind == "constant":
+            return term.name
+        return substitution[term.name]
+
+    if isinstance(inner, Atom):
+        return f"{inner.predicate}({', '.join(map(name, inner.args))})"
+    return f"{inner.attribute}({name(inner.subject)}) {inner.op} {render_number(inner.value)}"
+
+
 def render_literal(lit: Literal) -> str:
-    prefix = "not " if lit.negated else ""
-    if isinstance(lit.inner, Atom):
-        args = ", ".join(t.name for t in lit.inner.args)
-        return f"{prefix}{lit.inner.predicate}({args})"
-    cmp = lit.inner
-    return f"{prefix}{cmp.attribute}({cmp.subject.name}) {cmp.op} {render_number(cmp.value)}"
+    return f"not {render_inner(lit.inner)}" if lit.negated else render_inner(lit.inner)
 
 
 def render_rule(rule: Rule) -> str:

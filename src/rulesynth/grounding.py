@@ -3,8 +3,9 @@
 Each rule h1 and ... and hm <- b1 and ... and bk is instantiated for every
 substitution of its quantified variables by same-sort constants; each
 instantiation contributes m clauses (not b1 or ... or not bk or hi).
-Ground atoms are interned into a propositional variable table in first
-occurrence order, so clause databases are fully deterministic.
+A ground atom's name is the rule's atom or comparison rendered under the
+substitution (`fol.render_inner`); `ClauseDB.intern` alone numbers names,
+in first occurrence order, so clause databases are fully deterministic.
 
 Comparisons are opaque atoms by default.  In interval-axioms mode the
 declared finite value domain of each numeric attribute is used to forbid
@@ -13,18 +14,19 @@ speed(a) > 30 and excludes speed(a) < 30.
 
 A grounding is one ClauseDB: the atom table, each grounded rule's own
 clauses, the interval axioms, and the `sat.Index` of its distinct clauses,
-built once.  Callers solve sub-theories of it (`rule_subset`) or add
-assumed literals to it (`extend`) without grounding the rules again and
-without copying it: `extend` returns only the clauses and atoms that an
-attempt adds, for one solve of the same index.
+built once.  Callers solve sub-theories of it (`rule_subset`, which
+selects db's axioms instead of generating them again) or add assumed
+literals to it (`extend`, which interns them into an overlay of db's
+tables) without grounding the rules again and without copying it.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import ChainMap
-from dataclasses import dataclass, field
-from itertools import chain, product
-from typing import Any, KeysView, Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from itertools import chain, combinations, product
+from typing import Any, KeysView, Mapping, MutableMapping, Sequence
 
 from . import sat
 from .fol import (
@@ -33,9 +35,8 @@ from .fol import (
     Literal,
     Ontology,
     Rule,
-    Term,
     const,
-    render_literal,
+    render_inner,
     variable_sorts,
 )
 
@@ -92,8 +93,8 @@ class ClauseDB:
     first-occurrence order.
     """
 
-    atoms: dict[str, int] = field(default_factory=dict)
-    comparisons: dict[str, Comparison] = field(default_factory=dict)
+    atoms: MutableMapping[str, int] = field(default_factory=dict)
+    comparisons: MutableMapping[str, Comparison] = field(default_factory=dict)
     rule_clauses: list[tuple[frozenset[int], ...]] = field(default_factory=list)
     axioms: list[frozenset[int]] = field(default_factory=list)
     index: sat.Index = field(init=False, repr=False)
@@ -106,35 +107,23 @@ class ClauseDB:
     def atom_names(self) -> KeysView[str]:
         return self.atoms.keys()
 
-    def intern(self, ground: Atom | Comparison) -> int:
-        name = render_literal(Literal(False, ground))
+    def intern(self, inner: Atom | Comparison, substitution: Mapping[str, str]) -> int:
+        """The variable of `inner` under `substitution`, numbered next when new."""
+        name = render_inner(inner, substitution)
         index = self.atoms.get(name)
         if index is None:
             index = self.atoms[name] = len(self.atoms) + 1
-            if isinstance(ground, Comparison):
-                self.comparisons[name] = ground
+            if isinstance(inner, Comparison):
+                subject = inner.subject
+                if subject.kind == "variable":
+                    subject = const(substitution[subject.name])
+                self.comparisons[name] = replace(inner, subject=subject)
         return index
 
 
 def render_model(atoms: Mapping[str, int], model: Mapping[int, bool]) -> tuple[str, ...]:
     """Model as signed ground atoms, sorted by atom name."""
     return tuple(name if model.get(atoms[name], True) else f"not {name}" for name in sorted(atoms))
-
-
-def substitute(term: Term, substitution: Mapping[str, str]) -> Term:
-    if term.kind == "variable":
-        return const(substitution[term.name])
-    return term
-
-
-def ground_inner(
-    lit: Literal, substitution: Mapping[str, str]
-) -> Atom | Comparison:
-    if isinstance(lit.inner, Atom):
-        args = tuple(substitute(t, substitution) for t in lit.inner.args)
-        return Atom(lit.inner.predicate, args)
-    cmp = lit.inner
-    return Comparison(cmp.attribute, substitute(cmp.subject, substitution), cmp.op, cmp.value)
 
 
 def rule_substitutions(
@@ -158,28 +147,21 @@ def instantiate_rule(
     rule: Rule, substitution: Mapping[str, str], db: ClauseDB
 ) -> list[frozenset[int]]:
     """Clauses of one ground instance: one clause per head literal."""
-    body_part = []
-    for lit in rule.body:
-        index = db.intern(ground_inner(lit, substitution))
-        body_part.append(-index if not lit.negated else index)  # complement
-    clauses = []
-    for head_lit in rule.head:
-        index = db.intern(ground_inner(head_lit, substitution))
-        signed_head = -index if head_lit.negated else index
-        clauses.append(frozenset(body_part + [signed_head]))
-    return clauses
+    body_part = [-_signed(lit, db.intern(lit.inner, substitution)) for lit in rule.body]
+    return [
+        frozenset([*body_part, _signed(lit, db.intern(lit.inner, substitution))])
+        for lit in rule.head
+    ]
+
+
+_OPERATORS = {
+    "<": operator.lt, "<=": operator.le, "=": operator.eq,
+    ">=": operator.ge, ">": operator.gt, "!=": operator.ne,
+}
 
 
 def _evaluate(cmp: Comparison, value: Any) -> bool:
-    ops = {
-        "<": value < cmp.value,
-        "<=": value <= cmp.value,
-        "=": value == cmp.value,
-        ">=": value >= cmp.value,
-        ">": value > cmp.value,
-        "!=": value != cmp.value,
-    }
-    return ops[cmp.op]
+    return _OPERATORS[cmp.op](value, cmp.value)
 
 
 def comparison_axioms(
@@ -198,25 +180,18 @@ def comparison_axioms(
     for (attribute, _subject), names in sorted(groups.items()):
         domain = onto.numeric_attributes[attribute].domain
         names.sort()
+        truths = {name: [_evaluate(comparisons[name], v) for v in domain] for name in names}
         for name in names:
-            truths = {_evaluate(comparisons[name], v) for v in domain}
-            if truths == {True}:
-                axioms.append(frozenset([atoms[name]]))
-            elif truths == {False}:
-                axioms.append(frozenset([-atoms[name]]))
-        for i, first in enumerate(names):
-            for second in names[i + 1 :]:
-                patterns = {
-                    (_evaluate(comparisons[first], v), _evaluate(comparisons[second], v))
-                    for v in domain
-                }
-                for a_sign in (True, False):
-                    for b_sign in (True, False):
-                        if (a_sign, b_sign) not in patterns:
-                            axioms.append(frozenset([
-                                -atoms[first] if a_sign else atoms[first],
-                                -atoms[second] if b_sign else atoms[second],
-                            ]))
+            if len(set(truths[name])) == 1:  # the same truth at every domain value
+                axioms.append(frozenset([atoms[name] if truths[name][0] else -atoms[name]]))
+        for first, second in combinations(names, 2):
+            patterns = set(zip(truths[first], truths[second]))
+            for a_sign, b_sign in product((True, False), repeat=2):
+                if (a_sign, b_sign) not in patterns:
+                    axioms.append(frozenset([
+                        -atoms[first] if a_sign else atoms[first],
+                        -atoms[second] if b_sign else atoms[second],
+                    ]))
     return axioms
 
 
@@ -225,8 +200,8 @@ def append_comparison_axioms(db: ClauseDB, onto: Ontology) -> None:
     db.axioms = comparison_axioms(db.comparisons, db.atoms, onto)
 
 
-def _unit(lit: Literal, index: int) -> frozenset[int]:
-    return frozenset([-index if lit.negated else index])
+def _signed(lit: Literal, index: int) -> int:
+    return -index if lit.negated else index
 
 
 def ground(
@@ -248,11 +223,19 @@ def ground(
             for substitution in rule_substitutions(rule, config, onto)
             for clause in instantiate_rule(rule, substitution, db)
         ))
-    units = [_unit(lit, db.intern(ground_inner(lit, s))) for lit, s in assumptions]
+    units = [frozenset([_signed(lit, db.intern(lit.inner, s))]) for lit, s in assumptions]
     if config.comparison_mode == "interval-axioms":
         append_comparison_axioms(db, onto)
     db.index = sat.Index(chain(*db.rule_clauses, units, db.axioms))
     return db
+
+
+class _Overlay(ChainMap):
+    """New entries over a base mapping that they never shadow, so its length
+    is the sum of the two; ChainMap's own length unions every key."""
+
+    def __len__(self) -> int:
+        return sum(map(len, self.maps))
 
 
 def extend(
@@ -271,40 +254,24 @@ def extend(
     """
     atoms: dict[str, int] = {}
     comparisons: dict[str, Comparison] = {}
-    units = []
-    for lit, substitution in assumptions:
-        inner = ground_inner(lit, substitution)
-        name = render_literal(Literal(False, inner))
-        index = db.atoms.get(name) or atoms.get(name)
-        if index is None:
-            index = atoms[name] = len(db.atoms) + len(atoms) + 1
-            if isinstance(inner, Comparison):
-                comparisons[name] = inner
-        units.append(_unit(lit, index))
+    overlay = ClauseDB(_Overlay(atoms, db.atoms), _Overlay(comparisons, db.comparisons))
+    units = [frozenset([_signed(lit, overlay.intern(lit.inner, s))]) for lit, s in assumptions]
     axioms = []
     if config.comparison_mode == "interval-axioms" and comparisons:
-        axioms = comparison_axioms(
-            ChainMap(comparisons, db.comparisons), ChainMap(atoms, db.atoms), onto
-        )
+        axioms = comparison_axioms(overlay.comparisons, overlay.atoms, onto)
     known = db.index.ids
     return atoms, [c for c in dict.fromkeys(chain(units, axioms)) if c not in known]
 
 
-def rule_subset(
-    db: ClauseDB, indexes: Sequence[int], config: GroundingConfig, onto: Ontology
-) -> list[frozenset[int]]:
+def rule_subset(db: ClauseDB, indexes: Sequence[int]) -> list[frozenset[int]]:
     """Clauses of grounding only the rules at `indexes` of db's rule list,
     in db's atom numbering (a renaming of that grounding's own).
 
-    In interval-axioms mode the axioms cover exactly the comparison atoms
-    those rules contain, as that grounding's do; axioms over db's other
-    comparisons are left out, so the clause set is that grounding's.
+    Of db's interval axioms it keeps those whose atoms all occur in these
+    rules' clauses.  An axiom mentions one comparison or one pair of them,
+    so these are the axioms that grounding generates, and the clause set
+    is that grounding's.
     """
     clauses = [clause for i in indexes for clause in db.rule_clauses[i]]
-    if config.comparison_mode == "interval-axioms":
-        used = {abs(lit) for clause in clauses for lit in clause}
-        comparisons = {
-            name: cmp for name, cmp in db.comparisons.items() if db.atoms[name] in used
-        }
-        clauses += comparison_axioms(comparisons, db.atoms, onto)
-    return clauses
+    used = {abs(lit) for clause in clauses for lit in clause}
+    return clauses + [axiom for axiom in db.axioms if all(abs(lit) in used for lit in axiom)]

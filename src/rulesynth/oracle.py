@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations
 from pathlib import Path
 from typing import Any, Callable, Hashable, Mapping, Sequence
 
 from .fol import Ontology
-from .store import Cause, Goal, Principle
+from .store import Cause, Goal, Principle, replace_file
 
 
 class OracleUnavailable(RuntimeError):
@@ -137,6 +138,17 @@ class GoalScript:
     sufficient_family: tuple[frozenset[str], ...]
     translations: Mapping[str, Translation]
 
+    def merged_texts(self) -> dict[tuple[str, str], str]:
+        """Each ordered pair of distinct class members -> the class's
+        representative; every other pair of texts is not equivalent."""
+        return {
+            (a, b): representative
+            for representative, members in self.equivalence_classes
+            for a in members
+            for b in members
+            if a != b
+        }
+
 
 @dataclass(frozen=True)
 class DeterministicOracleSpec:
@@ -217,6 +229,17 @@ class DeterministicOracleSpec:
                     )
                 translations[text] = Translation(t["rule"], t.get("explanation", ""))
             goals[goal_id] = GoalScript(raw, tuple(classes), necessity, family, translations)
+        for (first_id, first), (second_id, second) in combinations(goals.items(), 2):
+            shared = sorted(set(first.raw_causes) & set(second.raw_causes))
+            if len(shared) < 2:
+                continue
+            first_merged, second_merged = first.merged_texts(), second.merged_texts()
+            for pair in combinations(shared, 2):
+                if first_merged.get(pair) != second_merged.get(pair):
+                    raise MalformedResponse(
+                        f"goals {first_id} and {second_id} disagree on whether {pair[0]!r} "
+                        f"and {pair[1]!r} are equivalent, or on their merged text"
+                    )
         return cls(goals)
 
 
@@ -244,11 +267,9 @@ def _strings(value: Any, where: str) -> tuple[str, ...]:
 class DeterministicOracle(Oracle):
     def __init__(self, spec: DeterministicOracleSpec):
         self.spec = spec
-        self._class_of: dict[str, tuple[str, tuple[str, ...]]] = {}
+        self._merged: dict[tuple[str, str], str] = {}
         for script in spec.goals.values():
-            for rep, members in script.equivalence_classes:
-                for member in members:
-                    self._class_of[member] = (rep, members)
+            self._merged.update(script.merged_texts())
 
     def _script(self, goal_id: str) -> GoalScript:
         script = self.spec.goals.get(goal_id)
@@ -269,10 +290,8 @@ class DeterministicOracle(Oracle):
     def judge_equivalent(self, a: str, b: str) -> EquivalenceVerdict:
         if a == b:
             raise ValueError("judge_equivalent requires distinct texts")
-        entry = self._class_of.get(a)
-        if entry is not None and b in entry[1]:
-            return EquivalenceVerdict(True, entry[0])
-        return EquivalenceVerdict(False, None)
+        merged = self._merged.get((a, b))
+        return EquivalenceVerdict(merged is not None, merged)
 
     def judge_individual_necessity(
         self, cause: Cause, goal: Goal, principles: Sequence[Principle]
@@ -431,9 +450,10 @@ class RecordingOracle(Oracle):
         return translation
 
     def save(self, path: str | Path) -> None:
+        """Write the transcript in one step, so a failed save keeps the old one."""
         payload = {"version": 1, "entries": self.entries}
         text = json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False)
-        Path(path).write_text(text + "\n", encoding="utf-8")
+        replace_file(path, text + "\n")
 
 
 class ReplayOracle(Oracle):

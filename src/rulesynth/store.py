@@ -399,21 +399,19 @@ def store_to_json(store: TheoryStore) -> dict[str, Any]:
     }
 
 
-def save_store(store: TheoryStore, path: str | Path) -> None:
-    """Write the store; output bytes depend only on the store value.
+def replace_file(path: str | Path, text: str) -> None:
+    """Write `text` to `path` in one step.
 
-    The bytes go to a temporary file in the same directory, which then
-    replaces `path` in one step, so a failure part-way through leaves the
-    previous store intact and no temporary file behind.  A symlinked path
-    keeps its link, and an existing store keeps its permission bits.
+    The text goes to a temporary file in the same directory, which then
+    replaces `path`, so a failure part-way through leaves the previous
+    file intact and no temporary file behind.  A symlinked path keeps its
+    link, and an existing file keeps its permission bits.
     """
-    _check_integrity(store)
-    payload = json.dumps(store_to_json(store), sort_keys=True, indent=2, ensure_ascii=False)
     path = Path(path).resolve()
     temporary = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
     try:
         with temporary.open("x", encoding="utf-8") as out:
-            out.write(payload + "\n")
+            out.write(text)
             out.flush()
             os.fsync(out.fileno())
         if path.exists():
@@ -422,3 +420,11 @@ def save_store(store: TheoryStore, path: str | Path) -> None:
     except BaseException:
         temporary.unlink(missing_ok=True)
         raise
+
+
+def save_store(store: TheoryStore, path: str | Path) -> None:
+    """Write the store in one step (`replace_file`); output bytes depend
+    only on the store value."""
+    _check_integrity(store)
+    payload = json.dumps(store_to_json(store), sort_keys=True, indent=2, ensure_ascii=False)
+    replace_file(path, payload + "\n")

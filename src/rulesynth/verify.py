@@ -80,7 +80,7 @@ def check_consistency(
     for dropped in range(len(theory)):
         trial = [i for i in kept if theory[i] is not theory[dropped]]
         # a subset's clauses, axioms included, are all in the index
-        off = db.index.ids.keys() - rule_subset(db, [*trial, candidate_index], config, onto)
+        off = db.index.ids.keys() - rule_subset(db, [*trial, candidate_index])
         if sat.solve(db.index, len(db.atoms), off=off) is None:
             kept = trial
     return ConsistencyResult(False, tuple(theory[i].id for i in kept), db)

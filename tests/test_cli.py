@@ -105,6 +105,17 @@ def test_record_then_replay_reproduces_artifacts(tmp_path):
         assert (work_a / "out" / name).read_bytes() == (work_b / "out" / name).read_bytes()
 
 
+def test_goals_disagreeing_on_equivalence_exit_3(work_dir, capsys):
+    spec_path = work_dir / "scenario1.oracle.json"
+    doc = read(spec_path)
+    first, second = doc["goals"]["g1"]["equivalence_classes"][0]["members"][:2]
+    doc["goals"]["g9"] = {"raw_causes": [first, second]}  # no class: not equivalent
+    spec_path.write_text(json.dumps(doc))
+    assert run(["run-all", "--config", str(work_dir / "scenario1.config.json")]) == 3
+    err = capsys.readouterr().err
+    assert "disagree" in err and repr(first) in err and repr(second) in err
+
+
 def test_record_keeps_paid_answers_when_a_stage_fails(work_dir, capsys):
     spec_path = work_dir / "scenario1.oracle.json"
     doc = read(spec_path)

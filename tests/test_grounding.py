@@ -1,11 +1,26 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rulesynth.fol import Atom, Literal, Ontology, PredicateDecl, Rule, const, parse_rule
-from rulesynth.grounding import GroundingConfig, GroundingError, ground
+from rulesynth.fol import (
+    Atom,
+    Comparison,
+    Literal,
+    Ontology,
+    PredicateDecl,
+    Rule,
+    const,
+    parse_rule,
+    render_inner,
+    render_literal,
+)
+from rulesynth.grounding import ClauseDB, GroundingConfig, GroundingError, ground
 
 from conftest import COLLIDE_RULE, DENSE_RULE
+from rulegen import random_rule
 
 
 def one_constant(onto):
@@ -141,3 +156,39 @@ def test_assumptions_become_unit_clauses(onto):
     lit = Literal(True, Atom("collide", (const("a"),)))
     db = ground([rule], one_constant(onto), onto, assumptions=[(lit.complement(), {})])
     assert frozenset({db.atoms["collide(a)"]}) in db.clauses
+
+
+def ground_syntax(inner, substitution):
+    """The ground atom or comparison as syntax: each variable replaced by
+    the constant term the substitution gives it."""
+
+    def term(t):
+        return const(substitution[t.name]) if t.kind == "variable" else t
+
+    if isinstance(inner, Atom):
+        return Atom(inner.predicate, tuple(map(term, inner.args)))
+    return Comparison(inner.attribute, term(inner.subject), inner.op, inner.value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.fractions(max_denominator=40))
+def test_ground_atom_names_render_the_ground_syntax(onto, rng, value):
+    rule = random_rule(rng, onto)
+    pool = ["vehicle1", "vehicle2", *sorted(onto.constants)]
+    substitution = {t.name: rng.choice(pool) for t in rule.quantified_vars}
+    for lit in rule.literals():
+        inners = [lit.inner]
+        if isinstance(lit.inner, Comparison):  # any value, negative and fractional too
+            inners.append(replace(lit.inner, value=value))
+        for inner in inners:
+            ground_atom = ground_syntax(inner, substitution)
+            name = render_literal(Literal(False, ground_atom))
+            assert render_inner(inner, substitution) == name
+            db = ClauseDB()
+            assert db.intern(inner, substitution) == 1 and list(db.atoms) == [name]
+            assert db.comparisons == ({name: ground_atom} if isinstance(inner, Comparison) else {})
+            terms = inner.args if isinstance(inner, Atom) else (inner.subject,)
+            variables = {t.name for t in terms if t.kind == "variable"}
+            if variables:  # a variable the substitution lacks is never named
+                with pytest.raises(KeyError):
+                    render_inner(inner, {k: v for k, v in substitution.items() if k not in variables})

@@ -4,11 +4,11 @@ import random
 
 import pytest
 
-from rulesynth.consolidate import judge_pair
 from rulesynth.oracle import (
     CachedAchievementJudge,
     DeterministicOracle,
     DeterministicOracleSpec,
+    EquivalenceVerdict,
     MalformedResponse,
     NecessityVerdict,
     OracleUnavailable,
@@ -83,8 +83,36 @@ def test_identical_pair_short_circuits():
     oracle = scenario1_oracle()
     with pytest.raises(ValueError):
         oracle.judge_equivalent("same", "same")
-    verdict = judge_pair(oracle, "same", "same")
-    assert verdict.equivalent and verdict.merged_text == "same"
+
+
+def two_goal_spec(second_raw, second_classes):
+    return DeterministicOracleSpec.from_json({"goals": {
+        "g1": {"raw_causes": ["x", "y"],
+               "equivalence_classes": [{"representative": "X", "members": ["x", "y"]}]},
+        "g2": {"raw_causes": second_raw, "equivalence_classes": second_classes},
+    }})
+
+
+def test_equivalence_is_symmetric_across_goals():
+    # x is in a class of each goal; each pair is answered by the goal that lists it
+    oracle = DeterministicOracle(
+        two_goal_spec(["x", "z"], [{"representative": "Z", "members": ["x", "z"]}])
+    )
+    for a, b, verdict in [("x", "y", EquivalenceVerdict(True, "X")),
+                          ("x", "z", EquivalenceVerdict(True, "Z")),
+                          ("y", "z", EquivalenceVerdict(False, None))]:
+        assert oracle.judge_equivalent(a, b) == oracle.judge_equivalent(b, a) == verdict
+
+
+@pytest.mark.parametrize("classes", [
+    [],  # g2 declares x and y distinct
+    [{"representative": "Other", "members": ["y", "x"]}],  # another merged text
+])
+def test_goals_disagreeing_on_a_shared_pair_are_malformed(classes):
+    with pytest.raises(MalformedResponse, match="'x' and 'y'"):
+        two_goal_spec(["y", "w", "x"], classes)
+    agreeing = two_goal_spec(["y", "x"], [{"representative": "X", "members": ["y", "x"]}])
+    assert DeterministicOracle(agreeing).judge_equivalent("y", "x").merged_text == "X"
 
 
 def test_necessity_requires_cited_principle():
@@ -294,6 +322,30 @@ def test_record_and_replay_round_trip(tmp_path, onto):
         replay.translate_to_fol(cause, onto, "grammar").rule_text
         == inner.translate_to_fol(cause, onto, "grammar").rule_text
     )
+
+
+@pytest.mark.parametrize("failing", ["fsync", "replace"])
+def test_failed_transcript_save_keeps_old_transcript_and_leaves_no_temp_file(
+    tmp_path, monkeypatch, failing
+):
+    recorder = RecordingOracle(scenario1_oracle())
+    raw = recorder.generate_causes(GOAL, PRINCIPLES, 8)
+    path = tmp_path / "run.transcript.json"
+    recorder.save(path)
+    before = path.read_bytes()
+    recorder.judge_equivalent(raw[0], raw[1])
+
+    def crash(*args):
+        raise OSError("disk gone")
+
+    monkeypatch.setattr(f"rulesynth.store.os.{failing}", crash)
+    with pytest.raises(OSError, match="disk gone"):
+        recorder.save(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["run.transcript.json"]
+    monkeypatch.undo()
+    recorder.save(path)
+    assert ReplayOracle.from_file(path).entries == recorder.entries
 
 
 def test_replay_missing_key_names_it(tmp_path):
