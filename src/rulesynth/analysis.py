@@ -1,22 +1,27 @@
 """Minimal necessary and minimal sufficient cause-set search.
 
-One kernel, `minimal_sets`, walks subsets as bitmasks bottom-up:
-ascending cardinality, lexicographic by cause index within a cardinality.
-It keeps the minimal subsets on which a predicate holds: the judge
-achieves on them (sufficient), the judge fails on the universe minus them
-(necessary), or they hit every member of a family (transversals).  A
-candidate that contains an already found set is skipped, which is sound
-exactly when the achievement oracle is monotone (adding causes never
-destroys achievement).  Monotonicity is checked rather than assumed: any
-answer contradicting it is recorded and disables pruning for the
-remainder of the run, after which such a candidate is still judged but
-never kept.
+Cause sets are int bitmasks from the kernel to the answer cache (bit i is
+universe[i]); the judge is a callable int -> bool.  Ids are decoded from a
+mask only on a cache miss, for monotonicity witnesses and for the output
+families.
+
+One kernel, `minimal_sets`, serves the two searches.  It walks masks
+bottom-up: ascending cardinality, lexicographic by cause index within a
+cardinality.  It keeps the minimal masks on which a predicate holds: the
+judge achieves on them (sufficient), or the judge fails on the universe
+minus them (necessary).  A candidate that contains an already found set is
+skipped, which is sound exactly when the achievement oracle is monotone
+(adding causes never destroys achievement).  Monotonicity is checked
+rather than assumed: any answer contradicting it is recorded and disables
+pruning for the remainder of the run, after which such a candidate is
+still judged but never kept.
 
 A removal set N is necessary when judging universe minus N fails; for a
 monotone oracle the minimal necessary sets are precisely the minimal
 transversals (hitting sets) of the minimal sufficient family, which
-analyze() cross-checks.  brute_force_families is the reference: it judges
-every subset and shares no code with the kernel.
+analyze() cross-checks with Berge's algorithm (C. Berge, Hypergraphs,
+1989) rather than the kernel.  brute_force_families is the reference: it
+judges every subset and shares no code with the kernel either.
 """
 
 from __future__ import annotations
@@ -25,12 +30,12 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence, Sized
 
-from .oracle import CachedAchievementJudge, Oracle
+from .oracle import CachedAchievementJudge, Oracle, mask_ids
 from .store import Cause, Goal, TheoryStore
 
-Judge = Callable[[frozenset[str]], bool]
+Judge = Callable[[int], bool]
 
 BRUTE_FORCE_LIMIT = 20
 
@@ -103,7 +108,7 @@ class MonotoneMonitor:
 
     def __init__(self, universe: Sequence[str]):
         self.universe = frozenset(universe)
-        self.ids = _mask_ids(tuple(universe))
+        self.ids = mask_ids(universe)
         self.sufficient: list[int] = []
         self.necessary: list[int] = []
         self.violations: list[MonotonicityViolation] = []
@@ -135,54 +140,28 @@ class MonotoneMonitor:
                     )
 
 
-def _subsets_ascending(n: int) -> Iterable[tuple[int, ...]]:
-    for size in range(n + 1):
-        yield from combinations(range(n), size)
-
-
-def _mask_ids(universe: tuple[str, ...]) -> Callable[[int], frozenset[str]]:
-    """Mask -> cause ids, one table lookup per 8 bits of the mask."""
-    tables = []
-    for lo in range(0, len(universe), 8):
-        table: list[tuple[str, ...]] = [()]
-        for cause in universe[lo : lo + 8]:  # entry b lists the causes of b's bits
-            table += [t + (cause,) for t in table]
-        tables.append(table)
-
-    def ids(mask: int) -> frozenset[str]:
-        out: tuple[str, ...] = ()
-        for table in tables:
-            out += table[mask & 255]
-            mask >>= 8
-        return frozenset(out)
-
-    return ids
-
-
 def minimal_sets(
-    n: int, holds: Callable[[int], bool], found: list[int], prune: Callable[[], bool] = lambda: True
+    n: int, holds: Callable[[int], bool], found: list[int], violations: Sized = ()
 ) -> list[int]:
     """The minimal masks over n bits on which `holds` is true.
 
     Candidates are walked bottom-up: ascending cardinality, lexicographic
     by bit index within a cardinality.  A candidate containing a mask
-    already in `found` is skipped while `prune()` is true; otherwise it is
-    still judged but never kept.  Minimal masks are appended to `found`,
-    which is returned.
+    already in `found` is skipped while `violations` is empty; once it is
+    not, such a candidate is still judged but never kept.  Minimal masks
+    are appended to `found`, which is returned.
     """
     bits = [1 << i for i in range(n)]
     for size in range(n + 1):
-        for combo in combinations(bits, size):
-            mask = sum(combo)
-            covered = False
+        for mask in map(sum, combinations(bits, size)):
             for f in found:
                 if f & mask == f:
-                    covered = True
+                    if violations:
+                        holds(mask)
                     break
-            if covered and prune():
-                continue
-            if holds(mask) and not covered:
-                found.append(mask)
+            else:
+                if holds(mask):
+                    found.append(mask)
     return found
 
 
@@ -193,15 +172,16 @@ def _monitored_search(
         raise ValueError("universe must be nonempty")
     monitor = monitor if monitor is not None else MonotoneMonitor(universe)
     flip = (1 << len(universe)) - 1 if removal else 0
+    observe = monitor.observe
 
     def holds(mask: int) -> bool:
         subset = mask ^ flip
-        achieves = judge(monitor.ids(subset))
-        monitor.observe(subset, achieves)
+        achieves = judge(subset)
+        observe(subset, achieves)
         return achieves != removal
 
     found = monitor.necessary if removal else monitor.sufficient
-    minimal_sets(len(universe), holds, found, lambda: monitor.pruning_enabled)
+    minimal_sets(len(universe), holds, found, monitor.violations)
     return CauseSetFamily.from_id_sets(universe, map(monitor.ids, found))
 
 
@@ -238,40 +218,42 @@ def brute_force_families(
         raise ValueError("universe must be nonempty")
     if len(universe) > BRUTE_FORCE_LIMIT:
         raise UniverseTooLarge(f"|universe| = {len(universe)} exceeds {BRUTE_FORCE_LIMIT}")
-    answers: dict[tuple[int, ...], bool] = {}
-    for combo in _subsets_ascending(len(universe)):
-        answers[combo] = judge(frozenset(universe[i] for i in combo))
-
-    sufficient: list[set[int]] = []
-    for combo, achieves in answers.items():  # insertion order is ascending
-        candidate = set(combo)
-        if achieves and not any(f <= candidate for f in sufficient):
-            sufficient.append(candidate)
-    full = tuple(range(len(universe)))
-    necessary: list[set[int]] = []
-    for combo in _subsets_ascending(len(universe)):
-        removal = set(combo)
-        if any(f <= removal for f in necessary):
-            continue
-        remaining = tuple(i for i in full if i not in removal)
-        if not answers[remaining]:
-            necessary.append(removal)
+    n = len(universe)
+    order = [sum(1 << i for i in combo) for size in range(n + 1) for combo in combinations(range(n), size)]
+    answers = {mask: judge(mask) for mask in order}  # judged in ascending order
+    full = (1 << n) - 1
+    sufficient: list[int] = []
+    necessary: list[int] = []
+    for mask in order:
+        if answers[mask] and not any(f & mask == f for f in sufficient):
+            sufficient.append(mask)
+        if not answers[full ^ mask] and not any(f & mask == f for f in necessary):
+            necessary.append(mask)
+    ids = mask_ids(universe)
     return (
-        CauseSetFamily.build(universe, sufficient),
-        CauseSetFamily.build(universe, necessary),
+        CauseSetFamily.from_id_sets(universe, map(ids, sufficient)),
+        CauseSetFamily.from_id_sets(universe, map(ids, necessary)),
     )
 
 
 def minimal_transversals(family: CauseSetFamily) -> CauseSetFamily:
     """All inclusion-minimal subsets of the universe hitting every member.
 
-    For the empty family the empty set hits every member vacuously, so the
+    Berge's algorithm over masks, member by member: a transversal that
+    hits the member stays, one that misses it is extended by each of the
+    member's elements, and an extension containing a staying transversal
+    is dropped (extensions cannot contain one another), so the list stays
+    minimal.  For the empty family the empty set hits every member vacuously, so the
     result is {{}}; for a family containing the empty set no transversal
     exists and the result is empty.
     """
-    members = [sum(1 << i for i in s) for s in family.sets]
-    found = minimal_sets(len(family.universe), lambda mask: all(mask & m for m in members), [])
-    return CauseSetFamily.from_id_sets(family.universe, map(_mask_ids(family.universe), found))
+    transversals = [0]
+    for member in family.sets:
+        target = sum(1 << i for i in member)
+        hit = [t for t in transversals if t & target]
+        grown = {t | 1 << i for t in transversals if not t & target for i in member}
+        transversals = hit + [g for g in grown if all(h & g != h for h in hit)]
+    return CauseSetFamily.from_id_sets(family.universe, map(mask_ids(family.universe), transversals))
 
 
 @dataclass(frozen=True)

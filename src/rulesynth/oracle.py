@@ -11,9 +11,11 @@ and translation of a cause into the rule language.  Implementations:
 
 Every query has a canonical string key (subset ids sorted, equivalence
 pairs ordered).  Transcripts are keyed by it, and so is the LLM backend's
-prompt text.  The achievement cache is not: within one goal it keys a
-subset by its bitmask over the goal's causes, which maps one-to-one to the
-string key, so a subset query costs integer work only and the number of
+prompt text.  The achievement judge is not: it is called with the cause
+search's own bitmask over the goal's causes and keys its cache by that
+int, which maps one-to-one to the string key.  Only a miss decodes the
+mask (`mask_ids`) to the frozenset of cause ids the backend is asked
+about, so a repeated subset costs a dict lookup and the number of
 distinct backend queries is the same.
 """
 
@@ -355,17 +357,36 @@ class QueryCache:
         return value
 
 
+def mask_ids(universe: Sequence[str]) -> Callable[[int], frozenset[str]]:
+    """Decoder from a bitmask (bit i is universe[i]) to its ids, one
+    table lookup per 8 bits of the mask."""
+    tables = []
+    for lo in range(0, len(universe), 8):
+        table: list[tuple[str, ...]] = [()]
+        for cause in universe[lo : lo + 8]:  # entry b lists the causes of b's bits
+            table += [t + (cause,) for t in table]
+        tables.append(table)
+
+    def ids(mask: int) -> frozenset[str]:
+        out: tuple[str, ...] = ()
+        for table in tables:
+            out += table[mask & 255]
+            mask >>= 8
+        return frozenset(out)
+
+    return ids
+
+
 class CachedAchievementJudge:
     """Binds an oracle to one goal and its causes and caches subset judgments.
 
-    The judge is a plain callable frozenset[str] -> bool so the search
-    code (and its property tests) never touch oracle plumbing.  Cause i is
-    bit i, and a subset's cache key is the sum of its causes' bits: an int
-    that maps one-to-one to `achieves_key` within the goal, built without
-    sorting or JSON.  A miss passes the subset itself to the oracle, so
-    backends, recorders and transcripts see the same queries.  Distinct
-    backend queries equal cache misses, which is the query budget.  A
-    subset naming an id outside the causes raises ValueError.
+    The judge is a plain callable int -> bool over the cause search's own
+    bitmasks: bit i stands for causes[i].  The mask is the cache key, so a
+    hit costs no decoding.  A miss decodes the mask to a frozenset of
+    cause ids and asks the oracle about it, so backends, recorders and
+    transcripts see the same queries as with string keys.  Distinct
+    backend queries equal cache misses, which is the query budget.  A mask
+    with a bit beyond the causes raises ValueError before any query.
     """
 
     def __init__(
@@ -380,20 +401,19 @@ class CachedAchievementJudge:
         self.causes = tuple(causes)
         self.principles = tuple(principles)
         self.cache = QueryCache()
-        self._bit = {cause.id: 1 << i for i, cause in enumerate(self.causes)}.__getitem__
+        self._width = len(self.causes)
+        self._ids = mask_ids([cause.id for cause in self.causes])
 
-    def __call__(self, subset: frozenset[str]) -> bool:
-        try:
-            key = sum(map(self._bit, subset))
-        except KeyError as exc:
+    def __call__(self, mask: int) -> bool:
+        if mask >> self._width:  # also true for a negative mask
             raise ValueError(
-                f"subset names {exc.args[0]!r}, not a cause of goal {self.goal.id!r}"
-            ) from None
-        return self.cache.get_or_compute(key, self._ask, subset)
+                f"mask {mask:#x} has a bit beyond the {self._width} causes of goal {self.goal.id!r}"
+            )
+        return self.cache.get_or_compute(mask, self._ask, mask)
 
-    def _ask(self, subset: frozenset[str]) -> bool:
+    def _ask(self, mask: int) -> bool:
         return bool(
-            self.oracle.judge_subset_achieves(self.goal, subset, self.causes, self.principles)
+            self.oracle.judge_subset_achieves(self.goal, self._ids(mask), self.causes, self.principles)
         )
 
     @property

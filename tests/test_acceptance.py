@@ -41,7 +41,7 @@ from rulesynth.verify import check_consistency, theory_soundness, verify
 
 from conftest import COLLIDE_RULE, DENSE_RULE, SCENARIOS
 from rulegen import random_rule
-from test_analysis import monotone_judge, random_antichain
+from test_analysis import monotone_judge, on_masks, random_antichain
 from test_sat import pigeonhole, random_cnf, truth_table_satisfiable
 
 
@@ -116,9 +116,9 @@ def test_criterion_2_scenario2_replication(tmp_path):
         assert report.minimal_necessary.to_json() == expected_necessary
         universe = report.cause_ids
         causes = store.causes_for_goal("g2")
-        judge = lambda s: oracle.judge_subset_achieves(  # noqa: E731
+        judge = on_masks(universe, lambda s: oracle.judge_subset_achieves(
             store.goal_by_id("g2"), s, causes, store.principles
-        )
+        ))
         brute_sufficient, brute_necessary = brute_force_families(universe, judge)
         assert brute_necessary.to_json() == expected_necessary
         assert minimal_transversals(brute_sufficient).to_json() == expected_necessary
@@ -132,7 +132,7 @@ def test_criterion_3_search_correctness_on_random_monotone_oracles():
         for index in range(200):
             n = rng.randint(1, 10)
             universe = tuple(f"c{i}" for i in range(1, n + 1))
-            judge = monotone_judge(random_antichain(rng, list(universe)))
+            judge = on_masks(universe, monotone_judge(random_antichain(rng, list(universe))))
             sufficient = minimal_sufficient_search(universe, judge)
             necessary = minimal_necessary_search(universe, judge)
             brute_sufficient, brute_necessary = brute_force_families(universe, judge)
@@ -151,7 +151,7 @@ def test_criterion_4_pruning_efficacy_and_deterministic_query_counts():
             n = rng.randint(1, 10)
             universe = tuple(f"c{i}" for i in range(1, n + 1))
             family = random_antichain(rng, list(universe))
-            judge = monotone_judge(family)
+            judge = on_masks(universe, monotone_judge(family))
 
             class Counting:
                 def __init__(self):

@@ -23,6 +23,14 @@ def monotone_judge(family):
     return lambda subset: any(m <= subset for m in members)
 
 
+def on_masks(universe, predicate):
+    """The mask judge the searches take, from a predicate on frozensets of
+    cause ids: bit i of the mask stands for universe[i]."""
+    return lambda mask: predicate(
+        frozenset(cause for i, cause in enumerate(universe) if mask >> i & 1)
+    )
+
+
 class CountingJudge:
     def __init__(self, judge):
         self.judge = judge
@@ -57,21 +65,22 @@ def random_antichain(rng, universe):
 
 def test_every_singleton_minimal_when_any_nonempty_achieves():
     universe = ids(3)
-    family = minimal_sufficient_search(universe, lambda s: bool(s))
+    family = minimal_sufficient_search(universe, on_masks(universe, lambda s: bool(s)))
     assert family.id_sets() == (frozenset(["c1"]), frozenset(["c2"]), frozenset(["c3"]))
 
 
 def test_unbreakable_effect_has_no_necessary_sets():
     universe = ids(3)
-    family = minimal_necessary_search(universe, lambda s: True)
+    family = minimal_necessary_search(universe, on_masks(universe, lambda s: True))
     assert family.sets == ()
 
 
 def test_unachievable_effect_collapses_to_empty_removal():
     universe = ids(3)
-    family = minimal_necessary_search(universe, lambda s: False)
+    never = on_masks(universe, lambda s: False)
+    family = minimal_necessary_search(universe, never)
     assert family.sets == ((),)
-    sufficient = minimal_sufficient_search(universe, lambda s: False)
+    sufficient = minimal_sufficient_search(universe, never)
     assert sufficient.sets == ()
     # duality holds on the raw search outputs
     assert minimal_transversals(sufficient) == family
@@ -79,7 +88,7 @@ def test_unachievable_effect_collapses_to_empty_removal():
 
 def test_empty_set_tested_first():
     universe = ids(4)
-    family = minimal_sufficient_search(universe, lambda s: True)
+    family = minimal_sufficient_search(universe, on_masks(universe, lambda s: True))
     assert family.sets == ((),)
 
 
@@ -91,6 +100,45 @@ def test_transversal_examples():
     assert minimal_transversals(single).id_sets() == (frozenset(["a"]),)
 
 
+def _kernel_transversals(family):
+    # the duality check as first written: the search kernel walks all 2^n masks
+    n = len(family.universe)
+    members = [sum(1 << i for i in s) for s in family.sets]
+    found = minimal_sets(n, lambda mask: all(mask & m for m in members), [])
+    return CauseSetFamily.build(family.universe, ([i for i in range(n) if m >> i & 1] for m in found))
+
+
+def test_berge_transversals_match_kernel_walk_on_random_families():
+    rng = random.Random(1989)
+    non_antichains = 0
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        sets = [rng.sample(range(n), rng.randint(1, n)) for _ in range(rng.randint(0, 6))]
+        if sets and rng.random() < 0.3:  # a member and one of its supersets
+            sets.append(sets[0] + rng.sample(range(n), rng.randint(0, n)))
+        if rng.random() < 0.05:
+            sets.append([])
+        family = CauseSetFamily.build(ids(n), sets)
+        non_antichains += not family.is_antichain()
+        assert minimal_transversals(family) == _kernel_transversals(family), family
+    assert non_antichains > 20
+
+
+def test_transversal_edge_cases():
+    universe = ids(3)
+    assert minimal_transversals(CauseSetFamily.build(universe, [])).sets == ((),)
+    assert minimal_transversals(CauseSetFamily.build(universe, [(), (0, 1)])).sets == ()
+    assert minimal_transversals(CauseSetFamily.build(universe, [()])).sets == ()
+
+
+def test_transversals_over_a_universe_no_mask_walk_could_cover():
+    # 42 causes: 2^42 masks for the kernel, 4 * 4 * 4 extensions for Berge
+    blocks = [range(0, 4), range(20, 24), range(38, 42)]
+    result = minimal_transversals(CauseSetFamily.build(ids(42), blocks))
+    assert len(result.sets) == 64
+    assert result.sets == tuple(itertools.product(*blocks))
+
+
 def test_scenario2_transversals_match_necessary_sets():
     universe = ids(6)
     family = CauseSetFamily.from_id_sets(
@@ -100,16 +148,17 @@ def test_scenario2_transversals_match_necessary_sets():
         universe, [["c1"], ["c2"], ["c3"], ["c4", "c5"]]
     )
     assert minimal_transversals(family) == expected
-    judge = monotone_judge(family.id_sets())
+    judge = on_masks(universe, monotone_judge(family.id_sets()))
     assert minimal_necessary_search(universe, judge) == expected
 
 
 def test_brute_force_trivial_cases():
-    sufficient, necessary = brute_force_families(("c1",), lambda s: s == frozenset(["c1"]))
+    judge = on_masks(("c1",), lambda s: s == frozenset(["c1"]))
+    sufficient, necessary = brute_force_families(("c1",), judge)
     assert sufficient.id_sets() == (frozenset(["c1"]),)
     assert necessary.id_sets() == (frozenset(["c1"]),)
     with pytest.raises(UniverseTooLarge):
-        brute_force_families(ids(21), lambda s: True)
+        brute_force_families(ids(21), on_masks(ids(21), lambda s: True))
 
 
 def test_pruned_equals_brute_force_on_random_monotone_oracles():
@@ -117,7 +166,7 @@ def test_pruned_equals_brute_force_on_random_monotone_oracles():
     for _ in range(40):
         n = rng.randint(1, 8)
         universe = ids(n)
-        judge = monotone_judge(random_antichain(rng, list(universe)))
+        judge = on_masks(universe, monotone_judge(random_antichain(rng, list(universe))))
         sufficient = minimal_sufficient_search(universe, judge)
         necessary = minimal_necessary_search(universe, judge)
         brute_sufficient, brute_necessary = brute_force_families(universe, judge)
@@ -130,7 +179,7 @@ def test_pruned_equals_brute_force_on_random_monotone_oracles():
 def test_searches_match_brute_force_past_eight_causes():
     # cause ids are decoded from masks eight bits at a time
     universe = ids(11)
-    judge = monotone_judge([frozenset(["c9", "c10"]), frozenset(["c2", "c11"])])
+    judge = on_masks(universe, monotone_judge([frozenset(["c9", "c10"]), frozenset(["c2", "c11"])]))
     brute_sufficient, brute_necessary = brute_force_families(universe, judge)
     assert minimal_sufficient_search(universe, judge) == brute_sufficient
     assert minimal_necessary_search(universe, judge) == brute_necessary
@@ -143,7 +192,7 @@ def test_returned_sufficient_sets_are_sound_and_minimal():
         n = rng.randint(2, 8)
         universe = ids(n)
         judge = monotone_judge(random_antichain(rng, list(universe)))
-        for subset in minimal_sufficient_search(universe, judge).id_sets():
+        for subset in minimal_sufficient_search(universe, on_masks(universe, judge)).id_sets():
             assert judge(subset)
             for cause in subset:
                 assert not judge(subset - {cause})
@@ -156,7 +205,7 @@ def test_membership_characterization():
     for _ in range(20):
         n = rng.randint(1, 7)
         universe = ids(n)
-        judge = monotone_judge(random_antichain(rng, list(universe)))
+        judge = on_masks(universe, monotone_judge(random_antichain(rng, list(universe))))
         sufficient = minimal_sufficient_search(universe, judge)
         necessary = minimal_necessary_search(universe, judge)
         singletons = {next(iter(s)) for s in necessary.id_sets() if len(s) == 1}
@@ -172,7 +221,7 @@ def test_pruning_saves_queries_and_is_deterministic():
     family = [frozenset(["c1", "c2"])]
     counts = []
     for _ in range(2):
-        judge = CountingJudge(monotone_judge(family))
+        judge = CountingJudge(on_masks(universe, monotone_judge(family)))
         minimal_sufficient_search(universe, judge)
         counts.append(judge.count)
     assert counts[0] == counts[1]
@@ -193,25 +242,28 @@ def test_search_order_is_pinned():
     ):
         seen = []
         judge = monotone_judge(family)
-        search(universe, lambda s: seen.append("".join(sorted(c[1:] for c in s))) or judge(s))
+        search(
+            universe,
+            on_masks(universe, lambda s: seen.append("".join(sorted(c[1:] for c in s))) or judge(s)),
+        )
         assert seen == expected, search.__name__
 
 
 def test_kernel_judges_covered_candidates_without_keeping_them_when_not_pruning():
-    for prune, judged in ((True, [0]), (False, [0, 1, 2, 4, 3, 5, 6, 7])):
+    for violations, judged in (([], [0]), (["seen"], [0, 1, 2, 4, 3, 5, 6, 7])):
         seen = []
-        found = minimal_sets(3, lambda mask: seen.append(mask) or True, [], lambda: prune)
+        found = minimal_sets(3, lambda mask: seen.append(mask) or True, [], violations)
         assert seen == judged
         assert found == [0]
 
 
-def _reference_minimal_sets(n, holds, found, prune):
+def _reference_minimal_sets(n, holds, found, violations):
     # the kernel as first written: any() over all found masks
     for size in range(n + 1):
         for combo in itertools.combinations(range(n), size):
             mask = sum(1 << i for i in combo)
             covered = any(f & mask == f for f in found)
-            if covered and prune():
+            if covered and not violations:
                 continue
             if holds(mask) and not covered:
                 found.append(mask)
@@ -228,12 +280,15 @@ def test_kernel_walk_matches_reference_on_random_predicates():
         walks = []
         for kernel in (minimal_sets, _reference_minimal_sets):
             seen = []
+            violations = ["from the start"] if cutoff == 0 else []
 
             def holds(mask):
                 seen.append(mask)
+                if len(seen) == cutoff:  # pruning is off from the next candidate on
+                    violations.append(mask)
                 return answers[mask]
 
-            found = kernel(n, holds, [], lambda: cutoff is None or len(seen) < cutoff)
+            found = kernel(n, holds, [], violations)
             walks.append((seen, found))
         assert walks[0] == walks[1]
 
@@ -241,7 +296,7 @@ def test_kernel_walk_matches_reference_on_random_predicates():
 def test_non_monotone_oracle_detected_and_pruning_disabled():
     universe = ids(3)
     calls = []
-    judge = lambda s: calls.append(s) or len(s) == 1  # noqa: E731  (achieves only on singletons)
+    judge = on_masks(universe, lambda s: calls.append(s) or len(s) == 1)  # achieves only on singletons
     monitor = MonotoneMonitor(universe)
     necessary = minimal_necessary_search(universe, judge, monitor)
     sufficient = minimal_sufficient_search(universe, judge, monitor)

@@ -246,10 +246,10 @@ def test_cached_judge_counts_backend_queries():
     oracle = scenario1_oracle()
     causes = make_causes("g1", 4)
     judge = CachedAchievementJudge(oracle, GOAL, causes, PRINCIPLES)
-    full = frozenset(c.id for c in causes)
+    full = 0b1111  # every cause
     assert judge(full) is True
     assert judge(full) is True
-    assert judge(frozenset(["g1-c1"])) is False
+    assert judge(0b0001) is False  # g1-c1 alone
     assert judge.query_count == 2
 
 
@@ -279,20 +279,26 @@ def test_cached_judge_matches_uncached_oracle_and_asks_once_per_key(seed):
     counting = CountingOracle(spec)
     recorder = RecordingOracle(counting)
     judge = CachedAchievementJudge(recorder, GOAL, causes, PRINCIPLES)
-    pool = [frozenset(rng.sample(ids, rng.randint(0, n))) for _ in range(60)]
+    pool = [rng.randrange(1 << n) for _ in range(60)]
     queries = [rng.choice(pool) for _ in range(300)]  # repeats on purpose
-    for subset in queries:
-        assert judge(subset) is uncached.judge_subset_achieves(GOAL, subset, causes, PRINCIPLES)
-    keys = {achieves_key(GOAL.id, subset) for subset in queries}
+
+    def decoded(mask):
+        return frozenset(ids[i] for i in range(n) if mask >> i & 1)
+
+    for mask in queries:
+        assert judge(mask) is uncached.judge_subset_achieves(GOAL, decoded(mask), causes, PRINCIPLES)
+    keys = {achieves_key(GOAL.id, decoded(mask)) for mask in queries}
     assert judge.query_count == len(keys) == len(counting.asked)
     assert set(recorder.entries) == keys
     assert judge.cache.hits == len(queries) - len(keys)
+    assert sorted(map(sorted, counting.asked)) == sorted(sorted(decoded(m)) for m in set(queries))
 
 
-def test_cached_judge_rejects_ids_outside_its_causes():
+def test_cached_judge_rejects_bits_beyond_its_causes():
     judge = CachedAchievementJudge(scenario1_oracle(), GOAL, make_causes("g1", 4), PRINCIPLES)
-    with pytest.raises(ValueError, match="g1-c9"):
-        judge(frozenset(["g1-c1", "g1-c9"]))
+    for mask in (0b10001, 1 << 40, -1):
+        with pytest.raises(ValueError, match="goal 'g1'"):
+            judge(mask)
     assert judge.query_count == 0
 
 
