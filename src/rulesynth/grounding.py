@@ -4,8 +4,8 @@ Each rule h1 and ... and hm <- b1 and ... and bk is instantiated for every
 substitution of its quantified variables by same-sort constants; each
 instantiation contributes m clauses (not b1 or ... or not bk or hi).
 A ground atom's name is the rule's atom or comparison rendered under the
-substitution (`fol.render_inner`); `ClauseDB.intern` alone numbers names,
-in first occurrence order, so clause databases are fully deterministic.
+substitution (`fol.render_inner`); names are numbered in first occurrence
+order, so clause databases are fully deterministic.
 
 Comparisons are opaque atoms by default.  In interval-axioms mode the
 declared finite value domain of each numeric attribute is used to forbid
@@ -18,6 +18,15 @@ built once.  Callers solve sub-theories of it (`rule_subset`, which
 selects db's axioms instead of generating them again) or add assumed
 literals to it (`extend`, which interns them into an overlay of db's
 tables) without grounding the rules again and without copying it.
+
+Each rule is instantiated once per grounding config: its own grounding
+(atom names in first-occurrence order, clauses over their local numbers
+1..k, ground comparisons), built by `ClauseDB.intern` on a private
+ClauseDB, is memoized in the config, keyed by the rule's content and its
+variables' constant pools.  `ground` renames it into the ClauseDB's
+numbering, numbering each name it has not seen next, which is the
+numbering interning every instance in turn would give.  The memo lives as
+long as the config does, which is one verification batch.
 """
 
 from __future__ import annotations
@@ -49,13 +58,28 @@ class GroundingError(ValueError):
 
 @dataclass(frozen=True)
 class GroundingConfig:
+    """The constants of each sort, stored as tuples, and the comparison mode.
+
+    `rule_groundings` memoizes each rule's own grounding for `ground`,
+    keyed by the rule's content (not its id) and the constants of its
+    quantified variables, whose sorts the ontology of each call decides.
+    It is not part of equality, repr or `to_json`, and it lives
+    as long as the config: a `dataclasses.replace`d config starts empty.
+    """
+
     domain_constants: Mapping[str, tuple[str, ...]]
     comparison_mode: str = "opaque"
+    rule_groundings: dict[tuple[Rule, tuple[tuple[str, ...], ...]], tuple] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if self.comparison_mode not in COMPARISON_MODES:
             raise GroundingError(f"bad comparison mode {self.comparison_mode!r}")
-        for sort, constants in self.domain_constants.items():
+        # tuples, so that a rule's constant pools can key rule_groundings
+        domains = {sort: tuple(constants) for sort, constants in self.domain_constants.items()}
+        object.__setattr__(self, "domain_constants", domains)
+        for sort, constants in domains.items():
             if not constants:
                 raise GroundingError(f"sort {sort!r} declares no constants")
 
@@ -131,16 +155,21 @@ def rule_substitutions(
 ) -> list[dict[str, str]]:
     """Every assignment of same-sort constants to the rule's variables, in
     declaration order (variables outermost, constants in declared order)."""
-    sorts = variable_sorts(rule, onto)
     names = [t.name for t in rule.quantified_vars]
+    return [dict(zip(names, choice)) for choice in product(*_pools(rule, config, onto))]
+
+
+def _pools(rule: Rule, config: GroundingConfig, onto: Ontology) -> tuple[tuple[str, ...], ...]:
+    """The constants of each quantified variable's sort, in declaration order."""
+    sorts = variable_sorts(rule, onto)
     pools = []
-    for name in names:
-        sort = sorts[name]
+    for term in rule.quantified_vars:
+        sort = sorts[term.name]
         constants = config.domain_constants.get(sort)
         if not constants:
-            raise GroundingError(f"no constants declared for sort {sort!r} (variable {name})")
+            raise GroundingError(f"no constants declared for sort {sort!r} (variable {term.name})")
         pools.append(constants)
-    return [dict(zip(names, choice)) for choice in product(*pools)]
+    return tuple(pools)
 
 
 def instantiate_rule(
@@ -217,17 +246,38 @@ def ground(
     comparison atoms too.
     """
     db = ClauseDB()
+    atoms = db.atoms
     for rule in rules:
-        db.rule_clauses.append(tuple(
-            clause
-            for substitution in rule_substitutions(rule, config, onto)
-            for clause in instantiate_rule(rule, substitution, db)
-        ))
+        names, clauses, comparisons = _rule_grounding(rule, config, onto)
+        ids = [atoms.setdefault(name, len(atoms) + 1) for name in names]
+        # rename[l] is local literal l's variable: negative l index from the end
+        rename = [0, *ids, *(-i for i in reversed(ids))].__getitem__
+        db.rule_clauses.append(tuple(frozenset(map(rename, clause)) for clause in clauses))
+        db.comparisons.update(comparisons)
     units = [frozenset([_signed(lit, db.intern(lit.inner, s))]) for lit, s in assumptions]
     if config.comparison_mode == "interval-axioms":
         append_comparison_axioms(db, onto)
     db.index = sat.Index(chain(*db.rule_clauses, units, db.axioms))
     return db
+
+
+def _rule_grounding(
+    rule: Rule, config: GroundingConfig, onto: Ontology
+) -> tuple[tuple[str, ...], tuple[frozenset[int], ...], Mapping[str, Comparison]]:
+    """`rule` grounded alone, memoized in `config`: its atom names in
+    first-occurrence order, the clauses of its instances over the names'
+    numbers 1..k (instance order, duplicates kept), and its comparisons."""
+    key = (rule, _pools(rule, config, onto))
+    entry = config.rule_groundings.get(key)
+    if entry is None:
+        local = ClauseDB()
+        clauses = tuple(
+            clause
+            for substitution in rule_substitutions(rule, config, onto)
+            for clause in instantiate_rule(rule, substitution, local)
+        )
+        entry = config.rule_groundings[key] = (tuple(local.atoms), clauses, local.comparisons)
+    return entry
 
 
 class _Overlay(ChainMap):

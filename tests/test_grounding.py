@@ -1,10 +1,13 @@
+import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rulesynth import sat
 from rulesynth.fol import (
     Atom,
     Comparison,
@@ -17,7 +20,16 @@ from rulesynth.fol import (
     render_inner,
     render_literal,
 )
-from rulesynth.grounding import ClauseDB, GroundingConfig, GroundingError, ground
+from rulesynth.grounding import (
+    ClauseDB,
+    GroundingConfig,
+    GroundingError,
+    append_comparison_axioms,
+    ground,
+    instantiate_rule,
+    rule_substitutions,
+)
+from rulesynth.verify import verify
 
 from conftest import COLLIDE_RULE, DENSE_RULE
 from rulegen import random_rule
@@ -192,3 +204,132 @@ def test_ground_atom_names_render_the_ground_syntax(onto, rng, value):
             if variables:  # a variable the substitution lacks is never named
                 with pytest.raises(KeyError):
                     render_inner(inner, {k: v for k, v in substitution.items() if k not in variables})
+
+
+# --- the per-rule memo against the per-instance loop ---
+
+def reference_ground(rules, config, onto, assumptions=()):
+    """`ground` as it was before each rule's grounding was memoized: every
+    instance of every rule interned into one ClauseDB in turn."""
+    db = ClauseDB()
+    for rule in rules:
+        db.rule_clauses.append(tuple(
+            clause
+            for substitution in rule_substitutions(rule, config, onto)
+            for clause in instantiate_rule(rule, substitution, db)
+        ))
+    units = [
+        frozenset([-db.intern(lit.inner, s) if lit.negated else db.intern(lit.inner, s)])
+        for lit, s in assumptions
+    ]
+    if config.comparison_mode == "interval-axioms":
+        append_comparison_axioms(db, onto)
+    db.index = sat.Index(chain(*db.rule_clauses, units, db.axioms))
+    return db
+
+
+def grounding_parts(db):
+    """Everything a grounding determines, orders and duplicates included."""
+    return (
+        list(db.atoms.items()),
+        db.rule_clauses,
+        list(db.comparisons.items()),
+        db.axioms,
+        db.index.clauses,
+    )
+
+
+def two_sort_vocabulary(onto):
+    """A few predicates over two sorts, so random rules share atoms and
+    their variables range over pools of different sizes."""
+    return replace(onto, predicates={
+        "collide": onto.predicates["collide"],
+        "dense": onto.predicates["dense"],
+        "near": PredicateDecl(2, ("vehicle", "zone")),
+        "clear": PredicateDecl(1, ("zone",)),
+    })
+
+
+def random_assumptions(rng, rules, config, onto):
+    if not rules or rng.random() < 0.3:
+        return []
+    rule = rng.choice(rules)
+    substitution = rng.choice(rule_substitutions(rule, config, onto))
+    return [(lit, substitution) for lit in rule.literals() if rng.random() < 0.6]
+
+
+@pytest.mark.parametrize("mode", ["opaque", "interval-axioms"])
+@pytest.mark.parametrize("domain_size", [1, 2, 3])
+def test_memo_ground_equals_the_per_instance_loop(onto, mode, domain_size):
+    vocabulary = two_sort_vocabulary(onto)
+    for seed in range(30):
+        rng = random.Random(seed)
+        config = GroundingConfig.default(vocabulary, domain_size, mode)
+        rules = [random_rule(rng, vocabulary) for _ in range(rng.randint(1, 5))]
+        assumptions = random_assumptions(rng, rules, config, vocabulary)
+        expected = grounding_parts(reference_ground(rules, config, vocabulary, assumptions))
+        assert grounding_parts(ground(rules, config, vocabulary, assumptions)) == expected  # cold
+        assert grounding_parts(ground(rules, config, vocabulary, assumptions)) == expected  # warm
+        # a rule repeated and the list reordered, on the warm memo
+        moved = [*rules, rules[0]]
+        rng.shuffle(moved)
+        assert grounding_parts(ground(moved, config, vocabulary, assumptions)) == grounding_parts(
+            reference_ground(moved, config, vocabulary, assumptions)
+        )
+
+
+def test_memo_key_holds_the_sorts_each_ontology_gives(onto):
+    """One config, two ontologies that give X different sorts."""
+    by_vehicle = replace(onto, predicates={"p": PredicateDecl(1, ("vehicle",))})
+    by_zone = replace(onto, predicates={"p": PredicateDecl(1, ("zone",))})
+    config = GroundingConfig({"vehicle": ("v1", "v2"), "zone": ("z1",)})
+    rule = parse_rule("forall X . p(X) <- true")
+    for vocabulary in (by_vehicle, by_zone, by_vehicle):
+        db = ground([rule], config, vocabulary)
+        assert grounding_parts(db) == grounding_parts(reference_ground([rule], config, vocabulary))
+    assert list(ground([rule], config, by_zone).atoms) == ["p(z1)"]
+    assert len(config.rule_groundings) == 2
+
+
+def test_memo_is_shared_by_content_equal_rules(onto):
+    config = one_constant(onto)
+    rule = parse_rule(COLLIDE_RULE, onto)
+    twin = replace(rule, id="r-twin")
+    assert twin == rule and twin.id != rule.id
+    ground([rule], config, onto)
+    (entry,) = config.rule_groundings.values()
+    ground([twin], config, onto)
+    assert list(config.rule_groundings.values()) == [entry]
+    assert config.rule_groundings[(twin, (("a",),))] is entry
+
+
+def test_memo_starts_empty_in_a_replaced_config(onto):
+    config = GroundingConfig.default(onto, 2)
+    ground([parse_rule(COLLIDE_RULE, onto)], config, onto)
+    assert config.rule_groundings
+    for copy in (replace(config), replace(config, comparison_mode="interval-axioms")):
+        assert copy.rule_groundings == {} and copy.rule_groundings is not config.rule_groundings
+
+
+def test_memo_leaves_equality_json_and_reports_alone(onto, seed_store):
+    warm = GroundingConfig.default(onto, 2)
+    cold = GroundingConfig.default(onto, 2)
+    rule = parse_rule(DENSE_RULE, onto)
+    ground([rule], warm, onto)
+    assert warm.rule_groundings and not cold.rule_groundings
+    assert warm == cold and repr(warm) == repr(cold)
+    assert warm.to_json() == cold.to_json() == {
+        "domain_constants": {"vehicle": ["vehicle1", "vehicle2"]},
+        "comparison_mode": "opaque",
+    }
+    report = verify(rule, seed_store, warm, onto).to_json_dict()
+    assert report == verify(rule, seed_store, cold, onto).to_json_dict()
+    assert report["grounding"] == cold.to_json()
+
+
+def test_memo_key_from_list_constants_grounds_like_tuples(onto):
+    rule = parse_rule("forall X . merge_ok(X) <- speed(X) > 50 and dense(X)", onto)
+    listed = GroundingConfig({"vehicle": ["a", "b"]}, "interval-axioms")
+    tupled = GroundingConfig({"vehicle": ("a", "b")}, "interval-axioms")
+    assert listed == tupled and listed.domain_constants["vehicle"] == ("a", "b")
+    assert grounding_parts(ground([rule], listed, onto)) == grounding_parts(ground([rule], tupled, onto))
