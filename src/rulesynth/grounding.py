@@ -19,14 +19,16 @@ selects db's axioms instead of generating them again) or add assumed
 literals to it (`extend`, which interns them into an overlay of db's
 tables) without grounding the rules again and without copying it.
 
-Each rule is instantiated once per grounding config: its own grounding
-(atom names in first-occurrence order, clauses over their local numbers
-1..k, ground comparisons), built by `ClauseDB.intern` on a private
-ClauseDB, is memoized in the config, keyed by the rule's content and its
-variables' constant pools.  `ground` renames it into the ClauseDB's
-numbering, numbering each name it has not seen next, which is the
-numbering interning every instance in turn would give.  The memo lives as
-long as the config does, which is one verification batch.
+A config memoizes the rules it grounds (`GroundingConfig.rule_groundings`).
+The first time it grounds a rule, the rule is interned straight into the
+ClauseDB, so a `ground` call with nothing to reuse does the work it always
+did.  The second time, the rule is grounded alone on a private ClauseDB
+and memoized: its atom names in first-occurrence order, their numbers, its
+clauses in those numbers and its comparisons.  From then on `ground`
+renames that entry into the ClauseDB's numbering, numbering each name the
+ClauseDB lacks next, which is the numbering interning every instance in
+turn gives, and keeps the renamed entry, so a rule grounded where it was
+grounded last time reuses its clauses as they are.
 """
 
 from __future__ import annotations
@@ -58,28 +60,27 @@ class GroundingError(ValueError):
 
 @dataclass(frozen=True)
 class GroundingConfig:
-    """The constants of each sort, stored as tuples, and the comparison mode.
+    """The constants of each sort and the comparison mode.
 
-    `rule_groundings` memoizes each rule's own grounding for `ground`,
-    keyed by the rule's content (not its id) and the constants of its
-    quantified variables, whose sorts the ontology of each call decides.
-    It is not part of equality, repr or `to_json`, and it lives
-    as long as the config: a `dataclasses.replace`d config starts empty.
+    `rule_groundings` is `ground`'s memo, keyed by a rule's content (not
+    its id) and the sort of each quantified variable, which the ontology of
+    each call decides; within one config a sort fixes the constants.  A key
+    maps to None once the config has grounded the rule, and to the rule's
+    grounding once it has grounded it again.  The memo is not part of
+    equality, repr or `to_json`, and it lives as long as the config, which
+    is one verification batch: a `dataclasses.replace`d config starts empty.
     """
 
     domain_constants: Mapping[str, tuple[str, ...]]
     comparison_mode: str = "opaque"
-    rule_groundings: dict[tuple[Rule, tuple[tuple[str, ...], ...]], tuple] = field(
+    rule_groundings: dict[tuple[Rule, tuple[str, ...]], tuple | None] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
 
     def __post_init__(self) -> None:
         if self.comparison_mode not in COMPARISON_MODES:
             raise GroundingError(f"bad comparison mode {self.comparison_mode!r}")
-        # tuples, so that a rule's constant pools can key rule_groundings
-        domains = {sort: tuple(constants) for sort, constants in self.domain_constants.items()}
-        object.__setattr__(self, "domain_constants", domains)
-        for sort, constants in domains.items():
+        for sort, constants in self.domain_constants.items():
             if not constants:
                 raise GroundingError(f"sort {sort!r} declares no constants")
 
@@ -155,21 +156,26 @@ def rule_substitutions(
 ) -> list[dict[str, str]]:
     """Every assignment of same-sort constants to the rule's variables, in
     declaration order (variables outermost, constants in declared order)."""
-    names = [t.name for t in rule.quantified_vars]
-    return [dict(zip(names, choice)) for choice in product(*_pools(rule, config, onto))]
+    return _substitutions(rule, _sorts(rule, onto), config)
 
 
-def _pools(rule: Rule, config: GroundingConfig, onto: Ontology) -> tuple[tuple[str, ...], ...]:
-    """The constants of each quantified variable's sort, in declaration order."""
+def _sorts(rule: Rule, onto: Ontology) -> tuple[str, ...]:
+    """The sort of each quantified variable, in declaration order."""
     sorts = variable_sorts(rule, onto)
+    return tuple(sorts[term.name] for term in rule.quantified_vars)
+
+
+def _substitutions(
+    rule: Rule, sorts: Sequence[str], config: GroundingConfig
+) -> list[dict[str, str]]:
+    names = [t.name for t in rule.quantified_vars]
     pools = []
-    for term in rule.quantified_vars:
-        sort = sorts[term.name]
+    for name, sort in zip(names, sorts):
         constants = config.domain_constants.get(sort)
         if not constants:
-            raise GroundingError(f"no constants declared for sort {sort!r} (variable {term.name})")
+            raise GroundingError(f"no constants declared for sort {sort!r} (variable {name})")
         pools.append(constants)
-    return tuple(pools)
+    return [dict(zip(names, choice)) for choice in product(*pools)]
 
 
 def instantiate_rule(
@@ -246,14 +252,8 @@ def ground(
     comparison atoms too.
     """
     db = ClauseDB()
-    atoms = db.atoms
     for rule in rules:
-        names, clauses, comparisons = _rule_grounding(rule, config, onto)
-        ids = [atoms.setdefault(name, len(atoms) + 1) for name in names]
-        # rename[l] is local literal l's variable: negative l index from the end
-        rename = [0, *ids, *(-i for i in reversed(ids))].__getitem__
-        db.rule_clauses.append(tuple(frozenset(map(rename, clause)) for clause in clauses))
-        db.comparisons.update(comparisons)
+        db.rule_clauses.append(_rule_clauses(rule, config, onto, db))
     units = [frozenset([_signed(lit, db.intern(lit.inner, s))]) for lit, s in assumptions]
     if config.comparison_mode == "interval-axioms":
         append_comparison_axioms(db, onto)
@@ -261,23 +261,43 @@ def ground(
     return db
 
 
-def _rule_grounding(
-    rule: Rule, config: GroundingConfig, onto: Ontology
-) -> tuple[tuple[str, ...], tuple[frozenset[int], ...], Mapping[str, Comparison]]:
-    """`rule` grounded alone, memoized in `config`: its atom names in
-    first-occurrence order, the clauses of its instances over the names'
-    numbers 1..k (instance order, duplicates kept), and its comparisons."""
-    key = (rule, _pools(rule, config, onto))
-    entry = config.rule_groundings.get(key)
+def _rule_clauses(
+    rule: Rule, config: GroundingConfig, onto: Ontology, db: ClauseDB
+) -> tuple[frozenset[int], ...]:
+    """The clauses of `rule`'s instances in db's numbering, in instance
+    order, duplicates kept; the rule's atoms db lacks are numbered in it."""
+    sorts = _sorts(rule, onto)
+    key = (rule, sorts)
+    memo = config.rule_groundings
+    known = len(memo)
+    entry = memo.setdefault(key, None)
+    if len(memo) > known:  # the config's first grounding of the rule
+        return _instances(rule, sorts, config, db)
     if entry is None:
         local = ClauseDB()
-        clauses = tuple(
-            clause
-            for substitution in rule_substitutions(rule, config, onto)
-            for clause in instantiate_rule(rule, substitution, local)
-        )
-        entry = config.rule_groundings[key] = (tuple(local.atoms), clauses, local.comparisons)
-    return entry
+        clauses = _instances(rule, sorts, config, local)
+        entry = memo[key] = (tuple(local.atoms), list(local.atoms.values()), clauses, local.comparisons)
+    names, numbers, clauses, comparisons = entry
+    atoms = db.atoms
+    ids = [atoms.setdefault(name, len(atoms) + 1) for name in names]
+    if ids != numbers:
+        rename = dict(zip(numbers, ids))
+        rename.update(zip(map(operator.neg, numbers), map(operator.neg, ids)))
+        clauses = tuple(frozenset(map(rename.__getitem__, clause)) for clause in clauses)
+        memo[key] = (names, ids, clauses, comparisons)
+    db.comparisons.update(comparisons)
+    return clauses
+
+
+def _instances(
+    rule: Rule, sorts: Sequence[str], config: GroundingConfig, db: ClauseDB
+) -> tuple[frozenset[int], ...]:
+    """The clauses of every instance of `rule`, interned into `db`."""
+    return tuple(
+        clause
+        for substitution in _substitutions(rule, sorts, config)
+        for clause in instantiate_rule(rule, substitution, db)
+    )
 
 
 class _Overlay(ChainMap):
