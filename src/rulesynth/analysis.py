@@ -113,10 +113,6 @@ class MonotoneMonitor:
         self.necessary: list[int] = []
         self.violations: list[MonotonicityViolation] = []
 
-    @property
-    def pruning_enabled(self) -> bool:
-        return not self.violations
-
     def observe(self, subset: int, achieves: bool) -> None:
         if achieves:
             for removal in self.necessary:

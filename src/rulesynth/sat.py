@@ -22,7 +22,14 @@ The model depends only on the clause set, because:
 3. the decision variable is the lowest unassigned one in an unsatisfied
    clause, and True is tried first;
 4. every variable left unassigned is True;
-5. a switched-off clause counts as satisfied, the same as leaving it out.
+5. a switched-off clause counts as satisfied, the same as leaving it out;
+6. a call whose unit propagation conflicts returns None before its set-up.
+
+For point 6 each index keeps the assignment that propagating its own unit
+clauses forces (`root`).  A call that switches no clause off propagates its
+extra clauses from there, visiting only the clauses of the literals it
+falsifies; a conflict is a refutation, so it returns the None that DPLL
+would, without copying anything of the index's size.
 """
 
 from __future__ import annotations
@@ -38,7 +45,9 @@ class Index:
 
     Per-literal lists have 2 * num_vars + 1 entries, so that literal -v
     indexes from the end: `occurs[lit]` holds the numbers of the clauses
-    containing lit, `counts[lit]` their count.
+    containing lit, `counts[lit]` their count.  `root` holds the literals
+    that unit propagation of the index's own clauses sets, or is None when
+    it conflicts.
     """
 
     def __init__(self, clauses: Iterable[Iterable[int]]) -> None:
@@ -58,9 +67,39 @@ class Index:
         self.pure = [  # variables with one polarity only
             v for v in range(1, self.num_vars + 1) if bool(self.counts[v]) != bool(self.counts[-v])
         ]
+        self.root = _propagate(self, set(), [self.clauses[n] for n in self.empty + self.units])
 
     def __len__(self) -> int:
         return len(self.clauses)
+
+
+def _propagate(index: Index, root: set[int], clauses: list[Clause]) -> set[int] | None:
+    """Unit propagation from the true literals in `root` through the index's
+    clauses and `clauses`: the literals it sets beyond root, or None on a
+    conflict.  It checks `clauses`, then the clauses of each literal it
+    falsifies; a unit clause holds once its first check has passed."""
+    by_literal: dict[int, list[Clause]] = {}
+    for clause in clauses:
+        if len(clause) > 1:
+            for literal in clause:
+                by_literal.setdefault(literal, []).append(clause)
+    true: set[int] = set()
+    queue: list[int] = []
+    pending = clauses
+    while True:
+        for clause in pending:
+            left = [l for l in clause if -l not in true and -l not in root]  # not false
+            if not left:
+                return None
+            if len(left) == 1 and left[0] not in true and left[0] not in root:
+                true.add(left[0])
+                queue.append(left[0])
+        if not queue:
+            return true
+        false = -queue.pop()
+        # the index has no literal slot above its range
+        pending = [index.clauses[n] for n in index.occurs[false]] if abs(false) <= index.num_vars else []
+        pending += by_literal.get(false, ())
 
 
 def solve(
@@ -79,6 +118,8 @@ def solve(
     index = clauses if isinstance(clauses, Index) else Index(clauses)
     extra = [frozenset(c) for c in extra]
     if any(not c for c in extra):
+        return None
+    if not off and (index.root is None or _propagate(index, index.root, extra) is None):
         return None
     top = index.num_vars
     n = max(num_vars or 0, top, max((abs(l) for c in extra for l in c), default=0))

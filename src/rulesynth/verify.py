@@ -37,8 +37,10 @@ from typing import Any, Sequence
 
 from . import sat
 from .fol import Ontology, Rule, render_rule, validate_schema
-# append_comparison_axioms and instantiate_rule are not called here, but the
-# benchmark's --trace mode rebinds them in this module, next to ground.
+# append_comparison_axioms and instantiate_rule are not called here: they are
+# imported only so that the names in bench/tracing.py's ENTRY_POINTS resolve.
+# Their spans record nothing, because grounding.ground calls its own
+# module's bindings.
 from .grounding import (
     ClauseDB,
     GroundingConfig,

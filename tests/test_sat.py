@@ -2,6 +2,7 @@ import random
 import shutil
 
 import numpy as np
+import pytest
 
 from rulesynth import sat
 from rulesynth.cli import main
@@ -175,12 +176,81 @@ def test_models_equal_reference_on_run_all_solver_calls(tmp_path, monkeypatch):
         return model
 
     monkeypatch.setattr(sat, "solve", recording)
-    for path in SCENARIOS.glob("*.json"):
-        shutil.copy(path, tmp_path / path.name)
-    for config in ("scenario1.config.json", "scenario2.config.json"):
-        assert main(["run-all", "--config", str(tmp_path / config)]) == 0
+    # at domain 6 more invariant attempts are refuted by propagation alone
+    for domain in ("3", "6"):
+        work = tmp_path / domain
+        work.mkdir()
+        for path in SCENARIOS.glob("*.json"):
+            shutil.copy(path, work / path.name)
+        for config in ("scenario1.config.json", "scenario2.config.json"):
+            assert main(["run-all", "--config", str(work / config), "--domain-size", domain]) == 0
     assert len(calls) > 50
     assert any(kwargs.get("off") for _, kwargs, _ in calls)
     assert any(kwargs.get("extra") for _, kwargs, _ in calls)
     for (index, num_vars), kwargs, model in calls:
         assert model == reference_call(index, num_vars, **kwargs)
+
+
+# --- refutation by unit propagation ---
+
+class DenseSetUp(Exception):
+    """A call reached the per-call set-up that is linear in the index."""
+
+
+class NoCopy:
+    """Stands in for `Index.counts`, which that set-up copies first."""
+
+    def copy(self):
+        raise DenseSetUp
+
+
+def links(rng, top, count):
+    """`count` implication links (not a) or b over variables 1..top."""
+    return [frozenset({-a, b}) for a, b in (rng.sample(range(1, top + 1), 2) for _ in range(count))]
+
+
+def horn_chain_case(rng):
+    """An index of implication links and unit clauses, and extra clauses:
+    links and 1 to 3 unit assumptions over up to 3 variables above the
+    index's range.  Every clause is Horn, so unit propagation refutes every
+    unsatisfiable case."""
+    num_vars = rng.randint(2, 14)
+    clauses = links(rng, num_vars, rng.randint(1, 3 * num_vars))
+    clauses += [frozenset({rng.randint(1, num_vars) * rng.choice((1, -1))})
+                for _ in range(rng.randint(0, 2))]
+    top = num_vars + 3
+    extra = links(rng, top, rng.randint(0, 4))
+    extra += [[rng.randint(1, top) * rng.choice((1, -1))] for _ in range(rng.randint(1, 3))]
+    return Index(clauses), num_vars + rng.randint(0, 4), extra
+
+
+def test_propagation_refutes_the_unsatisfiable_horn_calls_before_set_up():
+    rng = random.Random("horn-chains")
+    outcomes, conflicting_roots, deep = set(), 0, 0
+    for _ in range(1500):
+        index, num_vars, extra = horn_chain_case(rng)
+        expected = reference_call(index, num_vars, extra=extra)
+        if expected is None:
+            index.counts = NoCopy()
+        assert solve(index, num_vars, extra=extra) == expected
+        outcomes.add(expected is None)
+        conflicting_roots += index.root is None
+        if index.root is not None and expected is None:
+            assumed = {literal for clause in extra if len(clause) == 1 for literal in clause}
+            deep += not any(-literal in index.root or -literal in assumed for literal in assumed)
+    assert outcomes == {True, False}
+    assert conflicting_roots > 10
+    assert deep > 50  # conflicts that propagation has to derive
+
+
+def test_refuted_call_does_no_dense_set_up():
+    # 1 -> 2 -> 3 -> 4 in the index, 3 -> 5 -> 6 in extra clauses above its range
+    index = Index([[-1, 2], [-2, 3], [-3, 4], [4, 1]])
+    index.counts = NoCopy()
+    chain = [[-3, 5], [-5, 6]]
+    assert solve(index, extra=[*chain, [1], [-6]]) is None
+    assert solve(index, extra=[[1], [-4]]) is None
+    with pytest.raises(DenseSetUp):
+        solve(index, extra=[*chain, [1]])
+    with pytest.raises(DenseSetUp):  # switched-off clauses keep the dense path
+        solve(index, off=[frozenset({-1, 2})], extra=[[1], [-4]])
