@@ -20,6 +20,7 @@ oracle, repeated runs from the same inputs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -52,6 +53,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache  # one parser per process; parsing leaves it unchanged
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rulesynth",

@@ -13,11 +13,23 @@ sign patterns no domain value can realize, e.g. speed(a) > 50 implies
 speed(a) > 30 and excludes speed(a) < 30.
 
 A grounding is one ClauseDB: the atom table, each grounded rule's own
-clauses, the interval axioms, and the `sat.Index` of its distinct clauses,
-built once.  Callers solve sub-theories of it (`rule_subset`, which
-selects db's axioms instead of generating them again) or add assumed
-literals to it (`extend`, which interns them into an overlay of db's
-tables) without grounding the rules again and without copying it.
+clauses, the interval axioms, and the `sat.Index` of its distinct clauses.
+Callers solve sub-theories of it (`rule_subset`, which selects db's axioms
+instead of generating them again) or add assumed literals to it (`extend`,
+which interns them into an overlay of db's tables) without grounding the
+rules again and without copying it.
+
+`ground` lays the last rule over a grounding of the rules before it: it
+copies that grounding's atom table, grounds the last rule into the copy
+and extends that grounding's index by the new clauses (`Index.extended`),
+then adds the assumptions and the interval axioms.  A config keeps the
+base and the result of its last call (`GroundingConfig.groundings`).  In a
+verification batch the theory is either unchanged since the last
+candidate, which was rejected, so the base is the kept base, or it has
+grown by that candidate, so the base is the kept result; only a first
+call, or a theory changed otherwise, grounds the base afresh, and then
+takes its interval axioms from the result's.  The atom numbering, the rule clauses and the order of the distinct clauses are
+those of grounding every rule in turn.
 
 A config memoizes the rules it grounds (`GroundingConfig.rule_groundings`).
 The first time it grounds a rule, the rule is interned straight into the
@@ -66,15 +78,21 @@ class GroundingConfig:
     its id) and the sort of each quantified variable, which the ontology of
     each call decides; within one config a sort fixes the constants.  A key
     maps to None once the config has grounded the rule, and to the rule's
-    grounding once it has grounded it again.  The memo is not part of
-    equality, repr or `to_json`, and it lives as long as the config, which
-    is one verification batch: a `dataclasses.replace`d config starts empty.
+    grounding once it has grounded it again.  `groundings` holds the two
+    ClauseDBs of the last `ground` call, with their rules and ontology: the
+    grounding of every rule but the last, and the whole grounding when the
+    call assumed nothing.  Neither cache is part of equality, repr or
+    `to_json`, and they live as long as the config, which is one
+    verification batch: a `dataclasses.replace`d config starts empty.
     """
 
     domain_constants: Mapping[str, tuple[str, ...]]
     comparison_mode: str = "opaque"
     rule_groundings: dict[tuple[Rule, tuple[str, ...]], tuple | None] = field(
         default_factory=dict, init=False, compare=False, repr=False
+    )
+    groundings: list[tuple[tuple[Rule, ...], Ontology, ClauseDB]] = field(
+        default_factory=list, init=False, compare=False, repr=False
     )
 
     def __post_init__(self) -> None:
@@ -113,16 +131,20 @@ class ClauseDB:
     `atoms` maps each atom name to its variable, in numbering order.
     `rule_clauses[i]` holds every clause of the i-th grounded rule's
     instances, in instantiation order, duplicates included.  `axioms` holds
-    the interval axioms as generated.  `index`, built once by `ground`,
-    holds the distinct clauses of the rules, assumptions and axioms in
-    first-occurrence order.
+    the interval axioms as generated.  `rules_index` holds the distinct
+    clauses of the rules in first-occurrence order, and `index`, built by
+    extending it, those of the rules, assumptions and axioms.
+    `prefix_index` is the index of the grounding of every rule but the
+    last, which `ground` laid this one over (None for no rules).
     """
 
     atoms: MutableMapping[str, int] = field(default_factory=dict)
     comparisons: MutableMapping[str, Comparison] = field(default_factory=dict)
     rule_clauses: list[tuple[frozenset[int], ...]] = field(default_factory=list)
     axioms: list[frozenset[int]] = field(default_factory=list)
+    rules_index: sat.Index = field(init=False, repr=False)
     index: sat.Index = field(init=False, repr=False)
+    prefix_index: sat.Index | None = field(default=None, init=False, repr=False)
 
     @property
     def clauses(self) -> list[frozenset[int]]:
@@ -250,15 +272,60 @@ def ground(
     Assumptions are ground literals asserted as unit clauses; they share
     the atom table, and interval axioms (when enabled) cover their
     comparison atoms too.
+
+    The grounding is laid over the config's grounding of every rule but the
+    last (`GroundingConfig.groundings`), made afresh when the config lacks
+    it; the config then keeps that grounding and, without assumptions, this
+    one.
     """
+    rules = tuple(rules)
+    if not rules:
+        db = _ground_rules(rules, config, onto)
+        _add_assumptions_and_axioms(db, config, onto, assumptions)
+        return db
+    prefix = rules[:-1]
+    base = next((db for key, known, db in config.groundings if known is onto and key == prefix), None)
+    fresh = base is None
+    if fresh:
+        base = _ground_rules(prefix, config, onto)
+    db = ClauseDB(dict(base.atoms), dict(base.comparisons), [*base.rule_clauses])
+    clauses = _rule_clauses(rules[-1], config, onto, db)
+    db.rule_clauses.append(clauses)
+    db.rules_index = base.rules_index.extended(clauses)
+    _add_assumptions_and_axioms(db, config, onto, assumptions)
+    if fresh:
+        # the base's atoms are numbered first, and its axioms are db's over
+        # them, in the order generating them would give
+        top = len(base.atoms)
+        base.axioms = [axiom for axiom in db.axioms if all(abs(lit) <= top for lit in axiom)]
+        base.index = base.rules_index.extended(base.axioms) if base.axioms else base.rules_index
+    db.prefix_index = base.index
+    config.groundings[:] = [(prefix, onto, base)] + ([] if assumptions else [(rules, onto, db)])
+    return db
+
+
+def _ground_rules(rules: Sequence[Rule], config: GroundingConfig, onto: Ontology) -> ClauseDB:
+    """A ClauseDB of the rules grounded in turn and the index of their
+    clauses; its axioms and `index` are left to the caller."""
     db = ClauseDB()
     for rule in rules:
         db.rule_clauses.append(_rule_clauses(rule, config, onto, db))
+    db.rules_index = sat.Index(chain(*db.rule_clauses))
+    return db
+
+
+def _add_assumptions_and_axioms(
+    db: ClauseDB,
+    config: GroundingConfig,
+    onto: Ontology,
+    assumptions: Sequence[tuple[Literal, Mapping[str, str]]],
+) -> None:
+    """Intern the assumptions, set db's interval axioms and build its index
+    over its rules' index."""
     units = [frozenset([_signed(lit, db.intern(lit.inner, s))]) for lit, s in assumptions]
     if config.comparison_mode == "interval-axioms":
         append_comparison_axioms(db, onto)
-    db.index = sat.Index(chain(*db.rule_clauses, units, db.axioms))
-    return db
+    db.index = db.rules_index.extended(chain(units, db.axioms)) if units or db.axioms else db.rules_index
 
 
 def _rule_clauses(

@@ -11,6 +11,9 @@ on a trail: per clause it counts true and non-false literals, per literal
 its occurrences in unsatisfied clauses, and it undoes the trail on
 backtrack, so no clause list is copied.  Each call may switch clauses off
 and add extra clauses (such as unit assumptions) for that call only.
+`Index.extended` adds clauses for good, as a new index that shares the
+old one's per-literal lists except those of the literals the new clauses
+contain, so a clause set that grows by a few clauses is not indexed again.
 
 The model depends only on the clause set, because:
 
@@ -29,11 +32,16 @@ For point 6 each index keeps the assignment that propagating its own unit
 clauses forces (`root`).  A call that switches no clause off propagates its
 extra clauses from there, visiting only the clauses of the literals it
 falsifies; a conflict is a refutation, so it returns the None that DPLL
-would, without copying anything of the index's size.
+would, without copying anything of the index's size.  An extended index
+propagates its new clauses from the old index's root, not from scratch:
+the old root is a fixpoint of the old clauses, so only a new clause, or
+an old one that a newly set literal falsifies in part, can set more.
 """
 
 from __future__ import annotations
 
+from copy import copy
+from itertools import islice
 from typing import Collection, Iterable, Sequence
 
 Clause = frozenset[int]
@@ -47,27 +55,74 @@ class Index:
     indexes from the end: `occurs[lit]` holds the numbers of the clauses
     containing lit, `counts[lit]` their count.  `root` holds the literals
     that unit propagation of the index's own clauses sets, or is None when
-    it conflicts.
+    it conflicts.  An index is not changed once built: `extended` and
+    `solve` rebind or copy what they change.
     """
 
     def __init__(self, clauses: Iterable[Iterable[int]]) -> None:
         self.ids: dict[Clause, int] = {}
+        self.clauses: list[Clause] = []
+        self.num_vars = 0
+        self.occurs: list[Sequence[int]] = [()]
+        self.counts = [0]
+        self.sizes: list[int] = []
+        self.empty: list[int] = []
+        self.units: list[int] = []
+        self.pure: list[int] = []
+        self.root: set[int] | None = set()
+        self._add(clauses)
+
+    def extended(self, clauses: Iterable[Iterable[int]]) -> "Index":
+        """The index of this one's clauses followed by `clauses`, equal to
+        building it afresh from both; this index is left unchanged.
+
+        The per-literal occurrence lists are shared, except those of the
+        literals the new clauses contain, and `root` is propagated from this
+        index's root through the new clauses only."""
+        index = copy(self)
+        index.ids = self.ids.copy()
+        index.clauses = self.clauses.copy()
+        index.sizes = self.sizes.copy()
+        index.empty = self.empty.copy()
+        index.units = self.units.copy()
+        index._add(clauses)
+        return index
+
+    def _add(self, clauses: Iterable[Iterable[int]]) -> None:
+        """Number the clauses the index lacks next and index them; rebinds
+        the per-literal lists, `pure` and `root` rather than changing them."""
+        ids, start = self.ids, len(self.clauses)
         for clause in clauses:
-            self.ids.setdefault(frozenset(clause), len(self.ids))
-        self.clauses = list(self.ids)
-        self.num_vars = max((abs(l) for c in self.clauses for l in c), default=0)
-        self.occurs: list[Sequence[int]] = [[] for _ in range(2 * self.num_vars + 1)]
-        for number, clause in enumerate(self.clauses):
+            ids.setdefault(frozenset(clause), len(ids))
+        new = list(islice(ids, start, None))
+        self.clauses += new
+        added: dict[int, list[int]] = {}
+        for number, clause in enumerate(new, start):
             for literal in clause:
-                self.occurs[literal].append(number)
-        self.counts = [len(numbers) for numbers in self.occurs]
-        self.sizes = [len(clause) for clause in self.clauses]
-        self.empty = [number for number, size in enumerate(self.sizes) if not size]
-        self.units = [number for number, size in enumerate(self.sizes) if size == 1]
-        self.pure = [  # variables with one polarity only
-            v for v in range(1, self.num_vars + 1) if bool(self.counts[v]) != bool(self.counts[-v])
-        ]
-        self.root = _propagate(self, set(), [self.clauses[n] for n in self.empty + self.units])
+                added.setdefault(literal, []).append(number)
+            size = len(clause)
+            self.sizes.append(size)
+            if size < 2:
+                (self.units if size else self.empty).append(number)
+        top = self.num_vars
+        n = max(top, max(map(abs, added), default=0))
+        gap = 2 * (n - top)  # literal slots for the variables above the old range
+        occurs = self.occurs[: top + 1] + [()] * gap + self.occurs[top + 1 :]
+        counts = self.counts[: top + 1] + [0] * gap + self.counts[top + 1 :]
+        for literal, numbers in added.items():
+            occurs[literal] = [*occurs[literal], *numbers]
+            counts[literal] += len(numbers)
+        self.num_vars, self.occurs, self.counts = n, occurs, counts
+        touched = {abs(literal) for literal in added}
+        self.pure = sorted(  # variables with one polarity only
+            [v for v in self.pure if v not in touched]
+            + [v for v in touched if bool(counts[v]) != bool(counts[-v])]
+        )
+        if self.root is not None:
+            # under an empty root only the unit and empty clauses can propagate
+            check = new if self.root else [clause for clause in new if len(clause) < 2]
+            true = _propagate(self, self.root, check)
+            self.root = None if true is None else self.root | true
 
     def __len__(self) -> int:
         return len(self.clauses)
@@ -77,10 +132,11 @@ def _propagate(index: Index, root: set[int], clauses: list[Clause]) -> set[int] 
     """Unit propagation from the true literals in `root` through the index's
     clauses and `clauses`: the literals it sets beyond root, or None on a
     conflict.  It checks `clauses`, then the clauses of each literal it
-    falsifies; a unit clause holds once its first check has passed."""
+    falsifies, those the index lacks through a map of their own; a unit
+    clause holds once its first check has passed."""
     by_literal: dict[int, list[Clause]] = {}
     for clause in clauses:
-        if len(clause) > 1:
+        if len(clause) > 1 and clause not in index.ids:
             for literal in clause:
                 by_literal.setdefault(literal, []).append(clause)
     true: set[int] = set()

@@ -17,15 +17,18 @@ config recorded in the report.
 
 One `verify()` call grounds theory plus candidate once, in the consistency
 stage, into one ClauseDB with its clause index, and passes that ClauseDB
-to the later checks; every check is one solve of that index.  Consistency
-solves it whole; each core-shrinking trial switches off the clauses its
-kept rules and the candidate lack; entailment switches off the clauses only
-the candidate has and adds one negated candidate clause as unit
-assumptions; each invariant attempt adds the unit and axiom clauses that
-its assumed literals bring (`extend`), without copying the ClauseDB.  Each
-of these clause sets, and its atom numbering, equals what grounding that
-check's rules (and assumptions) afresh would give, up to clause order, and
-the DPLL answer depends only on those two.
+to the later checks; every check is one solve of that index or of the
+theory's.  `ground` lays the candidate over the grounding of the theory
+that the config kept from the previous candidate, so the theory is not
+grounded or indexed again.  Consistency solves the index whole; each
+core-shrinking trial switches off the clauses its kept rules and the
+candidate lack; entailment solves the theory's index with the interval
+axioms it lacks and one negated candidate clause as extra clauses; each
+invariant attempt adds the unit and axiom clauses that its assumed
+literals bring (`extend`), without copying the ClauseDB.  Each of these
+clause sets, and its atom numbering, equals what grounding that check's
+rules (and assumptions) afresh would give, up to clause order, and the
+DPLL answer depends only on those two.
 """
 
 from __future__ import annotations
@@ -93,14 +96,15 @@ def check_entailment(db: ClauseDB) -> bool:
     theory (clause-by-clause negation + SAT), i.e. the candidate is redundant.
 
     `db` grounds the theory's rules and then the candidate, and the theory
-    plus candidate is consistent.  Each check switches off the clauses only
-    the candidate has and assumes the negated literals of one candidate
-    clause."""
-    theory_clauses = {clause for own in db.rule_clauses[:-1] for clause in own}
-    candidate_only = set(db.rule_clauses[-1]).difference(theory_clauses, db.axioms)
+    plus candidate is consistent.  Each check solves the index of the
+    theory's grounding, which `db` was laid over, with the interval axioms
+    it lacks and the negated literals of one candidate clause as extra
+    clauses."""
+    theory = db.prefix_index
+    axioms = [axiom for axiom in db.axioms if axiom not in theory.ids]
     for clause in db.rule_clauses[-1]:
         negation = [[-lit] for lit in clause]
-        if sat.solve(db.index, len(db.atoms), off=candidate_only, extra=negation) is not None:
+        if sat.solve(theory, len(db.atoms), extra=[*axioms, *negation]) is not None:
             return False
     return True
 

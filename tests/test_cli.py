@@ -332,3 +332,36 @@ def test_brute_force_past_the_limit_exits_2(work_dir, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "--brute-force" in err and "exceeds 3" in err
     assert (work_dir / "merge.kb.json").read_bytes() == store_before
+
+
+def test_one_parser_serves_every_call_like_a_fresh_one(tmp_path, capsys):
+    """A bad argument, help and a valid run-all, in one process: each exit
+    code and output equals that of a call with a parser built afresh."""
+    results = {}
+    for mode in ("warm", "cold"):
+        work = tmp_path / mode
+        work.mkdir()
+        for path in SCENARIOS.glob("*.json"):
+            shutil.copy(path, work / path.name)
+        config = str(work / "scenario1.config.json")
+        cli._parser.cache_clear()
+        outputs = []
+        for argv in (
+            ["run-all", "--config", config, "--domain-size", "0"],
+            ["verify", "--config", config],
+            ["--help"],
+            ["run-all", "--help"],
+            ["run-all", "--config", config],
+            ["bogus"],
+        ):
+            if mode == "cold":
+                cli._parser.cache_clear()
+            code = main(argv)
+            out, err = capsys.readouterr()
+            outputs.append((code, out.replace(str(work), "WORK"), err.replace(str(work), "WORK")))
+        results[mode] = outputs
+        assert cli._parser.cache_info().misses == 1
+    assert results["warm"] == results["cold"]
+    assert [code for code, _, _ in results["warm"]] == [2, 2, 0, 0, 0, 2]
+    assert "usage: rulesynth run-all" in results["warm"][3][1]
+    assert "verdict" in results["warm"][4][1]

@@ -339,3 +339,54 @@ def test_memo_list_constants_ground_like_tuples(onto):
     tupled = GroundingConfig({"vehicle": ("a", "b")}, "interval-axioms")
     for _ in range(3):
         assert grounding_parts(ground([rule], listed, onto)) == grounding_parts(ground([rule], tupled, onto))
+
+
+# --- the groundings a config keeps, each the base of the next ---
+
+@pytest.mark.parametrize("mode", ["opaque", "interval-axioms"])
+def test_kept_groundings_equal_the_per_instance_loop(onto, mode):
+    """Rule lists in the order a batch grounds them: one rule more after a
+    commit, the last rule replaced after a rejection, at times with
+    assumptions, a list from scratch or another ontology that gives X
+    another sort.  Each grounding equals the per-instance loop's, its
+    `prefix_index` holds the clauses of grounding its rules but the last,
+    and the config keeps at most two groundings."""
+    vocabulary = two_sort_vocabulary(onto)
+    by_zone = replace(vocabulary, predicates={**vocabulary.predicates, "dense": PredicateDecl(1, ("zone",))})
+    seen = set()
+    for seed in range(20):
+        rng = random.Random(f"kept-{seed}")
+        config = GroundingConfig.default(vocabulary, seed % 3 + 1, mode)
+        rules = [random_rule(rng, vocabulary) for _ in range(rng.randint(0, 3))]
+        for _ in range(10):
+            move = rng.choice(["commit", "commit", "reject", "reject", "fresh", "assume", "ontology"])
+            seen.add(move)
+            ontology = by_zone if move == "ontology" else vocabulary
+            if move == "fresh" or not rules:
+                rules = [random_rule(rng, vocabulary) for _ in range(rng.randint(1, 4))]
+            candidate = random_rule(rng, vocabulary)
+            listed = [*rules, candidate] if move == "commit" else [*rules[:-1], candidate]
+            assumptions = random_assumptions(rng, listed, config, ontology) if move == "assume" else []
+            db = ground(listed, config, ontology, assumptions)
+            assert grounding_parts(db) == grounding_parts(reference_ground(listed, config, ontology, assumptions))
+            assert set(db.prefix_index.clauses) == set(reference_ground(listed[:-1], config, ontology).clauses)
+            assert len(config.groundings) <= 2
+            if move == "commit":
+                rules = listed
+    assert len(seen) == 5
+
+
+def test_a_config_keeps_the_last_base_and_the_last_grounding_without_assumptions(onto):
+    config = GroundingConfig.default(onto, 2)
+    theory = [parse_rule(COLLIDE_RULE, onto)]
+    candidate = parse_rule(DENSE_RULE, onto)
+    db = ground([*theory, candidate], config, onto)
+    (_, _, base), last = config.groundings
+    assert last == ((*theory, candidate), onto, db) and db.prefix_index is base.index
+    assert ground([*theory, candidate, candidate], config, onto).prefix_index is db.index  # after a commit
+    rejected = ground([*theory, candidate, theory[0]], config, onto)
+    assert rejected.prefix_index is db.index  # the same base again
+    assumption = [(candidate.head[0], {"X": "vehicle1"})]
+    assumed = ground([*theory, candidate], config, onto, assumption)
+    assert [key for key, _, _ in config.groundings] == [tuple(theory)]
+    assert assumed.prefix_index is not db.prefix_index  # the base is grounded afresh

@@ -1,12 +1,17 @@
 import random
 import shutil
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from rulesynth import sat
 from rulesynth.cli import main
+from rulesynth.fol import load_ontology, parse_rule
+from rulesynth.grounding import GroundingConfig
 from rulesynth.sat import Index, solve
+from rulesynth.store import load_store
+from rulesynth.verify import verify
 
 import reference_dpll
 from conftest import SCENARIOS
@@ -184,6 +189,13 @@ def test_models_equal_reference_on_run_all_solver_calls(tmp_path, monkeypatch):
             shutil.copy(path, work / path.name)
         for config in ("scenario1.config.json", "scenario2.config.json"):
             assert main(["run-all", "--config", str(work / config), "--domain-size", domain]) == 0
+    # no shipped candidate is Inconsistent, so core-shrink trials (the calls
+    # with `off`) come from the Inconsistent candidates of criterion 6
+    onto = load_ontology(tmp_path / "3" / "traffic.onto.json")
+    store = load_store(tmp_path / "3" / "merge.kb.json", onto)
+    grounding = GroundingConfig.default(onto, 3)
+    for text in ("forall X . speed(X) > 130 <- true", "forall X . overtake_right(X) <- true"):
+        assert verify(parse_rule(text, onto), store, grounding, onto).verdict == "Inconsistent"
     assert len(calls) > 50
     assert any(kwargs.get("off") for _, kwargs, _ in calls)
     assert any(kwargs.get("extra") for _, kwargs, _ in calls)
@@ -254,3 +266,71 @@ def test_refuted_call_does_no_dense_set_up():
         solve(index, extra=[*chain, [1]])
     with pytest.raises(DenseSetUp):  # switched-off clauses keep the dense path
         solve(index, off=[frozenset({-1, 2})], extra=[[1], [-4]])
+
+
+# --- an index extended by more clauses against one built afresh ---
+
+def index_parts(index):
+    """What an index holds, as sets where its order does not matter."""
+    literals = [lit for lit in range(-index.num_vars, index.num_vars + 1) if lit]
+    return (
+        set(index.clauses),
+        index.num_vars,
+        {lit: (index.counts[lit], {index.clauses[n] for n in index.occurs[lit]}) for lit in literals},
+        set(index.pure),
+        {index.clauses[n] for n in index.units},
+        {index.clauses[n] for n in index.empty},
+        index.root,
+    )
+
+
+def extension_case(rng):
+    """A base clause list and the clauses that extend it: some of a random
+    or Horn CNF's clauses, and links and units over up to 3 variables above
+    its range, at times contradictory units or an empty clause."""
+    if rng.random() < 0.5:
+        clauses, _ = messy_cnf(rng)
+    else:
+        clauses = horn_chain_case(rng)[0].clauses
+    rng.shuffle(clauses)
+    split = rng.randint(0, len(clauses))
+    base, delta = clauses[:split], clauses[split:]
+    top = max((abs(lit) for clause in clauses for lit in clause), default=0) + 3
+    delta += links(rng, top, rng.randint(0, 3))
+    units = [frozenset({rng.randint(1, top) * rng.choice((1, -1))}) for _ in range(rng.randint(0, 3))]
+    if units and rng.random() < 0.2:
+        units.append(frozenset({-next(iter(units[0]))}))
+    delta += units
+    if rng.random() < 0.05:
+        delta.append(frozenset())
+    if delta and rng.random() < 0.3:
+        delta += rng.sample(delta, 1) + rng.sample(base, min(2, len(base)))  # clauses already there
+    rng.shuffle(delta)
+    return base, delta
+
+
+def test_extended_index_equals_a_fresh_build():
+    rng = random.Random("extended-index")
+    seen = Counter()
+    for _ in range(1500):
+        base, delta = extension_case(rng)
+        index = Index(base)
+        before = (index_parts(index), list(index.clauses), [list(o) for o in index.occurs], list(index.sizes))
+        extended = index.extended(delta)
+        fresh = Index(base + delta)
+        assert index_parts(extended) == index_parts(fresh)
+        assert extended.clauses == fresh.clauses and extended.ids == fresh.ids
+        assert (index_parts(index), list(index.clauses), [list(o) for o in index.occurs],
+                list(index.sizes)) == before  # the base is unchanged
+        num_vars = extended.num_vars + rng.randint(0, 2)
+        extra = [[rng.randint(1, num_vars) * rng.choice((1, -1))] for _ in range(rng.randint(0, 2))]
+        off = {clause for clause in extended.clauses if rng.random() < 0.2}
+        for kwargs in ({}, {"extra": extra}, {"off": off, "extra": extra}):
+            model = solve(extended, num_vars, **kwargs)
+            assert model == reference_call(fresh, num_vars, **kwargs)
+            seen["unsat"] += model is None
+        seen["new variables"] += extended.num_vars > index.num_vars
+        seen["root lost"] += index.root is not None and extended.root is None
+        seen["root grew"] += extended.root is not None and len(extended.root) > len(index.root or ())
+        seen["empty"] += bool(extended.empty)
+    assert min(seen.values()) > 20, seen

@@ -1,6 +1,8 @@
 """Verification over one shared grounding against the reference composition,
-which grounds its rules (and assumptions) afresh for every check and solves
-each grounding with the reference DPLL solver, not with `rulesynth.sat`.
+which grounds its rules (and assumptions) afresh for every check, on a
+config of its own so that no grounding the config keeps is reused, and
+solves each grounding with the reference DPLL solver, not with
+`rulesynth.sat`.
 
 Verdicts, conflict cores and countermodels must be equal on seeded random
 theories, candidates and invariants in both comparison modes and at domain
@@ -37,17 +39,22 @@ from rulegen import random_rule
 
 # --- reference: one fresh grounding per check ---
 
+def cold(config):
+    """The same grounding settings with nothing memoized or kept."""
+    return GroundingConfig(config.domain_constants, config.comparison_mode)
+
+
 def _solve_db(db):
     return reference_dpll.solve(db.clauses, num_vars=len(db.atoms))
 
 
 def reference_consistency(theory, candidate, config, onto):
-    if _solve_db(ground([*theory, candidate], config, onto)) is not None:
+    if _solve_db(ground([*theory, candidate], cold(config), onto)) is not None:
         return True, ()
     kept = list(theory)
     for rule in list(kept):
         trial = [r for r in kept if r is not rule]
-        if _solve_db(ground([*trial, candidate], config, onto)) is None:
+        if _solve_db(ground([*trial, candidate], cold(config), onto)) is None:
             kept = trial
     return False, tuple(r.id for r in kept)
 
@@ -55,7 +62,7 @@ def reference_consistency(theory, candidate, config, onto):
 def reference_entailment(theory, candidate, config, onto):
     """The theory's clauses, with the interval axioms over the comparisons
     of theory and candidate, refute each negated candidate clause."""
-    db = ground([*theory, candidate], config, onto)
+    db = ground([*theory, candidate], cold(config), onto)
     theory_clauses = [clause for own in db.rule_clauses[:-1] for clause in own] + db.axioms
     for clause in db.rule_clauses[-1]:
         negation = [frozenset([-lit]) for lit in clause]
@@ -71,7 +78,7 @@ def reference_invariants(theory, candidate, invariants, config, onto):
             assumptions = [(lit, substitution) for lit in invariant.rule.body]
             for head_lit in invariant.rule.head:
                 negated = [*assumptions, (head_lit.complement(), substitution)]
-                db = ground(rules, config, onto, assumptions=negated)
+                db = ground(rules, cold(config), onto, assumptions=negated)
                 model = _solve_db(db)
                 if model is not None:
                     return False, invariant.id, render_model(db.atoms, model)
@@ -189,7 +196,38 @@ def test_shared_grounding_matches_fresh_groundings(onto, mode):
             assert (result.preserved, result.violated_id, result.countermodel) == (
                 reference_invariants(theory, with_candidate, invariants, config, onto)), case
 
-        satisfiable = _solve_db(ground(theory, config, onto)) is not None
+        satisfiable = _solve_db(ground(theory, cold(config), onto)) is not None
         preserved = reference_invariants(theory, None, invariants, config, onto)[0]
         assert theory_soundness(store, config, onto)[0] == (satisfiable and preserved), case
     assert set(verdicts) == {"Inconsistent", "Redundant", "Unsafe", "Accepted"}, verdicts
+
+
+@pytest.mark.parametrize("mode", ["opaque", "interval-axioms"])
+def test_kept_groundings_verify_a_sequence_like_cold_configs(onto, mode):
+    """Candidates verified in turn on one config, each Accepted one committed
+    before the next, as a batch does: the config's kept groundings are the
+    previous theory (after a rejection) and the previous theory plus
+    candidate (after a commit), and every report equals a cold config's."""
+    vocabulary = small_vocabulary(onto)
+    rng = random.Random(f"sequence-{mode}")
+    verdicts = Counter()
+    for case in range(30):
+        config = GroundingConfig.default(onto, case % 3 + 1, mode)
+        theory, _, invariants = random_case(rng, vocabulary, onto)
+        store = TheoryStore(
+            verified_rules=tuple(VerifiedRule(r, "c", "g", "vrep") for r in theory),
+            invariants=tuple(invariants),
+        )
+        for _ in range(8):
+            if store.verified_rules and rng.random() < 0.15:  # a rule of the theory again
+                candidate = rng.choice(store.verified_rules).rule
+            else:
+                candidate = valid_rule(rng, vocabulary, onto)
+            report = verify(candidate, store, config, onto).to_json_dict()
+            assert report == verify(candidate, store, cold(config), onto).to_json_dict(), case
+            assert len(config.groundings) <= 2
+            verdicts[report["verdict"]] += 1
+            if report["verdict"] == "Accepted":
+                rule = VerifiedRule(candidate, "c", "g", report["id"])
+                store = replace(store, verified_rules=(*store.verified_rules, rule))
+    assert min(verdicts[v] for v in ("Inconsistent", "Redundant", "Unsafe", "Accepted")) >= 5, verdicts
