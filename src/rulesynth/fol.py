@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping, NamedTuple, Sequence
 
 CONSTANT_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 VARIABLE_RE = re.compile(r"[A-Z][a-z0-9_]*\Z")
@@ -277,20 +277,20 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     pos: int
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """The tokens of `text`, whitespace dropped; a character no token
+    matches, which leaves a gap between matches, is a syntax error."""
     tokens: list[_Token] = []
     pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise RuleSyntaxError(f"unexpected character {text[pos]!r}", pos)
+    for match in _TOKEN_RE.finditer(text):
+        if match.start() != pos:
+            break
         kind = match.lastgroup or ""
         if kind != "ws":
             value = match.group()
@@ -298,14 +298,18 @@ def _tokenize(text: str) -> list[_Token]:
                 kind = value
             tokens.append(_Token(kind, value, pos))
         pos = match.end()
+    if pos < len(text):
+        raise RuleSyntaxError(f"unexpected character {text[pos]!r}", pos)
     tokens.append(_Token("eof", "", len(text)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[_Token], rule_id: str, origin: str):
         self.tokens = tokens
         self.index = 0
+        self.rule_id = rule_id
+        self.origin = origin
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -339,7 +343,7 @@ class _Parser:
         else:
             body = self.parse_conjunction()
         self.take("eof", "end of input")
-        return Rule(tuple(variables), tuple(head), tuple(body))
+        return Rule(tuple(variables), tuple(head), tuple(body), self.rule_id, self.origin)
 
     def parse_conjunction(self) -> list[Literal]:
         literals = [self.parse_literal()]
@@ -392,15 +396,16 @@ class _Parser:
         )
 
 
-def parse_rule(text: str, onto: Ontology | None = None) -> Rule:
-    """Parse surface syntax into a Rule.
+def parse_rule(text: str, onto: Ontology | None = None, *, id: str = "", origin: str = "") -> Rule:
+    """Parse surface syntax into a Rule with the given id and origin (an
+    empty id is derived from the rule's rendering, as `Rule` does).
 
     With an ontology the rule is also schema-validated and a SchemaError
     raised on any violation; without one only the structural grammar
     (including the quantification of every used variable) is enforced,
     which is how deliberately ill-typed candidates reach the verifier.
     """
-    rule = _Parser(_tokenize(text)).parse_rule()
+    rule = _Parser(_tokenize(text), id, origin).parse_rule()
     free = rule.variables() - set(rule.quantified_vars)
     if free:
         names = ", ".join(sorted(t.name for t in free))

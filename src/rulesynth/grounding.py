@@ -15,9 +15,10 @@ speed(a) > 30 and excludes speed(a) < 30.
 A grounding is one ClauseDB: the atom table, each grounded rule's own
 clauses, the interval axioms, and the `sat.Index` of its distinct clauses.
 Callers solve sub-theories of it (`rule_subset`, which selects db's axioms
-instead of generating them again) or add assumed literals to it (`extend`,
-which interns them into an overlay of db's tables) without grounding the
-rules again and without copying it.
+instead of generating them again) or add assumed ground literals to it
+(`extend`, which looks their names up in db's atom table and numbers the
+ones it lacks after db's) without grounding the rules again and without
+copying it.
 
 `ground` lays the last rule over a grounding of the rules before it: it
 copies that grounding's atom table, grounds the last rule into the copy
@@ -41,6 +42,13 @@ renames that entry into the ClauseDB's numbering, numbering each name the
 ClauseDB lacks next, which is the numbering interning every instance in
 turn gives, and keeps the renamed entry, so a rule grounded where it was
 grounded last time reuses its clauses as they are.
+
+A config also keeps, per invariant, the ground literals each attempt to
+refute it assumes (`invariant_attempts`, memoized in
+`GroundingConfig.attempts` under the same key): per substitution and head
+literal, the body literals and the head literal's complement, each as its
+atom's name, its sign and its ground comparison.  They are rendered once
+per config, not once per candidate.
 """
 
 from __future__ import annotations
@@ -65,6 +73,11 @@ from .fol import (
 
 COMPARISON_MODES = ("opaque", "interval-axioms")
 
+# a ground literal: its atom's name, whether it is negated, and its ground
+# comparison (None for an atom); an attempt is the ground literals it assumes
+GroundLiteral = tuple[str, bool, Comparison | None]
+Attempt = tuple[GroundLiteral, ...]
+
 
 class GroundingError(ValueError):
     """A quantified variable's sort has no constants, or bad config."""
@@ -78,17 +91,22 @@ class GroundingConfig:
     its id) and the sort of each quantified variable, which the ontology of
     each call decides; within one config a sort fixes the constants.  A key
     maps to None once the config has grounded the rule, and to the rule's
-    grounding once it has grounded it again.  `groundings` holds the two
-    ClauseDBs of the last `ground` call, with their rules and ontology: the
-    grounding of every rule but the last, and the whole grounding when the
-    call assumed nothing.  Neither cache is part of equality, repr or
-    `to_json`, and they live as long as the config, which is one
-    verification batch: a `dataclasses.replace`d config starts empty.
+    grounding once it has grounded it again.  `attempts` is
+    `invariant_attempts`' memo, under the same key: an invariant's attempts
+    as ground literals.  `groundings` holds the two ClauseDBs of the last
+    `ground` call, with their rules and ontology: the grounding of every
+    rule but the last, and the whole grounding when the call assumed
+    nothing.  No cache is part of equality, repr or `to_json`, and they
+    live as long as the config, which is one verification batch: a
+    `dataclasses.replace`d config starts empty.
     """
 
     domain_constants: Mapping[str, tuple[str, ...]]
     comparison_mode: str = "opaque"
     rule_groundings: dict[tuple[Rule, tuple[str, ...]], tuple | None] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+    attempts: dict[tuple[Rule, tuple[str, ...]], tuple[Attempt, ...]] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
     groundings: list[tuple[tuple[Rule, ...], Ontology, ClauseDB]] = field(
@@ -161,11 +179,16 @@ class ClauseDB:
         if index is None:
             index = self.atoms[name] = len(self.atoms) + 1
             if isinstance(inner, Comparison):
-                subject = inner.subject
-                if subject.kind == "variable":
-                    subject = const(substitution[subject.name])
-                self.comparisons[name] = replace(inner, subject=subject)
+                self.comparisons[name] = _ground_comparison(inner, substitution)
         return index
+
+
+def _ground_comparison(cmp: Comparison, substitution: Mapping[str, str]) -> Comparison:
+    """`cmp` with its subject the constant `substitution` gives it."""
+    subject = cmp.subject
+    if subject.kind == "variable":
+        subject = const(substitution[subject.name])
+    return replace(cmp, subject=subject)
 
 
 def render_model(atoms: Mapping[str, int], model: Mapping[int, bool]) -> tuple[str, ...]:
@@ -367,37 +390,62 @@ def _instances(
     )
 
 
-class _Overlay(ChainMap):
-    """New entries over a base mapping that they never shadow, so its length
-    is the sum of the two; ChainMap's own length unions every key."""
+def ground_literal(lit: Literal, substitution: Mapping[str, str]) -> GroundLiteral:
+    """`lit` under `substitution`: its atom's name, whether it is negated,
+    and, for a comparison, the comparison with its subject a constant."""
+    inner = lit.inner
+    comparison = _ground_comparison(inner, substitution) if isinstance(inner, Comparison) else None
+    return render_inner(inner, substitution), lit.negated, comparison
 
-    def __len__(self) -> int:
-        return sum(map(len, self.maps))
+
+def invariant_attempts(rule: Rule, config: GroundingConfig, onto: Ontology) -> tuple[Attempt, ...]:
+    """The ground literals each attempt to refute `rule` assumes: per
+    substitution, in substitution order, and per head literal, in head
+    order, the body literals and then the head literal's complement.
+
+    Memoized in `config.attempts` under the key of `rule_groundings`."""
+    sorts = _sorts(rule, onto)
+    key = (rule, sorts)
+    found = config.attempts.get(key)
+    if found is None:
+        attempts = []
+        for substitution in _substitutions(rule, sorts, config):
+            body = [ground_literal(lit, substitution) for lit in rule.body]
+            attempts += [(*body, ground_literal(lit.complement(), substitution)) for lit in rule.head]
+        found = config.attempts[key] = tuple(attempts)
+    return found
 
 
 def extend(
-    db: ClauseDB,
-    assumptions: Sequence[tuple[Literal, Mapping[str, str]]],
-    config: GroundingConfig,
-    onto: Ontology,
+    db: ClauseDB, attempt: Attempt, config: GroundingConfig, onto: Ontology
 ) -> tuple[dict[str, int], list[frozenset[int]]]:
-    """What assumed unit literals add to `db`, which is left unchanged.
+    """What assuming an attempt's ground literals adds to `db`, which is
+    left unchanged.
 
     Returns the atoms `db` lacks, numbered after db's in first-occurrence
-    order, and the distinct unit and interval-axiom clauses `db` lacks.
+    order, and the distinct unit and interval-axiom clauses `db` lacks;
+    axioms are generated only when the attempt brings new comparisons.
     When db is ground(rules, config, onto), db's atoms followed by the new
-    ones are the atom numbering of ground(rules, config, onto, assumptions),
-    and db's clauses plus the new ones are its clause set.
+    ones are the atom numbering of grounding the rules with the attempt's
+    literals as assumptions, and db's clauses plus the new ones are its
+    clause set.
     """
+    known = db.atoms
     atoms: dict[str, int] = {}
     comparisons: dict[str, Comparison] = {}
-    overlay = ClauseDB(_Overlay(atoms, db.atoms), _Overlay(comparisons, db.comparisons))
-    units = [frozenset([_signed(lit, overlay.intern(lit.inner, s))]) for lit, s in assumptions]
+    units = []
+    for name, negated, comparison in attempt:
+        number = known.get(name) or atoms.get(name)
+        if number is None:
+            number = atoms[name] = len(known) + len(atoms) + 1
+            if comparison is not None:
+                comparisons[name] = comparison
+        units.append(frozenset([-number if negated else number]))
     axioms = []
-    if config.comparison_mode == "interval-axioms" and comparisons:
-        axioms = comparison_axioms(overlay.comparisons, overlay.atoms, onto)
-    known = db.index.ids
-    return atoms, [c for c in dict.fromkeys(chain(units, axioms)) if c not in known]
+    if comparisons and config.comparison_mode == "interval-axioms":
+        axioms = comparison_axioms(ChainMap(comparisons, db.comparisons), ChainMap(atoms, known), onto)
+    ids = db.index.ids
+    return atoms, [c for c in dict.fromkeys(chain(units, axioms)) if c not in ids]
 
 
 def rule_subset(db: ClauseDB, indexes: Sequence[int]) -> list[frozenset[int]]:

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Any, Callable, Hashable, Mapping, Sequence
 
 from .fol import Ontology
-from .store import Cause, Goal, Principle, replace_file
+from .store import Cause, Goal, Principle, json_text, replace_file
 
 
 class OracleUnavailable(RuntimeError):
@@ -472,8 +472,7 @@ class RecordingOracle(Oracle):
     def save(self, path: str | Path) -> None:
         """Write the transcript in one step, so a failed save keeps the old one."""
         payload = {"version": 1, "entries": self.entries}
-        text = json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False)
-        replace_file(path, text + "\n")
+        replace_file(path, json_text(payload) + "\n")
 
 
 class ReplayOracle(Oracle):

@@ -34,7 +34,7 @@ from .oracle import (
     Translation,
     UntranslatableCause,
 )
-from .store import Cause, Goal, TheoryStore, commit_verified_rule
+from .store import Cause, Goal, TheoryStore, commit_verified_rule, json_text
 from .verify import VerificationReport, verify
 
 ORACLE_MODES = ("deterministic", "llm", "replay")
@@ -159,18 +159,18 @@ def translate_cause(
     """Ask for a translation, validate by parsing, re-ask once on failure."""
     translation = oracle.translate_to_fol(cause, onto, grammar_doc)
     try:
-        rule = parse_rule(translation.rule_text, onto)
+        rule = parse_rule(translation.rule_text, onto, origin=translation.explanation)
     except (RuleSyntaxError, SchemaError) as first_error:
         translation = oracle.translate_to_fol(
             cause, onto, grammar_doc, feedback=str(first_error)
         )
         try:
-            rule = parse_rule(translation.rule_text, onto)
+            rule = parse_rule(translation.rule_text, onto, origin=translation.explanation)
         except (RuleSyntaxError, SchemaError) as second_error:
             raise UntranslatableCause(
                 cause.id, f"translation failed to parse after retry: {second_error}"
             ) from second_error
-    return replace(rule, origin=translation.explanation), translation
+    return rule, translation
 
 
 @dataclass(frozen=True)
@@ -282,5 +282,4 @@ def run_verify(
 
 def write_json_artifact(path: Path, payload: Mapping[str, Any]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False)
-    path.write_text(text + "\n", encoding="utf-8")
+    path.write_text(json_text(payload) + "\n", encoding="utf-8")

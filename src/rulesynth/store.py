@@ -209,10 +209,9 @@ def _rule_from_json(doc: Any, path: str, onto: Ontology | None) -> Rule:
         if key in doc and not isinstance(doc[key], str):
             raise StoreFormatError(f"{path}.{key}", "expected str")
     try:
-        rule = parse_rule(doc["text"], onto)
+        return parse_rule(doc["text"], onto, id=doc.get("id", ""), origin=doc.get("origin", ""))
     except (SchemaError, ValueError) as exc:
         raise StoreFormatError(f"{path}.text", str(exc)) from exc
-    return replace(rule, id=doc.get("id", rule.id), origin=doc.get("origin", ""))
 
 
 def _require(doc: Mapping[str, Any], key: str, kind: type, path: str) -> Any:
@@ -399,6 +398,67 @@ def store_to_json(store: TheoryStore) -> dict[str, Any]:
     }
 
 
+_escape = json.encoder.encode_basestring  # C-accelerated where available
+_INFINITY = float("inf")
+
+
+def json_text(value: Any) -> str:
+    """`value` written as json.dumps(value, sort_keys=True, indent=2,
+    ensure_ascii=False) writes it, byte for byte, for JSON values whose
+    dict keys are strings.  With `indent`, json.dumps runs its
+    pure-Python encoder; this one escapes strings with the C encoder's
+    function and builds the rest from one list of parts."""
+    parts: list[str] = []
+    _write_json(value, "\n", parts)
+    return "".join(parts)
+
+
+def _write_json(value: Any, newline: str, parts: list[str]) -> None:
+    if isinstance(value, str):
+        parts.append(_escape(value))
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            parts += (separator, _escape(key), ": ")
+            _write_json(value[key], inner, parts)
+            separator = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            parts.append(separator)
+            _write_json(item, inner, parts)
+            separator = "," + inner
+        parts.append(newline + "]")
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if value != value:
+            parts.append("NaN")
+        elif value in (_INFINITY, -_INFINITY):
+            parts.append("Infinity" if value > 0 else "-Infinity")
+        else:
+            parts.append(float.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def replace_file(path: str | Path, text: str) -> None:
     """Write `text` to `path` in one step.
 
@@ -426,5 +486,4 @@ def save_store(store: TheoryStore, path: str | Path) -> None:
     """Write the store in one step (`replace_file`); output bytes depend
     only on the store value."""
     _check_integrity(store)
-    payload = json.dumps(store_to_json(store), sort_keys=True, indent=2, ensure_ascii=False)
-    replace_file(path, payload + "\n")
+    replace_file(path, json_text(store_to_json(store)) + "\n")

@@ -25,10 +25,12 @@ core-shrinking trial switches off the clauses its kept rules and the
 candidate lack; entailment solves the theory's index with the interval
 axioms it lacks and one negated candidate clause as extra clauses; each
 invariant attempt adds the unit and axiom clauses that its assumed
-literals bring (`extend`), without copying the ClauseDB.  Each of these
-clause sets, and its atom numbering, equals what grounding that check's
-rules (and assumptions) afresh would give, up to clause order, and the
-DPLL answer depends only on those two.
+literals bring (`extend`), without copying the ClauseDB.  The attempts'
+literals are rendered once per config (`invariant_attempts`), so an
+attempt only looks their names up in the ClauseDB's atom table.  Each of
+these clause sets, and its atom numbering, equals what grounding that
+check's rules (and assumptions) afresh would give, up to clause order,
+and the DPLL answer depends only on those two.
 """
 
 from __future__ import annotations
@@ -40,10 +42,10 @@ from typing import Any, Sequence
 
 from . import sat
 from .fol import Ontology, Rule, render_rule, validate_schema
-# append_comparison_axioms and instantiate_rule are not called here: they are
-# imported only so that the names in bench/tracing.py's ENTRY_POINTS resolve.
-# Their spans record nothing, because grounding.ground calls its own
-# module's bindings.
+# append_comparison_axioms, instantiate_rule and rule_substitutions are not
+# called here: they are imported only so that the names in bench/tracing.py's
+# ENTRY_POINTS resolve.  Their spans record nothing, because grounding calls
+# its own module's bindings.
 from .grounding import (
     ClauseDB,
     GroundingConfig,
@@ -51,6 +53,7 @@ from .grounding import (
     extend,
     ground,
     instantiate_rule,
+    invariant_attempts,
     render_model,
     rule_subset,
     rule_substitutions,
@@ -125,19 +128,18 @@ def check_invariants(
     satisfies I's body while falsifying one of its head literals, for some
     substitution.  Conjunctive heads are negated one literal per SAT
     attempt.  The first violation (store order, then substitution order,
-    then head-literal order) is reported with its countermodel.  Each
-    attempt solves db's index with the clauses its assumed literals add.
+    then head-literal order) is reported with its countermodel.  The
+    attempts' ground literals are rendered once per config
+    (`invariant_attempts`); each attempt numbers them in db's atom table
+    and solves db's index with the clauses they add (`extend`).
     """
     for invariant in invariants:
-        for substitution in rule_substitutions(invariant.rule, config, onto):
-            assumptions = [(lit, substitution) for lit in invariant.rule.body]
-            for head_lit in invariant.rule.head:
-                negated = [*assumptions, (head_lit.complement(), substitution)]
-                atoms, clauses = extend(db, negated, config, onto)
-                model = sat.solve(db.index, len(db.atoms) + len(atoms), extra=clauses)
-                if model is not None:
-                    countermodel = render_model({**db.atoms, **atoms}, model)
-                    return InvariantResult(False, invariant.id, countermodel)
+        for attempt in invariant_attempts(invariant.rule, config, onto):
+            atoms, clauses = extend(db, attempt, config, onto)
+            model = sat.solve(db.index, len(db.atoms) + len(atoms), extra=clauses)
+            if model is not None:
+                countermodel = render_model({**db.atoms, **atoms}, model)
+                return InvariantResult(False, invariant.id, countermodel)
     return InvariantResult(True)
 
 

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rulesynth.fol import (
+    _TOKEN_RE,
+    RESERVED_WORDS,
     Atom,
     Literal,
     Ontology,
@@ -21,6 +23,7 @@ from rulesynth.fol import (
     parse_rule,
     render_number,
     render_rule,
+    _tokenize,
     validate_schema,
     var,
 )
@@ -110,6 +113,10 @@ def test_structural_equality_ignores_id_and_origin(onto):
     b = Rule(a.quantified_vars, a.head, a.body, id="other", origin="explanation")
     assert a == b
     assert a.id != b.id
+    c = parse_rule(COLLIDE_RULE, onto, id="other", origin="explanation")
+    assert (c, c.id, c.origin) == (b, b.id, b.origin)
+    d = parse_rule(COLLIDE_RULE, onto, id="", origin="explanation")
+    assert (d.id, d.origin) == (a.id, "explanation")
 
 
 def test_validate_schema_examples(onto):
@@ -183,6 +190,40 @@ def test_parser_total_on_arbitrary_text(text):
         parse_rule(text)
     except (RuleSyntaxError, SchemaError):
         pass
+
+
+def reference_tokenize(text):
+    """The tokenizer as it was before it walked `finditer`: one `match`
+    per position."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        match = _TOKEN_RE.match(text, pos)
+        if match is None:
+            raise RuleSyntaxError(f"unexpected character {text[pos]!r}", pos)
+        kind = match.lastgroup or ""
+        if kind != "ws":
+            value = match.group()
+            if kind == "lower" and value in RESERVED_WORDS:
+                kind = value
+            tokens.append((kind, value, pos))
+        pos = match.end()
+    tokens.append(("eof", "", len(text)))
+    return tokens
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=string.printable + "é\u2028", max_size=40))
+def test_tokenizer_equals_the_match_loop(text):
+    try:
+        expected = reference_tokenize(text)
+    except RuleSyntaxError as error:
+        with pytest.raises(RuleSyntaxError) as raised:
+            _tokenize(text)
+        assert (str(raised.value), raised.value.position, raised.value.expected) == (
+            str(error), error.position, error.expected)
+    else:
+        assert [tuple(token) for token in _tokenize(text)] == expected
 
 
 @settings(max_examples=200, deadline=None)

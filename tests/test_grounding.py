@@ -27,6 +27,7 @@ from rulesynth.grounding import (
     append_comparison_axioms,
     ground,
     instantiate_rule,
+    invariant_attempts,
     rule_substitutions,
 )
 from rulesynth.verify import verify
@@ -311,9 +312,11 @@ def test_memo_is_filled_by_a_second_grounding_and_shared_by_content_equal_rules(
 def test_memo_starts_empty_in_a_replaced_config(onto):
     config = GroundingConfig.default(onto, 2)
     ground([parse_rule(COLLIDE_RULE, onto)], config, onto)
-    assert config.rule_groundings
+    invariant_attempts(parse_rule(DENSE_RULE, onto), config, onto)
+    assert config.rule_groundings and config.attempts
     for copy in (replace(config), replace(config, comparison_mode="interval-axioms")):
         assert copy.rule_groundings == {} and copy.rule_groundings is not config.rule_groundings
+        assert copy.attempts == {} and copy.attempts is not config.attempts
 
 
 def test_memo_leaves_equality_json_and_reports_alone(onto, seed_store):
@@ -322,7 +325,8 @@ def test_memo_leaves_equality_json_and_reports_alone(onto, seed_store):
     rule = parse_rule(DENSE_RULE, onto)
     for _ in range(2):
         ground([rule], warm, onto)
-    assert warm.rule_groundings and not cold.rule_groundings
+    invariant_attempts(rule, warm, onto)
+    assert warm.rule_groundings and warm.attempts and not cold.rule_groundings and not cold.attempts
     assert warm == cold and repr(warm) == repr(cold)
     assert warm.to_json() == cold.to_json() == {
         "domain_constants": {"vehicle": ["vehicle1", "vehicle2"]},

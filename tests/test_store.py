@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rulesynth.fol import parse_rule
 from rulesynth.store import (
@@ -8,6 +10,7 @@ from rulesynth.store import (
     StoreFormatError,
     StoreIntegrityError,
     commit_verified_rule,
+    json_text,
     load_store,
     save_store,
     store_to_json,
@@ -99,6 +102,28 @@ def test_failed_save_keeps_old_store_and_leaves_no_temp_file(
     monkeypatch.undo()
     save_store(changed, path)
     assert load_store(path, onto) == changed
+
+
+_TEXT = st.text(st.one_of(
+    st.characters(max_codepoint=0x7F),  # control characters, quotes and backslashes included
+    st.sampled_from("\u00e9\u2028\u2029\ufeff\u4e2d\U0001f600"),
+), max_size=8)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
+    lambda children: st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, children, max_size=4),
+    max_leaves=12,
+)
+
+
+@given(_JSON)
+def test_json_text_writes_what_json_dumps_writes(value):
+    assert json_text(value) == json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False)
+
+
+def test_json_text_of_shipped_documents(seed_store):
+    for value in (store_to_json(seed_store), {}, [], {"a": {}, "b": [[], {}]}, float("nan"), -0.0, 10**30):
+        assert json_text(value) == json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False)
 
 
 def test_save_through_symlink_keeps_link_and_mode(tmp_path, seed_store):

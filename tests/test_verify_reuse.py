@@ -10,22 +10,29 @@ sizes 1 to 3.
 """
 
 import random
-from collections import Counter
+from collections import ChainMap, Counter
 from dataclasses import replace
+from itertools import chain
 
 import pytest
 
-from rulesynth.fol import validate_schema
+from rulesynth import sat
+from rulesynth.fol import PredicateDecl, Rule, parse_rule, validate_schema
 from rulesynth.grounding import (
+    ClauseDB,
     GroundingConfig,
+    comparison_axioms,
     extend,
     ground,
+    ground_literal,
+    invariant_attempts,
     render_model,
     rule_subset,
     rule_substitutions,
 )
 from rulesynth.store import Invariant, TheoryStore, VerifiedRule
 from rulesynth.verify import (
+    InvariantResult,
     check_consistency,
     check_entailment,
     check_invariants,
@@ -149,7 +156,8 @@ def test_subset_and_extension_clause_sets_equal_fresh_groundings(onto, mode):
         substitution = rng.choice(rule_substitutions(assumed, config, onto))
         assumptions = [(lit, substitution) for lit in assumed.literals()]
         assumptions += rng.sample(assumptions, rng.randint(0, 1))  # a repeated literal
-        atoms, clauses = extend(db, assumptions, config, onto)
+        attempt = [ground_literal(lit, s) for lit, s in assumptions]
+        atoms, clauses = extend(db, attempt, config, onto)
         assert (dict(db.atoms), list(db.clauses), dict(db.comparisons), list(db.axioms)) == before
         fresh = ground(rules, config, onto, assumptions=assumptions)
         assert list(fresh.atoms.items()) == [*db.atoms.items(), *atoms.items()]
@@ -231,3 +239,130 @@ def test_kept_groundings_verify_a_sequence_like_cold_configs(onto, mode):
                 rule = VerifiedRule(candidate, "c", "g", report["id"])
                 store = replace(store, verified_rules=(*store.verified_rules, rule))
     assert min(verdicts[v] for v in ("Inconsistent", "Redundant", "Unsafe", "Accepted")) >= 5, verdicts
+
+
+# --- the attempt table against the per-attempt loop ---
+
+class _Overlay(ChainMap):
+    """New entries over a base mapping that they never shadow, so its length
+    is the sum of the two; ChainMap's own length unions every key."""
+
+    def __len__(self) -> int:
+        return sum(map(len, self.maps))
+
+
+def reference_extend(db, assumptions, config, onto):
+    """`extend` as it was before the attempt table: each assumed literal,
+    a (literal, substitution) pair, rendered and interned into an overlay
+    of db's tables."""
+    atoms = {}
+    comparisons = {}
+    overlay = ClauseDB(_Overlay(atoms, db.atoms), _Overlay(comparisons, db.comparisons))
+    units = []
+    for lit, substitution in assumptions:
+        number = overlay.intern(lit.inner, substitution)
+        units.append(frozenset([-number if lit.negated else number]))
+    axioms = []
+    if config.comparison_mode == "interval-axioms" and comparisons:
+        axioms = comparison_axioms(overlay.comparisons, overlay.atoms, onto)
+    known = db.index.ids
+    return atoms, [c for c in dict.fromkeys(chain(units, axioms)) if c not in known]
+
+
+def reference_attempts(db, invariants, config, onto):
+    """Each attempt's extension of db, in the order `check_invariants` as it
+    was before the attempt table tried them."""
+    return [
+        reference_extend(db, [*((lit, s) for lit in invariant.rule.body), (head_lit.complement(), s)],
+                         config, onto)
+        for invariant in invariants
+        for s in rule_substitutions(invariant.rule, config, onto)
+        for head_lit in invariant.rule.head
+    ]
+
+
+def reference_check_invariants(db, invariants, config, onto):
+    """`check_invariants` as it was before the attempt table."""
+    for invariant in invariants:
+        for substitution in rule_substitutions(invariant.rule, config, onto):
+            assumptions = [(lit, substitution) for lit in invariant.rule.body]
+            for head_lit in invariant.rule.head:
+                negated = [*assumptions, (head_lit.complement(), substitution)]
+                atoms, clauses = reference_extend(db, negated, config, onto)
+                model = sat.solve(db.index, len(db.atoms) + len(atoms), extra=clauses)
+                if model is not None:
+                    countermodel = render_model({**db.atoms, **atoms}, model)
+                    return InvariantResult(False, invariant.id, countermodel)
+    return InvariantResult(True)
+
+
+def two_sort_vocabularies(onto):
+    """Predicates over two sorts, and the same names with `dense` over the
+    other sort, so that one rule's variable has a sort under each."""
+    vocabulary = replace(onto, predicates={
+        "collide": onto.predicates["collide"],
+        "dense": onto.predicates["dense"],
+        "near": PredicateDecl(2, ("vehicle", "zone")),
+        "clear": PredicateDecl(1, ("zone",)),
+    })
+    by_zone = replace(vocabulary, predicates={**vocabulary.predicates, "dense": PredicateDecl(1, ("zone",))})
+    return vocabulary, by_zone
+
+
+@pytest.mark.parametrize("mode", ["opaque", "interval-axioms"])
+@pytest.mark.parametrize("domain_size", [1, 2, 3])
+def test_attempt_table_checks_invariants_like_the_per_attempt_loop(onto, mode, domain_size):
+    """Seeded sequences of candidates on one config, some committed, under
+    two ontologies: every attempt's new atoms and clauses, and every
+    InvariantResult, equal the per-attempt loop's."""
+    vocabularies = two_sort_vocabularies(onto)
+    config = GroundingConfig.default(vocabularies[0], domain_size, mode)
+    seen = Counter()
+    for seed in range(12):
+        rng = random.Random(f"attempts-{mode}-{domain_size}-{seed}")
+        theory = [random_rule(rng, vocabularies[0]) for _ in range(rng.randint(0, 3))]
+        rules = [random_rule(rng, vocabularies[0]) for _ in range(rng.randint(1, 3))]
+        rules.append(Rule(rules[0].quantified_vars, rules[0].head, ()))  # an empty body
+        invariants = [Invariant(f"inv{i}", rule) for i, rule in enumerate(rules)]
+        for _ in range(6):
+            vocabulary = rng.choice(vocabularies)
+            candidate = random_rule(rng, vocabulary)
+            db = ground([*theory, candidate], config, vocabulary)
+            expected = reference_attempts(db, invariants, config, vocabulary)
+            actual = [
+                extend(db, attempt, config, vocabulary)
+                for invariant in invariants
+                for attempt in invariant_attempts(invariant.rule, config, vocabulary)
+            ]
+            assert [(list(a.items()), c) for a, c in actual] == [(list(a.items()), c) for a, c in expected]
+            result = check_invariants(db, invariants, config, vocabulary)
+            assert result == reference_check_invariants(db, invariants, config, vocabulary)
+            for atoms, clauses in actual:
+                seen["new atoms"] += bool(atoms)
+                seen["axioms"] += any(len(clause) > 1 for clause in clauses)
+            seen["violated"] += not result.preserved
+            if rng.random() < 0.5:
+                theory.append(candidate)
+    sorts = {rule: set() for rule, _ in config.attempts}
+    for rule, key in config.attempts:
+        sorts[rule].add(key)
+    seen["two sorts"] = sum(len(keys) > 1 for keys in sorts.values())
+    assert seen["new atoms"] and seen["violated"] and seen["two sorts"], seen
+    assert mode == "opaque" or seen["axioms"], seen
+
+
+def test_attempt_table_is_memoized_per_rule_content_and_sorts(onto):
+    vocabulary, by_zone = two_sort_vocabularies(onto)
+    config = GroundingConfig({"vehicle": ("v1", "v2"), "zone": ("z1",)}, "interval-axioms")
+    rule = parse_rule("forall X . not dense(X) <- speed(X) > 50 and dense(X)")
+    attempts = invariant_attempts(rule, config, vocabulary)
+    assert invariant_attempts(replace(rule, id="r-twin"), config, vocabulary) is attempts
+    assert [[(name, negated) for name, negated, _ in attempt] for attempt in attempts] == [
+        [("speed(v1) > 50", False), ("dense(v1)", False), ("dense(v1)", False)],
+        [("speed(v2) > 50", False), ("dense(v2)", False), ("dense(v2)", False)],
+    ]
+    assert attempts[0][0][2] == ground_literal(rule.body[0], {"X": "v1"})[2]
+    assert attempts[0][0][2].subject.name == "v1" and attempts[0][1][2] is None
+    zoned = invariant_attempts(rule, config, by_zone)
+    assert [attempt[1][0] for attempt in zoned] == ["dense(z1)"]
+    assert sorted(key[1] for key in config.attempts) == [("vehicle",), ("zone",)]
