@@ -20,35 +20,27 @@ instead of generating them again) or add assumed ground literals to it
 ones it lacks after db's) without grounding the rules again and without
 copying it.
 
-`ground` lays the last rule over a grounding of the rules before it: it
-copies that grounding's atom table, grounds the last rule into the copy
-and extends that grounding's index by the new clauses (`Index.extended`),
-then adds the assumptions and the interval axioms.  A config keeps the
-base and the result of its last call (`GroundingConfig.groundings`).  In a
+A config keeps every grounding `ground` made without assumptions in one
+map (`GroundingConfig.groundings`), keyed by the identity of the ontology
+and of each rule.  `ground` returns the kept grounding of its rules when
+there is one.  Otherwise it lays the last rule over the kept grounding of
+the rules before it: it copies that grounding's atom table, grounds the
+last rule into the copy and extends that grounding's index by the new
+clauses (`Index.extended`), then adds the assumptions and the interval
+axioms.  When the map lacks the rules before the last, it grounds them in
+one go and takes their interval axioms from the result's.  In a
 verification batch the theory is either unchanged since the last
-candidate, which was rejected, so the base is the kept base, or it has
-grown by that candidate, so the base is the kept result; only a first
-call, or a theory changed otherwise, grounds the base afresh, and then
-takes its interval axioms from the result's.  The atom numbering, the rule clauses and the order of the distinct clauses are
-those of grounding every rule in turn.
-
-A config memoizes the rules it grounds (`GroundingConfig.rule_groundings`).
-The first time it grounds a rule, the rule is interned straight into the
-ClauseDB, so a `ground` call with nothing to reuse does the work it always
-did.  The second time, the rule is grounded alone on a private ClauseDB
-and memoized: its atom names in first-occurrence order, their numbers, its
-clauses in those numbers and its comparisons.  From then on `ground`
-renames that entry into the ClauseDB's numbering, numbering each name the
-ClauseDB lacks next, which is the numbering interning every instance in
-turn gives, and keeps the renamed entry, so a rule grounded where it was
-grounded last time reuses its clauses as they are.
+candidate, which was rejected, or it has grown by that candidate, and
+either way the map holds its grounding.  The atom numbering, the rule
+clauses and the order of the distinct clauses are those of grounding
+every rule in turn.
 
 A config also keeps, per invariant, the ground literals each attempt to
 refute it assumes (`invariant_attempts`, memoized in
-`GroundingConfig.attempts` under the same key): per substitution and head
-literal, the body literals and the head literal's complement, each as its
-atom's name, its sign and its ground comparison.  They are rendered once
-per config, not once per candidate.
+`GroundingConfig.attempts` by the rule's content and its variables'
+sorts): per substitution and head literal, the body literals and the head
+literal's complement, each as its atom's name, its sign and its ground
+comparison.  They are rendered once per config, not once per candidate.
 """
 
 from __future__ import annotations
@@ -87,30 +79,24 @@ class GroundingError(ValueError):
 class GroundingConfig:
     """The constants of each sort and the comparison mode.
 
-    `rule_groundings` is `ground`'s memo, keyed by a rule's content (not
-    its id) and the sort of each quantified variable, which the ontology of
-    each call decides; within one config a sort fixes the constants.  A key
-    maps to None once the config has grounded the rule, and to the rule's
-    grounding once it has grounded it again.  `attempts` is
-    `invariant_attempts`' memo, under the same key: an invariant's attempts
-    as ground literals.  `groundings` holds the two ClauseDBs of the last
-    `ground` call, with their rules and ontology: the grounding of every
-    rule but the last, and the whole grounding when the call assumed
-    nothing.  No cache is part of equality, repr or `to_json`, and they
-    live as long as the config, which is one verification batch: a
+    `groundings` maps (id(onto), *map(id, rules)) to the ontology, the rule
+    tuple and the ClauseDB `ground` made of them without assumptions; the
+    entry holds the objects whose ids key it, so no id is reused while it
+    lives.  `attempts` is `invariant_attempts`' memo, keyed by a rule's
+    content and the sort of each quantified variable, which the ontology
+    of each call decides; within one config a sort fixes the constants.
+    Neither cache is part of equality, repr or `to_json`, and they live as
+    long as the config, which is one verification batch: a
     `dataclasses.replace`d config starts empty.
     """
 
     domain_constants: Mapping[str, tuple[str, ...]]
     comparison_mode: str = "opaque"
-    rule_groundings: dict[tuple[Rule, tuple[str, ...]], tuple | None] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
     attempts: dict[tuple[Rule, tuple[str, ...]], tuple[Attempt, ...]] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
-    groundings: list[tuple[tuple[Rule, ...], Ontology, ClauseDB]] = field(
-        default_factory=list, init=False, compare=False, repr=False
+    groundings: dict[tuple[int, ...], tuple[Ontology, tuple[Rule, ...], ClauseDB]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
     )
 
     def __post_init__(self) -> None:
@@ -153,7 +139,9 @@ class ClauseDB:
     clauses of the rules in first-occurrence order, and `index`, built by
     extending it, those of the rules, assumptions and axioms.
     `prefix_index` is the index of the grounding of every rule but the
-    last, which `ground` laid this one over (None for no rules).
+    last, which `ground` laid this one over.  It is None for no rules and
+    for a base `ground` made in one go, which `ground` returns only after
+    laying its last rule again.
     """
 
     atoms: MutableMapping[str, int] = field(default_factory=dict)
@@ -296,34 +284,40 @@ def ground(
     the atom table, and interval axioms (when enabled) cover their
     comparison atoms too.
 
-    The grounding is laid over the config's grounding of every rule but the
-    last (`GroundingConfig.groundings`), made afresh when the config lacks
-    it; the config then keeps that grounding and, without assumptions, this
-    one.
+    Without assumptions the config's kept grounding of the rules is
+    returned when there is one.  Otherwise the grounding is laid over the
+    config's grounding of every rule but the last, made in one go when the
+    config lacks it, and a call without assumptions keeps both
+    (`GroundingConfig.groundings`).
     """
     rules = tuple(rules)
     if not rules:
         db = _ground_rules(rules, config, onto)
         _add_assumptions_and_axioms(db, config, onto, assumptions)
         return db
+    kept = config.groundings
+    key = (id(onto), *map(id, rules))
+    entry = kept.get(key)
+    if entry and not assumptions and entry[2].prefix_index is not None:
+        return entry[2]
     prefix = rules[:-1]
-    base = next((db for key, known, db in config.groundings if known is onto and key == prefix), None)
-    fresh = base is None
-    if fresh:
-        base = _ground_rules(prefix, config, onto)
+    base_entry = kept.get(key[:-1])
+    base = _ground_rules(prefix, config, onto) if base_entry is None else base_entry[2]
     db = ClauseDB(dict(base.atoms), dict(base.comparisons), [*base.rule_clauses])
     clauses = _rule_clauses(rules[-1], config, onto, db)
     db.rule_clauses.append(clauses)
     db.rules_index = base.rules_index.extended(clauses)
     _add_assumptions_and_axioms(db, config, onto, assumptions)
-    if fresh:
+    if base_entry is None:
         # the base's atoms are numbered first, and its axioms are db's over
         # them, in the order generating them would give
         top = len(base.atoms)
         base.axioms = [axiom for axiom in db.axioms if all(abs(lit) <= top for lit in axiom)]
         base.index = base.rules_index.extended(base.axioms) if base.axioms else base.rules_index
     db.prefix_index = base.index
-    config.groundings[:] = [(prefix, onto, base)] + ([] if assumptions else [(rules, onto, db)])
+    if not assumptions:
+        kept[key[:-1]] = (onto, prefix, base)
+        kept[key] = (onto, rules, db)
     return db
 
 
@@ -354,38 +348,11 @@ def _add_assumptions_and_axioms(
 def _rule_clauses(
     rule: Rule, config: GroundingConfig, onto: Ontology, db: ClauseDB
 ) -> tuple[frozenset[int], ...]:
-    """The clauses of `rule`'s instances in db's numbering, in instance
-    order, duplicates kept; the rule's atoms db lacks are numbered in it."""
-    sorts = _sorts(rule, onto)
-    key = (rule, sorts)
-    memo = config.rule_groundings
-    known = len(memo)
-    entry = memo.setdefault(key, None)
-    if len(memo) > known:  # the config's first grounding of the rule
-        return _instances(rule, sorts, config, db)
-    if entry is None:
-        local = ClauseDB()
-        clauses = _instances(rule, sorts, config, local)
-        entry = memo[key] = (tuple(local.atoms), list(local.atoms.values()), clauses, local.comparisons)
-    names, numbers, clauses, comparisons = entry
-    atoms = db.atoms
-    ids = [atoms.setdefault(name, len(atoms) + 1) for name in names]
-    if ids != numbers:
-        rename = dict(zip(numbers, ids))
-        rename.update(zip(map(operator.neg, numbers), map(operator.neg, ids)))
-        clauses = tuple(frozenset(map(rename.__getitem__, clause)) for clause in clauses)
-        memo[key] = (names, ids, clauses, comparisons)
-    db.comparisons.update(comparisons)
-    return clauses
-
-
-def _instances(
-    rule: Rule, sorts: Sequence[str], config: GroundingConfig, db: ClauseDB
-) -> tuple[frozenset[int], ...]:
-    """The clauses of every instance of `rule`, interned into `db`."""
+    """The clauses of every instance of `rule`, in instance order,
+    duplicates kept; the rule's atoms db lacks are numbered in it."""
     return tuple(
         clause
-        for substitution in _substitutions(rule, sorts, config)
+        for substitution in rule_substitutions(rule, config, onto)
         for clause in instantiate_rule(rule, substitution, db)
     )
 
@@ -403,7 +370,8 @@ def invariant_attempts(rule: Rule, config: GroundingConfig, onto: Ontology) -> t
     substitution, in substitution order, and per head literal, in head
     order, the body literals and then the head literal's complement.
 
-    Memoized in `config.attempts` under the key of `rule_groundings`."""
+    Memoized in `config.attempts` by the rule's content and its
+    variables' sorts."""
     sorts = _sorts(rule, onto)
     key = (rule, sorts)
     found = config.attempts.get(key)

@@ -18,8 +18,9 @@ config recorded in the report.
 One `verify()` call grounds theory plus candidate once, in the consistency
 stage, into one ClauseDB with its clause index, and passes that ClauseDB
 to the later checks; every check is one solve of that index or of the
-theory's.  `ground` lays the candidate over the grounding of the theory
-that the config kept from the previous candidate, so the theory is not
+theory's.  The config keeps every grounding it made in one map, so
+`ground` returns the kept grounding of theory plus candidate, or lays the
+candidate over the kept grounding of the theory, and the theory is not
 grounded or indexed again.  Consistency solves the index whole; each
 core-shrinking trial switches off the clauses its kept rules and the
 candidate lack; entailment solves the theory's index with the interval

@@ -207,11 +207,11 @@ def test_ground_atom_names_render_the_ground_syntax(onto, rng, value):
                     render_inner(inner, {k: v for k, v in substitution.items() if k not in variables})
 
 
-# --- the per-rule memo against the per-instance loop ---
+# --- the config's map of groundings against the per-instance loop ---
 
 def reference_ground(rules, config, onto, assumptions=()):
-    """`ground` as it was before each rule's grounding was memoized: every
-    instance of every rule interned into one ClauseDB in turn."""
+    """Every instance of every rule interned into one fresh ClauseDB in
+    turn, with no grounding kept or laid over another."""
     db = ClauseDB()
     for rule in rules:
         db.rule_clauses.append(tuple(
@@ -261,7 +261,7 @@ def random_assumptions(rng, rules, config, onto):
 
 @pytest.mark.parametrize("mode", ["opaque", "interval-axioms"])
 @pytest.mark.parametrize("domain_size", [1, 2, 3])
-def test_memo_ground_equals_the_per_instance_loop(onto, mode, domain_size):
+def test_grounding_map_grounds_like_the_per_instance_loop(onto, mode, domain_size):
     vocabulary = two_sort_vocabulary(onto)
     for seed in range(30):
         rng = random.Random(seed)
@@ -269,10 +269,10 @@ def test_memo_ground_equals_the_per_instance_loop(onto, mode, domain_size):
         rules = [random_rule(rng, vocabulary) for _ in range(rng.randint(1, 5))]
         assumptions = random_assumptions(rng, rules, config, vocabulary)
         expected = grounding_parts(reference_ground(rules, config, vocabulary, assumptions))
-        # first grounding, second (memoizes), third (the entries' numbering again)
+        # the first grounding, then the kept one (laid again with assumptions)
         for _ in range(3):
             assert grounding_parts(ground(rules, config, vocabulary, assumptions)) == expected
-        # a rule repeated and the list reordered, on the warm memo
+        # a rule repeated and the list reordered, on the warm map
         moved = [*rules, rules[0]]
         rng.shuffle(moved)
         assert grounding_parts(ground(moved, config, vocabulary, assumptions)) == grounding_parts(
@@ -280,42 +280,62 @@ def test_memo_ground_equals_the_per_instance_loop(onto, mode, domain_size):
         )
 
 
-def test_memo_key_holds_the_sorts_each_ontology_gives(onto):
-    """One config, two ontologies that give X different sorts."""
+def test_grounding_map_keeps_one_entry_per_rule_tuple_grounded_without_assumptions(onto):
+    config = GroundingConfig.default(onto, 2)
+    theory = (parse_rule(COLLIDE_RULE, onto),)
+    candidate = parse_rule(DENSE_RULE, onto)
+    assumption = [(candidate.head[0], {"X": "vehicle1"})]
+    ground([*theory, candidate], config, onto, assumption)
+    assert config.groundings == {}  # a call with assumptions keeps nothing
+    db = ground([*theory, candidate], config, onto)
+    assert {key: (known, rules) for key, (known, rules, _) in config.groundings.items()} == {
+        (id(onto), id(theory[0])): (onto, theory),
+        (id(onto), id(theory[0]), id(candidate)): (onto, (*theory, candidate)),
+    }
+    assert ground((*theory, candidate), config, onto) is db  # the kept grounding
+    assert ground([*theory, candidate], config, onto, assumption) is not db
+    committed = ground([*theory, candidate, candidate], config, onto)  # after a commit
+    assert committed.prefix_index is db.index
+    rejected = ground([*theory, theory[0]], config, onto)  # after a rejection
+    assert rejected.prefix_index is db.prefix_index
+    assert len(config.groundings) == 4
+    base_key = (id(onto), id(theory[0]))
+    base = config.groundings[base_key][2]
+    assert base.prefix_index is None  # grounded in one go as the first call's base
+    alone = ground(theory, config, onto)  # laid again, and kept in its place
+    assert alone is not base and alone.prefix_index is not None
+    assert config.groundings[base_key][2] is alone
+    assert grounding_parts(alone) == grounding_parts(base) == grounding_parts(reference_ground(theory, config, onto))
+    assert ground(theory, config, onto) is alone
+
+
+def test_grounding_map_grounds_twins_and_a_second_ontology_afresh(onto):
+    """Content-equal but distinct rule objects, and one config under two
+    ontologies that give X different sorts, miss the map and ground like
+    the per-instance loop."""
     by_vehicle = replace(onto, predicates={"p": PredicateDecl(1, ("vehicle",))})
     by_zone = replace(onto, predicates={"p": PredicateDecl(1, ("zone",))})
     config = GroundingConfig({"vehicle": ("v1", "v2"), "zone": ("z1",)})
     rule = parse_rule("forall X . p(X) <- true")
-    for vocabulary in (by_vehicle, by_zone, by_vehicle, by_zone, by_vehicle):
-        db = ground([rule], config, vocabulary)
-        assert grounding_parts(db) == grounding_parts(reference_ground([rule], config, vocabulary))
-    assert list(ground([rule], config, by_zone).atoms) == ["p(z1)"]
-    assert sorted(key[1] for key in config.rule_groundings) == [("vehicle",), ("zone",)]
-    assert all(entry is not None for entry in config.rule_groundings.values())
-
-
-def test_memo_is_filled_by_a_second_grounding_and_shared_by_content_equal_rules(onto):
-    config = one_constant(onto)
-    rule = parse_rule(COLLIDE_RULE, onto)
     twin = replace(rule, id="r-twin")
-    assert twin == rule and twin.id != rule.id
-    ground([rule], config, onto)
-    assert config.rule_groundings == {(rule, ("vehicle",)): None}  # a single grounding memoizes nothing
-    ground([rule], config, onto)
-    (entry,) = config.rule_groundings.values()
-    assert entry is not None
-    db = ground([twin], config, onto)
-    (after,) = config.rule_groundings.values()
-    assert db.rule_clauses == [after[2]] and after[2] is entry[2]  # the twin reused the rule's clauses
+    assert twin == rule and twin is not rule
+    for vocabulary, rules in [(by_vehicle, [rule]), (by_zone, [rule]), (by_vehicle, [twin]),
+                              (by_zone, [rule, twin]), (by_vehicle, [rule])]:
+        db = ground(rules, config, vocabulary)
+        assert grounding_parts(db) == grounding_parts(reference_ground(rules, config, vocabulary))
+    assert list(ground([rule], config, by_zone).atoms) == ["p(z1)"]
+    assert sorted(
+        (vocabulary is by_zone, [r is twin for r in rules]) for vocabulary, rules, _ in config.groundings.values()
+    ) == [(False, []), (False, [False]), (False, [True]), (True, []), (True, [False]), (True, [False, True])]
 
 
 def test_memo_starts_empty_in_a_replaced_config(onto):
     config = GroundingConfig.default(onto, 2)
     ground([parse_rule(COLLIDE_RULE, onto)], config, onto)
     invariant_attempts(parse_rule(DENSE_RULE, onto), config, onto)
-    assert config.rule_groundings and config.attempts
+    assert config.groundings and config.attempts
     for copy in (replace(config), replace(config, comparison_mode="interval-axioms")):
-        assert copy.rule_groundings == {} and copy.rule_groundings is not config.rule_groundings
+        assert copy.groundings == {} and copy.groundings is not config.groundings
         assert copy.attempts == {} and copy.attempts is not config.attempts
 
 
@@ -323,21 +343,20 @@ def test_memo_leaves_equality_json_and_reports_alone(onto, seed_store):
     warm = GroundingConfig.default(onto, 2)
     cold = GroundingConfig.default(onto, 2)
     rule = parse_rule(DENSE_RULE, onto)
-    for _ in range(2):
-        ground([rule], warm, onto)
+    ground([*seed_store.theory_rules(), rule], warm, onto)
     invariant_attempts(rule, warm, onto)
-    assert warm.rule_groundings and warm.attempts and not cold.rule_groundings and not cold.attempts
+    assert warm.groundings and warm.attempts and not cold.groundings and not cold.attempts
     assert warm == cold and repr(warm) == repr(cold)
     assert warm.to_json() == cold.to_json() == {
         "domain_constants": {"vehicle": ["vehicle1", "vehicle2"]},
         "comparison_mode": "opaque",
     }
-    report = verify(rule, seed_store, warm, onto).to_json_dict()
+    report = verify(rule, seed_store, warm, onto).to_json_dict()  # on the kept grounding
     assert report == verify(rule, seed_store, cold, onto).to_json_dict()
     assert report["grounding"] == cold.to_json()
 
 
-def test_memo_list_constants_ground_like_tuples(onto):
+def test_grounding_map_list_constants_ground_like_tuples(onto):
     rule = parse_rule("forall X . merge_ok(X) <- speed(X) > 50 and dense(X)", onto)
     listed = GroundingConfig({"vehicle": ["a", "b"]}, "interval-axioms")
     tupled = GroundingConfig({"vehicle": ("a", "b")}, "interval-axioms")
@@ -352,9 +371,9 @@ def test_kept_groundings_equal_the_per_instance_loop(onto, mode):
     """Rule lists in the order a batch grounds them: one rule more after a
     commit, the last rule replaced after a rejection, at times with
     assumptions, a list from scratch or another ontology that gives X
-    another sort.  Each grounding equals the per-instance loop's, its
-    `prefix_index` holds the clauses of grounding its rules but the last,
-    and the config keeps at most two groundings."""
+    another sort.  Each grounding, and each grounding the config keeps,
+    equals the per-instance loop's, and a grounding's `prefix_index` holds
+    the clauses of grounding its rules but the last."""
     vocabulary = two_sort_vocabulary(onto)
     by_zone = replace(vocabulary, predicates={**vocabulary.predicates, "dense": PredicateDecl(1, ("zone",))})
     seen = set()
@@ -374,23 +393,8 @@ def test_kept_groundings_equal_the_per_instance_loop(onto, mode):
             db = ground(listed, config, ontology, assumptions)
             assert grounding_parts(db) == grounding_parts(reference_ground(listed, config, ontology, assumptions))
             assert set(db.prefix_index.clauses) == set(reference_ground(listed[:-1], config, ontology).clauses)
-            assert len(config.groundings) <= 2
             if move == "commit":
                 rules = listed
+        for known, kept_rules, db in config.groundings.values():
+            assert grounding_parts(db) == grounding_parts(reference_ground(kept_rules, config, known))
     assert len(seen) == 5
-
-
-def test_a_config_keeps_the_last_base_and_the_last_grounding_without_assumptions(onto):
-    config = GroundingConfig.default(onto, 2)
-    theory = [parse_rule(COLLIDE_RULE, onto)]
-    candidate = parse_rule(DENSE_RULE, onto)
-    db = ground([*theory, candidate], config, onto)
-    (_, _, base), last = config.groundings
-    assert last == ((*theory, candidate), onto, db) and db.prefix_index is base.index
-    assert ground([*theory, candidate, candidate], config, onto).prefix_index is db.index  # after a commit
-    rejected = ground([*theory, candidate, theory[0]], config, onto)
-    assert rejected.prefix_index is db.index  # the same base again
-    assumption = [(candidate.head[0], {"X": "vehicle1"})]
-    assumed = ground([*theory, candidate], config, onto, assumption)
-    assert [key for key, _, _ in config.groundings] == [tuple(theory)]
-    assert assumed.prefix_index is not db.prefix_index  # the base is grounded afresh

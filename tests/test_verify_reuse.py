@@ -47,7 +47,8 @@ from rulegen import random_rule
 # --- reference: one fresh grounding per check ---
 
 def cold(config):
-    """The same grounding settings with nothing memoized or kept."""
+    """The same grounding settings with an empty map of groundings and no
+    memoized attempts."""
     return GroundingConfig(config.domain_constants, config.comparison_mode)
 
 
@@ -210,10 +211,41 @@ def test_shared_grounding_matches_fresh_groundings(onto, mode):
     assert set(verdicts) == {"Inconsistent", "Redundant", "Unsafe", "Accepted"}, verdicts
 
 
+def random_sequence(rng, vocabulary, onto):
+    """A store and eight candidates, now and then a rule of the theory or
+    an earlier candidate again."""
+    theory, _, invariants = random_case(rng, vocabulary, onto)
+    store = TheoryStore(
+        verified_rules=tuple(VerifiedRule(r, "c", "g", "vrep") for r in theory),
+        invariants=tuple(invariants),
+    )
+    candidates = []
+    for _ in range(8):
+        if (theory or candidates) and rng.random() < 0.15:
+            candidates.append(rng.choice([*theory, *candidates]))
+        else:
+            candidates.append(valid_rule(rng, vocabulary, onto))
+    return store, candidates
+
+
+def verify_sequence(store, candidates, config, onto):
+    """Each candidate's report on `config`, each Accepted one committed
+    before the next, as a batch does; each report must equal a cold
+    config's."""
+    reports = []
+    for candidate in candidates:
+        report = verify(candidate, store, config, onto).to_json_dict()
+        assert report == verify(candidate, store, cold(config), onto).to_json_dict()
+        reports.append(report)
+        if report["verdict"] == "Accepted":
+            rule = VerifiedRule(candidate, "c", "g", report["id"])
+            store = replace(store, verified_rules=(*store.verified_rules, rule))
+    return reports
+
+
 @pytest.mark.parametrize("mode", ["opaque", "interval-axioms"])
 def test_kept_groundings_verify_a_sequence_like_cold_configs(onto, mode):
-    """Candidates verified in turn on one config, each Accepted one committed
-    before the next, as a batch does: the config's kept groundings are the
+    """Candidates verified in turn on one config: the config holds the
     previous theory (after a rejection) and the previous theory plus
     candidate (after a commit), and every report equals a cold config's."""
     vocabulary = small_vocabulary(onto)
@@ -221,23 +253,30 @@ def test_kept_groundings_verify_a_sequence_like_cold_configs(onto, mode):
     verdicts = Counter()
     for case in range(30):
         config = GroundingConfig.default(onto, case % 3 + 1, mode)
-        theory, _, invariants = random_case(rng, vocabulary, onto)
-        store = TheoryStore(
-            verified_rules=tuple(VerifiedRule(r, "c", "g", "vrep") for r in theory),
-            invariants=tuple(invariants),
-        )
-        for _ in range(8):
-            if store.verified_rules and rng.random() < 0.15:  # a rule of the theory again
-                candidate = rng.choice(store.verified_rules).rule
-            else:
-                candidate = valid_rule(rng, vocabulary, onto)
-            report = verify(candidate, store, config, onto).to_json_dict()
-            assert report == verify(candidate, store, cold(config), onto).to_json_dict(), case
-            assert len(config.groundings) <= 2
-            verdicts[report["verdict"]] += 1
-            if report["verdict"] == "Accepted":
-                rule = VerifiedRule(candidate, "c", "g", report["id"])
-                store = replace(store, verified_rules=(*store.verified_rules, rule))
+        store, candidates = random_sequence(rng, vocabulary, onto)
+        reports = verify_sequence(store, candidates, config, onto)
+        verdicts.update(report["verdict"] for report in reports)
+    assert min(verdicts[v] for v in ("Inconsistent", "Redundant", "Unsafe", "Accepted")) >= 5, verdicts
+
+
+@pytest.mark.parametrize("mode", ["opaque", "interval-axioms"])
+def test_grounding_map_verifies_a_sequence_again_like_cold_configs(onto, mode):
+    """The same sequences verified twice on one config, as the benchmark's
+    suite does across passes: every grounding of the second pass is one
+    the map kept from the first, and every report equals a cold config's."""
+    vocabulary = small_vocabulary(onto)
+    rng = random.Random(f"sequence-again-{mode}")
+    verdicts = Counter()
+    for case in range(30):
+        config = GroundingConfig.default(onto, case % 3 + 1, mode)
+        store, candidates = random_sequence(rng, vocabulary, onto)
+        first = verify_sequence(store, candidates, config, onto)
+        kept = {key: db for key, (_, _, db) in config.groundings.items()}
+        reports = verify_sequence(store, candidates, config, onto)
+        assert reports == first, case
+        assert config.groundings.keys() == kept.keys(), case
+        assert all(config.groundings[key][2] is db for key, db in kept.items()), case
+        verdicts.update(report["verdict"] for report in reports)
     assert min(verdicts[v] for v in ("Inconsistent", "Redundant", "Unsafe", "Accepted")) >= 5, verdicts
 
 
