@@ -39,7 +39,6 @@ from .oracle import (
     MalformedResponse,
     Oracle,
     OracleUnavailable,
-    QueryCache,
     RecordingOracle,
     ReplayOracle,
     UntranslatableCause,

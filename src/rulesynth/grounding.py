@@ -20,20 +20,19 @@ instead of generating them again) or add assumed ground literals to it
 ones it lacks after db's) without grounding the rules again and without
 copying it.
 
-A config keeps every grounding `ground` made without assumptions in one
-map (`GroundingConfig.groundings`), keyed by the identity of the ontology
-and of each rule.  `ground` returns the kept grounding of its rules when
+A config keeps every grounding `ground` made in one map
+(`GroundingConfig.groundings`), keyed by the identity of the ontology and
+of each rule.  `ground` returns the kept grounding of its rules when
 there is one.  Otherwise it lays the last rule over the kept grounding of
 the rules before it: it copies that grounding's atom table, grounds the
 last rule into the copy and extends that grounding's index by the new
-clauses (`Index.extended`), then adds the assumptions and the interval
-axioms.  When the map lacks the rules before the last, it grounds them in
-one go and takes their interval axioms from the result's.  In a
-verification batch the theory is either unchanged since the last
-candidate, which was rejected, or it has grown by that candidate, and
-either way the map holds its grounding.  The atom numbering, the rule
-clauses and the order of the distinct clauses are those of grounding
-every rule in turn.
+clauses (`Index.extended`), then adds the interval axioms.  When the map
+lacks the rules before the last, it grounds them in one go and takes
+their interval axioms from the result's.  In a verification batch the
+theory is either unchanged since the last candidate, which was rejected,
+or it has grown by that candidate, and either way the map holds its
+grounding.  The atom numbering, the rule clauses and the order of the
+distinct clauses are those of grounding every rule in turn.
 
 A config also keeps, per invariant, the ground literals each attempt to
 refute it assumes (`invariant_attempts`, memoized in
@@ -80,11 +79,11 @@ class GroundingConfig:
     """The constants of each sort and the comparison mode.
 
     `groundings` maps (id(onto), *map(id, rules)) to the ontology, the rule
-    tuple and the ClauseDB `ground` made of them without assumptions; the
-    entry holds the objects whose ids key it, so no id is reused while it
-    lives.  `attempts` is `invariant_attempts`' memo, keyed by a rule's
-    content and the sort of each quantified variable, which the ontology
-    of each call decides; within one config a sort fixes the constants.
+    tuple and the ClauseDB `ground` made of them; the entry holds the
+    objects whose ids key it, so no id is reused while it lives.
+    `attempts` is `invariant_attempts`' memo, keyed by a rule's content
+    and the sort of each quantified variable, which the ontology of each
+    call decides; within one config a sort fixes the constants.
     Neither cache is part of equality, repr or `to_json`, and they live as
     long as the config, which is one verification batch: a
     `dataclasses.replace`d config starts empty.
@@ -137,7 +136,7 @@ class ClauseDB:
     instances, in instantiation order, duplicates included.  `axioms` holds
     the interval axioms as generated.  `rules_index` holds the distinct
     clauses of the rules in first-occurrence order, and `index`, built by
-    extending it, those of the rules, assumptions and axioms.
+    extending it, those of the rules and axioms.
     `prefix_index` is the index of the grounding of every rule but the
     last, which `ground` laid this one over.  It is None for no rules and
     for a base `ground` made in one go, which `ground` returns only after
@@ -272,33 +271,23 @@ def _signed(lit: Literal, index: int) -> int:
     return -index if lit.negated else index
 
 
-def ground(
-    rules: Sequence[Rule],
-    config: GroundingConfig,
-    onto: Ontology,
-    assumptions: Sequence[tuple[Literal, Mapping[str, str]]] = (),
-) -> ClauseDB:
-    """Ground a rule set (plus optional assumed unit literals) to a ClauseDB.
+def ground(rules: Sequence[Rule], config: GroundingConfig, onto: Ontology) -> ClauseDB:
+    """Ground a rule set to a ClauseDB.
 
-    Assumptions are ground literals asserted as unit clauses; they share
-    the atom table, and interval axioms (when enabled) cover their
-    comparison atoms too.
-
-    Without assumptions the config's kept grounding of the rules is
-    returned when there is one.  Otherwise the grounding is laid over the
-    config's grounding of every rule but the last, made in one go when the
-    config lacks it, and a call without assumptions keeps both
-    (`GroundingConfig.groundings`).
+    The config's kept grounding of the rules is returned when there is
+    one.  Otherwise the grounding is laid over the config's grounding of
+    every rule but the last, made in one go when the config lacks it, and
+    both are kept (`GroundingConfig.groundings`).
     """
     rules = tuple(rules)
     if not rules:
         db = _ground_rules(rules, config, onto)
-        _add_assumptions_and_axioms(db, config, onto, assumptions)
+        _add_axioms_and_index(db, config, onto)
         return db
     kept = config.groundings
     key = (id(onto), *map(id, rules))
     entry = kept.get(key)
-    if entry and not assumptions and entry[2].prefix_index is not None:
+    if entry and entry[2].prefix_index is not None:
         return entry[2]
     prefix = rules[:-1]
     base_entry = kept.get(key[:-1])
@@ -307,7 +296,7 @@ def ground(
     clauses = _rule_clauses(rules[-1], config, onto, db)
     db.rule_clauses.append(clauses)
     db.rules_index = base.rules_index.extended(clauses)
-    _add_assumptions_and_axioms(db, config, onto, assumptions)
+    _add_axioms_and_index(db, config, onto)
     if base_entry is None:
         # the base's atoms are numbered first, and its axioms are db's over
         # them, in the order generating them would give
@@ -315,9 +304,8 @@ def ground(
         base.axioms = [axiom for axiom in db.axioms if all(abs(lit) <= top for lit in axiom)]
         base.index = base.rules_index.extended(base.axioms) if base.axioms else base.rules_index
     db.prefix_index = base.index
-    if not assumptions:
-        kept[key[:-1]] = (onto, prefix, base)
-        kept[key] = (onto, rules, db)
+    kept[key[:-1]] = (onto, prefix, base)
+    kept[key] = (onto, rules, db)
     return db
 
 
@@ -331,18 +319,11 @@ def _ground_rules(rules: Sequence[Rule], config: GroundingConfig, onto: Ontology
     return db
 
 
-def _add_assumptions_and_axioms(
-    db: ClauseDB,
-    config: GroundingConfig,
-    onto: Ontology,
-    assumptions: Sequence[tuple[Literal, Mapping[str, str]]],
-) -> None:
-    """Intern the assumptions, set db's interval axioms and build its index
-    over its rules' index."""
-    units = [frozenset([_signed(lit, db.intern(lit.inner, s))]) for lit, s in assumptions]
+def _add_axioms_and_index(db: ClauseDB, config: GroundingConfig, onto: Ontology) -> None:
+    """Set db's interval axioms and build its index over its rules' index."""
     if config.comparison_mode == "interval-axioms":
         append_comparison_axioms(db, onto)
-    db.index = db.rules_index.extended(chain(units, db.axioms)) if units or db.axioms else db.rules_index
+    db.index = db.rules_index.extended(db.axioms) if db.axioms else db.rules_index
 
 
 def _rule_clauses(
@@ -394,9 +375,10 @@ def extend(
     order, and the distinct unit and interval-axiom clauses `db` lacks;
     axioms are generated only when the attempt brings new comparisons.
     When db is ground(rules, config, onto), db's atoms followed by the new
-    ones are the atom numbering of grounding the rules with the attempt's
-    literals as assumptions, and db's clauses plus the new ones are its
-    clause set.
+    ones are the numbering that interning the rules' instances and then
+    the attempt's literals in turn gives, and db's clauses plus the new
+    ones are the rules' clauses, the literals as unit clauses and the
+    interval axioms over every comparison among them.
     """
     known = db.atoms
     atoms: dict[str, int] = {}

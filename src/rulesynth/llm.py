@@ -242,6 +242,8 @@ class LlmOracle(Oracle):
             content = response["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise MalformedResponse(f"response lacks chat content: {exc}") from exc
+        if not isinstance(content, str):  # null on a structured-output refusal
+            raise MalformedResponse(f"response content is not a string: {content!r:.200}")
         try:
             return json.loads(content)
         except json.JSONDecodeError as exc:

@@ -30,8 +30,9 @@ literals bring (`extend`), without copying the ClauseDB.  The attempts'
 literals are rendered once per config (`invariant_attempts`), so an
 attempt only looks their names up in the ClauseDB's atom table.  Each of
 these clause sets, and its atom numbering, equals what grounding that
-check's rules (and assumptions) afresh would give, up to clause order,
-and the DPLL answer depends only on those two.
+check's rules afresh would give, with an attempt's literals as unit
+clauses, up to clause order, and the DPLL answer depends only on those
+two.
 """
 
 from __future__ import annotations
@@ -195,40 +196,36 @@ def verify(
 ) -> VerificationReport:
     """Run the staged pipeline for one candidate against the store's theory."""
     stages = ["schema"]
-    violations = validate_schema(candidate, onto)
-    grounding_used = config.to_json()
-    if violations:
+
+    def report(
+        verdict: str,
+        violations: tuple[str, ...] = (),
+        consistency: ConsistencyResult | None = None,
+        redundancy: str | None = None,
+        invariants: InvariantResult | None = None,
+    ) -> VerificationReport:
         return VerificationReport(
-            candidate.id, render_rule(candidate), "Malformed", tuple(stages),
-            tuple(v.message for v in violations), None, None, None, grounding_used,
+            candidate.id, render_rule(candidate), verdict, tuple(stages), violations,
+            consistency, redundancy, invariants, config.to_json(),
         )
+
+    violations = validate_schema(candidate, onto)
+    if violations:
+        return report("Malformed", tuple(v.message for v in violations))
     theory = store.theory_rules()
     stages.append("consistency")
     consistency = check_consistency(theory, candidate, config, onto)
     db = consistency.db
     consistency = replace(consistency, db=None)  # the report keeps no grounding
     if not consistency.consistent:
-        return VerificationReport(
-            candidate.id, render_rule(candidate), "Inconsistent", tuple(stages),
-            (), consistency, None, None, grounding_used,
-        )
+        return report("Inconsistent", consistency=consistency)
     stages.append("redundancy")
     if check_entailment(db):
-        return VerificationReport(
-            candidate.id, render_rule(candidate), "Redundant", tuple(stages),
-            (), consistency, "entailed", None, grounding_used,
-        )
+        return report("Redundant", consistency=consistency, redundancy="entailed")
     stages.append("invariants")
-    invariant_result = check_invariants(db, store.invariants, config, onto)
-    if not invariant_result.preserved:
-        return VerificationReport(
-            candidate.id, render_rule(candidate), "Unsafe", tuple(stages),
-            (), consistency, "novel", invariant_result, grounding_used,
-        )
-    return VerificationReport(
-        candidate.id, render_rule(candidate), "Accepted", tuple(stages),
-        (), consistency, "novel", invariant_result, grounding_used,
-    )
+    invariants = check_invariants(db, store.invariants, config, onto)
+    verdict = "Accepted" if invariants.preserved else "Unsafe"
+    return report(verdict, consistency=consistency, redundancy="novel", invariants=invariants)
 
 
 def theory_soundness(

@@ -1,13 +1,11 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
-from itertools import chain
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rulesynth import sat
 from rulesynth.fol import (
     Atom,
     Comparison,
@@ -24,15 +22,16 @@ from rulesynth.grounding import (
     ClauseDB,
     GroundingConfig,
     GroundingError,
-    append_comparison_axioms,
+    extend,
     ground,
-    instantiate_rule,
+    ground_literal,
     invariant_attempts,
     rule_substitutions,
 )
 from rulesynth.verify import verify
 
 from conftest import COLLIDE_RULE, DENSE_RULE
+from reference_grounding import reference_ground
 from rulegen import random_rule
 
 
@@ -166,9 +165,12 @@ def test_comparison_only_rule_grounds_over_default_sort(onto):
 
 def test_assumptions_become_unit_clauses(onto):
     rule = parse_rule(COLLIDE_RULE, onto)
+    config = one_constant(onto)
+    db = ground([rule], config, onto)
     lit = Literal(True, Atom("collide", (const("a"),)))
-    db = ground([rule], one_constant(onto), onto, assumptions=[(lit.complement(), {})])
-    assert frozenset({db.atoms["collide(a)"]}) in db.clauses
+    atoms, clauses = extend(db, (ground_literal(lit.complement(), {}),), config, onto)
+    assert atoms == {} and clauses == [frozenset({db.atoms["collide(a)"]})]
+    assert frozenset({db.atoms["collide(a)"]}) not in db.clauses  # db is left unchanged
 
 
 def ground_syntax(inner, substitution):
@@ -209,26 +211,6 @@ def test_ground_atom_names_render_the_ground_syntax(onto, rng, value):
 
 # --- the config's map of groundings against the per-instance loop ---
 
-def reference_ground(rules, config, onto, assumptions=()):
-    """Every instance of every rule interned into one fresh ClauseDB in
-    turn, with no grounding kept or laid over another."""
-    db = ClauseDB()
-    for rule in rules:
-        db.rule_clauses.append(tuple(
-            clause
-            for substitution in rule_substitutions(rule, config, onto)
-            for clause in instantiate_rule(rule, substitution, db)
-        ))
-    units = [
-        frozenset([-db.intern(lit.inner, s) if lit.negated else db.intern(lit.inner, s)])
-        for lit, s in assumptions
-    ]
-    if config.comparison_mode == "interval-axioms":
-        append_comparison_axioms(db, onto)
-    db.index = sat.Index(chain(*db.rule_clauses, units, db.axioms))
-    return db
-
-
 def grounding_parts(db):
     """Everything a grounding determines, orders and duplicates included."""
     return (
@@ -267,16 +249,15 @@ def test_grounding_map_grounds_like_the_per_instance_loop(onto, mode, domain_siz
         rng = random.Random(seed)
         config = GroundingConfig.default(vocabulary, domain_size, mode)
         rules = [random_rule(rng, vocabulary) for _ in range(rng.randint(1, 5))]
-        assumptions = random_assumptions(rng, rules, config, vocabulary)
-        expected = grounding_parts(reference_ground(rules, config, vocabulary, assumptions))
-        # the first grounding, then the kept one (laid again with assumptions)
+        expected = grounding_parts(reference_ground(rules, config, vocabulary))
+        # the first grounding, then the kept one
         for _ in range(3):
-            assert grounding_parts(ground(rules, config, vocabulary, assumptions)) == expected
+            assert grounding_parts(ground(rules, config, vocabulary)) == expected
         # a rule repeated and the list reordered, on the warm map
         moved = [*rules, rules[0]]
         rng.shuffle(moved)
-        assert grounding_parts(ground(moved, config, vocabulary, assumptions)) == grounding_parts(
-            reference_ground(moved, config, vocabulary, assumptions)
+        assert grounding_parts(ground(moved, config, vocabulary)) == grounding_parts(
+            reference_ground(moved, config, vocabulary)
         )
 
 
@@ -284,16 +265,12 @@ def test_grounding_map_keeps_one_entry_per_rule_tuple_grounded_without_assumptio
     config = GroundingConfig.default(onto, 2)
     theory = (parse_rule(COLLIDE_RULE, onto),)
     candidate = parse_rule(DENSE_RULE, onto)
-    assumption = [(candidate.head[0], {"X": "vehicle1"})]
-    ground([*theory, candidate], config, onto, assumption)
-    assert config.groundings == {}  # a call with assumptions keeps nothing
     db = ground([*theory, candidate], config, onto)
     assert {key: (known, rules) for key, (known, rules, _) in config.groundings.items()} == {
         (id(onto), id(theory[0])): (onto, theory),
         (id(onto), id(theory[0]), id(candidate)): (onto, (*theory, candidate)),
     }
     assert ground((*theory, candidate), config, onto) is db  # the kept grounding
-    assert ground([*theory, candidate], config, onto, assumption) is not db
     committed = ground([*theory, candidate, candidate], config, onto)  # after a commit
     assert committed.prefix_index is db.index
     rejected = ground([*theory, theory[0]], config, onto)  # after a rejection
@@ -370,10 +347,12 @@ def test_grounding_map_list_constants_ground_like_tuples(onto):
 def test_kept_groundings_equal_the_per_instance_loop(onto, mode):
     """Rule lists in the order a batch grounds them: one rule more after a
     commit, the last rule replaced after a rejection, at times with
-    assumptions, a list from scratch or another ontology that gives X
+    assumed literals, a list from scratch or another ontology that gives X
     another sort.  Each grounding, and each grounding the config keeps,
-    equals the per-instance loop's, and a grounding's `prefix_index` holds
-    the clauses of grounding its rules but the last."""
+    equals the per-instance loop's, a grounding's `prefix_index` holds the
+    clauses of grounding its rules but the last, and the atoms and clauses
+    `extend` adds for assumed literals complete the per-instance loop's
+    grounding with those literals as unit clauses."""
     vocabulary = two_sort_vocabulary(onto)
     by_zone = replace(vocabulary, predicates={**vocabulary.predicates, "dense": PredicateDecl(1, ("zone",))})
     seen = set()
@@ -389,10 +368,16 @@ def test_kept_groundings_equal_the_per_instance_loop(onto, mode):
                 rules = [random_rule(rng, vocabulary) for _ in range(rng.randint(1, 4))]
             candidate = random_rule(rng, vocabulary)
             listed = [*rules, candidate] if move == "commit" else [*rules[:-1], candidate]
-            assumptions = random_assumptions(rng, listed, config, ontology) if move == "assume" else []
-            db = ground(listed, config, ontology, assumptions)
-            assert grounding_parts(db) == grounding_parts(reference_ground(listed, config, ontology, assumptions))
+            db = ground(listed, config, ontology)
+            assert grounding_parts(db) == grounding_parts(reference_ground(listed, config, ontology))
             assert set(db.prefix_index.clauses) == set(reference_ground(listed[:-1], config, ontology).clauses)
+            if move == "assume":
+                assumptions = random_assumptions(rng, listed, config, ontology)
+                attempt = [ground_literal(lit, substitution) for lit, substitution in assumptions]
+                atoms, clauses = extend(db, attempt, config, ontology)
+                assumed = reference_ground(listed, config, ontology, assumptions)
+                assert list(assumed.atoms.items()) == [*db.atoms.items(), *atoms.items()]
+                assert set(assumed.clauses) == set(db.clauses) | set(clauses)
             if move == "commit":
                 rules = listed
         for known, kept_rules, db in config.groundings.values():

@@ -3,6 +3,7 @@ import json
 import pytest
 import requests
 
+from rulesynth import cli, llm
 from rulesynth.llm import PROMPTS, LlmOracle, LlmOracleConfig
 from rulesynth.oracle import MalformedResponse, OracleUnavailable
 from rulesynth.store import Cause, Goal, Principle
@@ -147,3 +148,35 @@ def test_generate_truncates_to_count_hint():
     transport = FakeTransport({"causes": [f"cause {i}" for i in range(10)]})
     oracle = LlmOracle(make_config(), transport)
     assert len(oracle.generate_causes(GOAL, PRINCIPLES, 4)) == 4
+
+
+@pytest.mark.parametrize("content", [None, 7, ["causes"], {"causes": ["x"]}])
+def test_non_string_content_is_malformed_and_reasked_once(content):
+    def transport(endpoint, payload, headers, timeout):
+        payloads.append(payload)
+        return {"choices": [{"message": {"content": content, "refusal": "no"}}]}
+
+    payloads = []
+    oracle = LlmOracle(make_config(), transport)
+    with pytest.raises(MalformedResponse, match="not a string"):
+        oracle.generate_causes(GOAL, PRINCIPLES, 8)
+    assert len(payloads) == 2  # the one bounded re-ask ran
+    assert "failed validation" in payloads[1]["messages"][1]["content"]
+
+
+def test_cli_exits_3_without_traceback_on_refusals(work_dir, capsys, monkeypatch):
+    config = work_dir / "scenario1.config.json"
+    doc = json.loads(config.read_text())
+    doc["oracle"] = {"mode": "llm", "llm": {"endpoint": "https://llm.test/v1/chat/completions", "model": "m"}}
+    config.write_text(json.dumps(doc))
+    payloads = []
+
+    def refusing(endpoint, payload, headers, timeout):
+        payloads.append(payload)
+        return {"choices": [{"message": {"content": None, "refusal": "no"}}]}
+
+    monkeypatch.setattr(llm, "_requests_transport", refusing)
+    assert cli.main(["run-all", "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert "not a string" in err and "Traceback" not in err
+    assert len(payloads) == 2

@@ -12,7 +12,6 @@ from rulesynth.oracle import (
     MalformedResponse,
     NecessityVerdict,
     OracleUnavailable,
-    QueryCache,
     RecordingOracle,
     ReplayOracle,
     achieves_key,
@@ -221,27 +220,6 @@ def test_replay_rejects_answers_of_the_wrong_type(key, answer, ask):
         ask(ReplayOracle({key: answer}))
 
 
-def test_cache_soundness_counts_distinct_keys():
-    calls = []
-    cache = QueryCache()
-    keys = ["k1", "k2", "k1", "k3", "k2", "k1"]
-    for key in keys:
-        cache.get_or_compute(key, lambda key=key: calls.append(key) or key)
-    assert cache.misses == len(set(keys)) == len(calls)
-    assert cache.hits == len(keys) - len(set(keys))
-
-
-def test_cache_does_not_memoize_errors():
-    cache = QueryCache()
-
-    def boom():
-        raise OracleUnavailable("nope")
-
-    with pytest.raises(OracleUnavailable):
-        cache.get_or_compute("k", boom)
-    assert cache.get_or_compute("k", lambda: 42) == 42
-
-
 def test_cached_judge_counts_backend_queries():
     oracle = scenario1_oracle()
     causes = make_causes("g1", 4)
@@ -261,6 +239,44 @@ class CountingOracle(DeterministicOracle):
     def judge_subset_achieves(self, goal, subset, causes, principles):
         self.asked.append(subset)
         return super().judge_subset_achieves(goal, subset, causes, principles)
+
+
+class FlakyOracle(CountingOracle):
+    """Raises OracleUnavailable on its first `failures` achievement queries."""
+
+    def __init__(self, spec, failures):
+        super().__init__(spec)
+        self.failures = failures
+
+    def judge_subset_achieves(self, goal, subset, causes, principles):
+        if self.failures:
+            self.failures -= 1
+            raise OracleUnavailable("backend down")
+        return super().judge_subset_achieves(goal, subset, causes, principles)
+
+
+def test_cached_judge_counts_distinct_masks():
+    counting = CountingOracle(scenario1_oracle().spec)
+    judge = CachedAchievementJudge(counting, GOAL, make_causes("g1", 4), PRINCIPLES)
+    masks = [0b1111, 0b0001, 0b1111, 0b0011, 0b0001, 0b1111]
+    assert [judge(mask) for mask in masks] == [True, False, True, False, False, True]
+    assert judge.query_count == judge.misses == len(set(masks)) == len(counting.asked)
+    assert judge.hits == len(masks) - len(set(masks))
+    assert judge.hits + judge.misses == len(masks)
+    # what the benchmark's tracer reads
+    assert (judge.cache.hits, judge.cache.misses) == (judge.hits, judge.misses) == (3, 3)
+
+
+def test_cached_judge_does_not_memoize_errors():
+    flaky = FlakyOracle(scenario1_oracle().spec, failures=1)
+    judge = CachedAchievementJudge(flaky, GOAL, make_causes("g1", 4), PRINCIPLES)
+    with pytest.raises(OracleUnavailable):
+        judge(0b1111)
+    assert judge.query_count == judge.hits == 0  # nothing kept for the raise
+    assert judge(0b1111) is True and judge(0b1111) is True
+    assert judge.query_count == judge.hits == 1
+    assert len(flaky.asked) == 1
+    assert (judge.cache.hits, judge.cache.misses) == (1, 1)
 
 
 @pytest.mark.parametrize("seed", range(12))

@@ -1,8 +1,9 @@
 """Verification over one shared grounding against the reference composition,
-which grounds its rules (and assumptions) afresh for every check, on a
-config of its own so that no grounding the config keeps is reused, and
-solves each grounding with the reference DPLL solver, not with
-`rulesynth.sat`.
+which grounds its rules afresh for every check, on a config of its own so
+that no grounding the config keeps is reused, grounds each invariant
+attempt's assumed literals with them in the per-instance loop
+(`reference_ground`), and solves each grounding with the reference DPLL
+solver, not with `rulesynth.sat`.
 
 Verdicts, conflict cores and countermodels must be equal on seeded random
 theories, candidates and invariants in both comparison modes and at domain
@@ -41,6 +42,7 @@ from rulesynth.verify import (
 )
 
 import reference_dpll
+from reference_grounding import reference_ground
 from rulegen import random_rule
 
 
@@ -86,7 +88,7 @@ def reference_invariants(theory, candidate, invariants, config, onto):
             assumptions = [(lit, substitution) for lit in invariant.rule.body]
             for head_lit in invariant.rule.head:
                 negated = [*assumptions, (head_lit.complement(), substitution)]
-                db = ground(rules, cold(config), onto, assumptions=negated)
+                db = reference_ground(rules, config, onto, negated)
                 model = _solve_db(db)
                 if model is not None:
                     return False, invariant.id, render_model(db.atoms, model)
@@ -160,7 +162,7 @@ def test_subset_and_extension_clause_sets_equal_fresh_groundings(onto, mode):
         attempt = [ground_literal(lit, s) for lit, s in assumptions]
         atoms, clauses = extend(db, attempt, config, onto)
         assert (dict(db.atoms), list(db.clauses), dict(db.comparisons), list(db.axioms)) == before
-        fresh = ground(rules, config, onto, assumptions=assumptions)
+        fresh = reference_ground(rules, config, onto, assumptions)
         assert list(fresh.atoms.items()) == [*db.atoms.items(), *atoms.items()]
         assert len(set(clauses)) == len(clauses) and not set(clauses) & set(db.clauses)
         assert set(db.clauses) | set(clauses) == set(fresh.clauses)
