@@ -5,7 +5,8 @@ a run-all composite.  Exit codes:
 
   0  success
   2  configuration error (bad arguments, bad config or grounding
-     settings, missing file, unknown goal/rule, --brute-force over more
+     settings, an ontology with no sorts to ground over for verify and
+     run-all, missing file, unknown goal/rule, --brute-force over more
      causes than analysis.BRUTE_FORCE_LIMIT)
   3  oracle error (backend unavailable, malformed answer, malformed
      oracle spec or transcript, missing transcript key)
@@ -27,6 +28,7 @@ from pathlib import Path
 
 from .analysis import AnalysisReport, UniverseTooLarge
 from .fol import OntologyError, load_ontology
+from .grounding import GroundingError
 from .oracle import MalformedResponse, OracleUnavailable, RecordingOracle, UntranslatableCause
 from .pipeline import (
     ConfigError,
@@ -148,7 +150,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code is None else int(exc.code)
     try:
         return _run(args)
-    except (ConfigError, StoreFormatError, StoreIntegrityError, OntologyError, OSError) as exc:
+    except (ConfigError, GroundingError, StoreFormatError, StoreIntegrityError, OntologyError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except UniverseTooLarge as exc:
@@ -166,6 +168,8 @@ def _run(args: argparse.Namespace) -> int:
     config = _load_config(args)
     onto = load_ontology(config.ontology_path)
     store = load_store(config.store_path, onto)
+    if args.command in ("verify", "run-all"):
+        config.grounding_config(onto)  # bad grounding settings end the run before any oracle call
     oracle = build_oracle(config)
     recorder = RecordingOracle(oracle) if args.record else None
     oracle = recorder or oracle

@@ -22,17 +22,18 @@ copying it.
 
 A config keeps every grounding `ground` made in one map
 (`GroundingConfig.groundings`), keyed by the identity of the ontology and
-of each rule.  `ground` returns the kept grounding of its rules when
-there is one.  Otherwise it lays the last rule over the kept grounding of
-the rules before it: it copies that grounding's atom table, grounds the
-last rule into the copy and extends that grounding's index by the new
-clauses (`Index.extended`), then adds the interval axioms.  When the map
-lacks the rules before the last, it grounds them in one go and takes
-their interval axioms from the result's.  In a verification batch the
-theory is either unchanged since the last candidate, which was rejected,
-or it has grown by that candidate, and either way the map holds its
-grounding.  The atom numbering, the rule clauses and the order of the
-distinct clauses are those of grounding every rule in turn.
+of each rule, and callers find a grounding by asking `ground` for its
+rules.  `ground` returns the kept grounding of its rules when there is
+one.  When the map holds the grounding of every rule but the last,
+`ground` lays the last rule over it: it copies that grounding's atom
+table, grounds the last rule into the copy and extends that grounding's
+rule index by the new clauses (`Index.extended`).  Otherwise it grounds
+every rule in one go.  Either way it adds the interval axioms and keeps
+the result.  In a verification batch the theory is either unchanged since
+the last candidate, which was rejected, or it has grown by that
+candidate, and either way the map holds its grounding.  The atom
+numbering, the rule clauses and the order of the distinct clauses are
+those of grounding every rule in turn, however the grounding was reached.
 
 A config also keeps, per invariant, the ground literals each attempt to
 refute it assumes (`invariant_attempts`, memoized in
@@ -79,8 +80,9 @@ class GroundingConfig:
     """The constants of each sort and the comparison mode.
 
     `groundings` maps (id(onto), *map(id, rules)) to the ontology, the rule
-    tuple and the ClauseDB `ground` made of them; the entry holds the
-    objects whose ids key it, so no id is reused while it lives.
+    tuple and the ClauseDB `ground` made of them, one entry per rule tuple
+    `ground` was asked for; the entry holds the objects whose ids key it,
+    so no id is reused while it lives.
     `attempts` is `invariant_attempts`' memo, keyed by a rule's content
     and the sort of each quantified variable, which the ontology of each
     call decides; within one config a sort fixes the constants.
@@ -108,7 +110,13 @@ class GroundingConfig:
     @classmethod
     def default(cls, onto: Ontology, domain_size: int = 3,
                 comparison_mode: str = "opaque") -> "GroundingConfig":
-        """Per sort, domain_size fresh constants named <sort>1..<sort>N."""
+        """Per sort, domain_size fresh constants named <sort>1..<sort>N.
+
+        Quantified variables range over these fresh constants only, never
+        over the ontology's declared constants such as `ego`, so that
+        `forall X . collide(X) <- true` and
+        `forall X . not collide(ego) <- true` check as consistent.
+        """
         if domain_size < 1:
             raise GroundingError("domain size must be positive")
         domains = {
@@ -136,11 +144,9 @@ class ClauseDB:
     instances, in instantiation order, duplicates included.  `axioms` holds
     the interval axioms as generated.  `rules_index` holds the distinct
     clauses of the rules in first-occurrence order, and `index`, built by
-    extending it, those of the rules and axioms.
-    `prefix_index` is the index of the grounding of every rule but the
-    last, which `ground` laid this one over.  It is None for no rules and
-    for a base `ground` made in one go, which `ground` returns only after
-    laying its last rule again.
+    extending it, those of the rules and axioms.  A ClauseDB refers to no
+    other grounding: that of its rules but the last is found by asking
+    `ground` for them.
     """
 
     atoms: MutableMapping[str, int] = field(default_factory=dict)
@@ -149,7 +155,6 @@ class ClauseDB:
     axioms: list[frozenset[int]] = field(default_factory=list)
     rules_index: sat.Index = field(init=False, repr=False)
     index: sat.Index = field(init=False, repr=False)
-    prefix_index: sat.Index | None = field(default=None, init=False, repr=False)
 
     @property
     def clauses(self) -> list[frozenset[int]]:
@@ -272,58 +277,36 @@ def _signed(lit: Literal, index: int) -> int:
 
 
 def ground(rules: Sequence[Rule], config: GroundingConfig, onto: Ontology) -> ClauseDB:
-    """Ground a rule set to a ClauseDB.
+    """Ground a rule set to a ClauseDB, kept in `config.groundings`.
 
     The config's kept grounding of the rules is returned when there is
-    one.  Otherwise the grounding is laid over the config's grounding of
-    every rule but the last, made in one go when the config lacks it, and
-    both are kept (`GroundingConfig.groundings`).
+    one.  Otherwise, when the config keeps the grounding of every rule but
+    the last, the last rule is laid over it; else every rule is grounded
+    in one go.
     """
     rules = tuple(rules)
-    if not rules:
-        db = _ground_rules(rules, config, onto)
-        _add_axioms_and_index(db, config, onto)
-        return db
     kept = config.groundings
     key = (id(onto), *map(id, rules))
     entry = kept.get(key)
-    if entry and entry[2].prefix_index is not None:
+    if entry is not None:
         return entry[2]
-    prefix = rules[:-1]
-    base_entry = kept.get(key[:-1])
-    base = _ground_rules(prefix, config, onto) if base_entry is None else base_entry[2]
-    db = ClauseDB(dict(base.atoms), dict(base.comparisons), [*base.rule_clauses])
-    clauses = _rule_clauses(rules[-1], config, onto, db)
-    db.rule_clauses.append(clauses)
-    db.rules_index = base.rules_index.extended(clauses)
-    _add_axioms_and_index(db, config, onto)
+    base_entry = kept.get(key[:-1])  # for no rules, (): never a key
     if base_entry is None:
-        # the base's atoms are numbered first, and its axioms are db's over
-        # them, in the order generating them would give
-        top = len(base.atoms)
-        base.axioms = [axiom for axiom in db.axioms if all(abs(lit) <= top for lit in axiom)]
-        base.index = base.rules_index.extended(base.axioms) if base.axioms else base.rules_index
-    db.prefix_index = base.index
-    kept[key[:-1]] = (onto, prefix, base)
-    kept[key] = (onto, rules, db)
-    return db
-
-
-def _ground_rules(rules: Sequence[Rule], config: GroundingConfig, onto: Ontology) -> ClauseDB:
-    """A ClauseDB of the rules grounded in turn and the index of their
-    clauses; its axioms and `index` are left to the caller."""
-    db = ClauseDB()
-    for rule in rules:
-        db.rule_clauses.append(_rule_clauses(rule, config, onto, db))
-    db.rules_index = sat.Index(chain(*db.rule_clauses))
-    return db
-
-
-def _add_axioms_and_index(db: ClauseDB, config: GroundingConfig, onto: Ontology) -> None:
-    """Set db's interval axioms and build its index over its rules' index."""
+        db = ClauseDB()
+        for rule in rules:
+            db.rule_clauses.append(_rule_clauses(rule, config, onto, db))
+        db.rules_index = sat.Index(chain(*db.rule_clauses))
+    else:
+        base = base_entry[2]
+        db = ClauseDB(dict(base.atoms), dict(base.comparisons), [*base.rule_clauses])
+        clauses = _rule_clauses(rules[-1], config, onto, db)
+        db.rule_clauses.append(clauses)
+        db.rules_index = base.rules_index.extended(clauses)
     if config.comparison_mode == "interval-axioms":
         append_comparison_axioms(db, onto)
     db.index = db.rules_index.extended(db.axioms) if db.axioms else db.rules_index
+    kept[key] = (onto, rules, db)
+    return db
 
 
 def _rule_clauses(

@@ -160,7 +160,6 @@ def _propagate(index: Index, root: set[int], clauses: list[Clause]) -> set[int] 
 
 def solve(
     clauses: Index | Sequence[Iterable[int]],
-    num_vars: int | None = None,
     *,
     off: Collection[Clause] = (),
     extra: Iterable[Iterable[int]] = (),
@@ -169,8 +168,8 @@ def solve(
 
     `clauses` is an Index or a clause list to index.  The clauses in `off`
     are switched off and those in `extra` added, for this call only.  The
-    model covers variables 1 to the largest of num_vars and the variables
-    of the index and of `extra`."""
+    model covers variables 1 to the largest variable of the index and of
+    `extra`."""
     index = clauses if isinstance(clauses, Index) else Index(clauses)
     extra = [frozenset(c) for c in extra]
     if any(not c for c in extra):
@@ -178,7 +177,7 @@ def solve(
     if not off and (index.root is None or _propagate(index, index.root, extra) is None):
         return None
     top = index.num_vars
-    n = max(num_vars or 0, top, max((abs(l) for c in extra for l in c), default=0))
+    n = max(top, max((abs(l) for c in extra for l in c), default=0))
     occurs, remaining = index.occurs, index.counts.copy()
     if n > top:  # literal slots for the variables above the index's
         gap = 2 * (n - top)

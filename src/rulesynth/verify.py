@@ -15,31 +15,31 @@ The quantification semantics is finite-model: rules are grounded over the
 configured constant domain, so every verdict is relative to the grounding
 config recorded in the report.
 
-One `verify()` call grounds theory plus candidate once, in the consistency
-stage, into one ClauseDB with its clause index, and passes that ClauseDB
-to the later checks; every check is one solve of that index or of the
-theory's.  The config keeps every grounding it made in one map, so
-`ground` returns the kept grounding of theory plus candidate, or lays the
-candidate over the kept grounding of the theory, and the theory is not
-grounded or indexed again.  Consistency solves the index whole; each
-core-shrinking trial switches off the clauses its kept rules and the
-candidate lack; entailment solves the theory's index with the interval
-axioms it lacks and one negated candidate clause as extra clauses; each
-invariant attempt adds the unit and axiom clauses that its assumed
-literals bring (`extend`), without copying the ClauseDB.  The attempts'
-literals are rendered once per config (`invariant_attempts`), so an
-attempt only looks their names up in the ClauseDB's atom table.  Each of
-these clause sets, and its atom numbering, equals what grounding that
-check's rules afresh would give, with an attempt's literals as unit
-clauses, up to clause order, and the DPLL answer depends only on those
-two.
+One `verify()` call asks `ground` for the theory's grounding and then for
+that of theory plus candidate, each a ClauseDB with its clause index;
+every check is one solve of one of those two indexes.  The config keeps
+every grounding it made in one map: `ground` grounds the theory once per
+theory version and lays the candidate over that grounding, and a later
+stage that asks `ground` for theory plus candidate finds the grounding
+the consistency stage made.  Consistency solves the index of theory plus
+candidate whole; each core-shrinking trial switches off the clauses its
+kept rules and the candidate lack; entailment solves the theory's index
+with the interval axioms it lacks and one negated candidate clause as
+extra clauses; each invariant attempt adds the unit and axiom clauses
+that its assumed literals bring (`extend`), without copying the ClauseDB.
+The attempts' literals are rendered once per config
+(`invariant_attempts`), so an attempt only looks their names up in the
+ClauseDB's atom table.  Each of these clause sets, and its atom
+numbering, equals what grounding that check's rules afresh would give,
+with an attempt's literals as unit clauses, up to clause order, and the
+DPLL answer depends only on those two.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from . import sat
@@ -70,8 +70,6 @@ class ConsistencyResult:
     consistent: bool
     core: tuple[str, ...] = ()  # theory rule ids; empty core means the
     # candidate is self-contradictory under the grounding
-    db: ClauseDB | None = field(default=None, compare=False, repr=False)
-    # the grounding of theory plus candidate, for the later stages
 
 
 def check_consistency(
@@ -83,33 +81,32 @@ def check_consistency(
     Theory plus candidate is grounded once; each shrinking trial switches
     off the clauses its kept rules and the candidate do not have."""
     db = ground([*theory, candidate], config, onto)
-    if sat.solve(db.index, len(db.atoms)) is not None:
-        return ConsistencyResult(True, db=db)
+    if sat.solve(db.index) is not None:
+        return ConsistencyResult(True)
     candidate_index = len(theory)
     kept = list(range(len(theory)))
     for dropped in range(len(theory)):
         trial = [i for i in kept if theory[i] is not theory[dropped]]
         # a subset's clauses, axioms included, are all in the index
         off = db.index.ids.keys() - rule_subset(db, [*trial, candidate_index])
-        if sat.solve(db.index, len(db.atoms), off=off) is None:
+        if sat.solve(db.index, off=off) is None:
             kept = trial
-    return ConsistencyResult(False, tuple(theory[i].id for i in kept), db)
+    return ConsistencyResult(False, tuple(theory[i].id for i in kept))
 
 
-def check_entailment(db: ClauseDB) -> bool:
+def check_entailment(theory_db: ClauseDB, db: ClauseDB) -> bool:
     """True when every grounding clause of the candidate is refuted by the
     theory (clause-by-clause negation + SAT), i.e. the candidate is redundant.
 
-    `db` grounds the theory's rules and then the candidate, and the theory
-    plus candidate is consistent.  Each check solves the index of the
-    theory's grounding, which `db` was laid over, with the interval axioms
-    it lacks and the negated literals of one candidate clause as extra
-    clauses."""
-    theory = db.prefix_index
+    `theory_db` grounds the theory's rules and `db` those rules and then
+    the candidate, and the theory plus candidate is consistent.  Each
+    check solves the theory's index with the interval axioms it lacks and
+    the negated literals of one candidate clause as extra clauses."""
+    theory = theory_db.index
     axioms = [axiom for axiom in db.axioms if axiom not in theory.ids]
     for clause in db.rule_clauses[-1]:
         negation = [[-lit] for lit in clause]
-        if sat.solve(theory, len(db.atoms), extra=[*axioms, *negation]) is not None:
+        if sat.solve(theory, extra=[*axioms, *negation]) is not None:
             return False
     return True
 
@@ -138,7 +135,7 @@ def check_invariants(
     for invariant in invariants:
         for attempt in invariant_attempts(invariant.rule, config, onto):
             atoms, clauses = extend(db, attempt, config, onto)
-            model = sat.solve(db.index, len(db.atoms) + len(atoms), extra=clauses)
+            model = sat.solve(db.index, extra=clauses)
             if model is not None:
                 countermodel = render_model({**db.atoms, **atoms}, model)
                 return InvariantResult(False, invariant.id, countermodel)
@@ -213,14 +210,14 @@ def verify(
     if violations:
         return report("Malformed", tuple(v.message for v in violations))
     theory = store.theory_rules()
+    theory_db = ground(theory, config, onto)
     stages.append("consistency")
     consistency = check_consistency(theory, candidate, config, onto)
-    db = consistency.db
-    consistency = replace(consistency, db=None)  # the report keeps no grounding
     if not consistency.consistent:
         return report("Inconsistent", consistency=consistency)
     stages.append("redundancy")
-    if check_entailment(db):
+    db = ground([*theory, candidate], config, onto)  # the one check_consistency made
+    if check_entailment(theory_db, db):
         return report("Redundant", consistency=consistency, redundancy="entailed")
     stages.append("invariants")
     invariants = check_invariants(db, store.invariants, config, onto)
@@ -235,7 +232,7 @@ def theory_soundness(
     declared invariant is entailed by it."""
     theory = store.theory_rules()
     db = ground(theory, config, onto)
-    if sat.solve(db.index, len(db.atoms)) is None:
+    if sat.solve(db.index) is None:
         return False, "verified theory is unsatisfiable"
     result = check_invariants(db, store.invariants, config, onto)
     if not result.preserved:

@@ -20,6 +20,17 @@ COLLIDE_RULE = "forall X . not collide(X) <- sd_front(X) and sd_rear(X) and not 
 DENSE_RULE = "forall X . sd_front(X) and sd_rear(X) <- not dense(X)"
 
 
+def grounding_parts(db):
+    """Everything a grounding determines, orders and duplicates included."""
+    return (
+        list(db.atoms.items()),
+        db.rule_clauses,
+        list(db.comparisons.items()),
+        db.axioms,
+        db.index.clauses,
+    )
+
+
 @pytest.fixture
 def work_dir(tmp_path):
     """Fresh working copy of the shipped scenario fixtures."""

@@ -183,15 +183,15 @@ def test_criterion_5_solver_against_truth_table():
         rng = random.Random(4242)
         for index in range(500):
             clauses, num_vars = random_cnf(rng, max_vars=16, max_clauses=60)
-            model = solve(clauses, num_vars)
+            model = solve(clauses)
             assert (model is not None) == truth_table_satisfiable(clauses, num_vars), (
                 f"instance {index}"
             )
             if model is not None:
                 for clause in clauses:
                     assert any(model[abs(l)] == (l > 0) for l in clause)
-        clauses, num_vars = pigeonhole(4, 3)
-        assert solve(clauses, num_vars) is None
+        clauses, _ = pigeonhole(4, 3)
+        assert solve(clauses) is None
         assert time.perf_counter() - started < 10.0
 
 

@@ -316,6 +316,21 @@ def test_bad_grounding_settings_exit_2_before_any_oracle_call(
     assert not (work_dir / "out").exists()
 
 
+@pytest.mark.parametrize("command", [["verify", "--all-unverified"], ["run-all"]])
+def test_ontology_without_sorts_exits_2_before_any_oracle_call(work_dir, capsys, monkeypatch, command):
+    _refuse_oracle(monkeypatch)
+    onto = read(work_dir / "traffic.onto.json")
+    (work_dir / "traffic.onto.json").write_text(json.dumps({"numeric_attributes": onto["numeric_attributes"]}))
+    sections = ("principles", "goals", "causes", "verified_rules", "invariants", "reports")
+    (work_dir / "merge.kb.json").write_text(json.dumps({section: [] for section in sections}))
+    store_before = (work_dir / "merge.kb.json").read_bytes()
+    config = str(work_dir / "scenario1.config.json")
+    assert run([command[0], "--config", config, *command[1:]]) == 2
+    assert capsys.readouterr().err == "config error: ontology declares no sorts to ground over\n"
+    assert (work_dir / "merge.kb.json").read_bytes() == store_before
+    assert not (work_dir / "out").exists()
+
+
 @pytest.mark.parametrize("value", ["0", "-1", "three"])
 def test_domain_size_flag_must_be_a_positive_integer(work_dir, capsys, monkeypatch, value):
     _refuse_oracle(monkeypatch)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rulesynth import sat
 from rulesynth.fol import (
     Atom,
     Comparison,
@@ -30,7 +31,7 @@ from rulesynth.grounding import (
 )
 from rulesynth.verify import verify
 
-from conftest import COLLIDE_RULE, DENSE_RULE
+from conftest import COLLIDE_RULE, DENSE_RULE, grounding_parts
 from reference_grounding import reference_ground
 from rulegen import random_rule
 
@@ -211,17 +212,6 @@ def test_ground_atom_names_render_the_ground_syntax(onto, rng, value):
 
 # --- the config's map of groundings against the per-instance loop ---
 
-def grounding_parts(db):
-    """Everything a grounding determines, orders and duplicates included."""
-    return (
-        list(db.atoms.items()),
-        db.rule_clauses,
-        list(db.comparisons.items()),
-        db.axioms,
-        db.index.clauses,
-    )
-
-
 def two_sort_vocabulary(onto):
     """A few predicates over two sorts, so random rules share atoms and
     their variables range over pools of different sizes."""
@@ -261,29 +251,36 @@ def test_grounding_map_grounds_like_the_per_instance_loop(onto, mode, domain_siz
         )
 
 
-def test_grounding_map_keeps_one_entry_per_rule_tuple_grounded_without_assumptions(onto):
+def test_grounding_map_keeps_one_entry_per_rule_tuple_grounded_without_assumptions(onto, monkeypatch):
+    built = []
+
+    class CountedIndex(sat.Index):
+        def __init__(self, clauses):
+            built.append(self)
+            super().__init__(clauses)
+
+    monkeypatch.setattr(sat, "Index", CountedIndex)
     config = GroundingConfig.default(onto, 2)
     theory = (parse_rule(COLLIDE_RULE, onto),)
     candidate = parse_rule(DENSE_RULE, onto)
-    db = ground([*theory, candidate], config, onto)
+    db = ground([*theory, candidate], config, onto)  # in one go: the map lacks the theory
     assert {key: (known, rules) for key, (known, rules, _) in config.groundings.items()} == {
-        (id(onto), id(theory[0])): (onto, theory),
         (id(onto), id(theory[0]), id(candidate)): (onto, (*theory, candidate)),
     }
     assert ground((*theory, candidate), config, onto) is db  # the kept grounding
-    committed = ground([*theory, candidate, candidate], config, onto)  # after a commit
-    assert committed.prefix_index is db.index
-    rejected = ground([*theory, theory[0]], config, onto)  # after a rejection
-    assert rejected.prefix_index is db.prefix_index
-    assert len(config.groundings) == 4
-    base_key = (id(onto), id(theory[0]))
-    base = config.groundings[base_key][2]
-    assert base.prefix_index is None  # grounded in one go as the first call's base
-    alone = ground(theory, config, onto)  # laid again, and kept in its place
-    assert alone is not base and alone.prefix_index is not None
-    assert config.groundings[base_key][2] is alone
-    assert grounding_parts(alone) == grounding_parts(base) == grounding_parts(reference_ground(theory, config, onto))
-    assert ground(theory, config, onto) is alone
+    base = ground(theory, config, onto)  # in one go
+    assert len(built) == 2
+    committed = ground([*theory, candidate, candidate], config, onto)  # laid over db, after a commit
+    rejected = ground([*theory, theory[0]], config, onto)  # laid over base, after a rejection
+    assert len(built) == 2  # laying a rule over a kept grounding extends its index
+    empty = ground((), config, onto)
+    assert ground([], config, onto) is empty and ground(theory, config, onto) is base
+    assert len(config.groundings) == 5
+    for known, rules, kept in config.groundings.values():
+        assert grounding_parts(kept) == grounding_parts(reference_ground(rules, config, known))
+    assert [config.groundings[(id(onto), *map(id, rules))][2] for rules in (
+        (*theory, candidate), theory, (*theory, candidate, candidate), (*theory, theory[0]), ()
+    )] == [db, base, committed, rejected, empty]
 
 
 def test_grounding_map_grounds_twins_and_a_second_ontology_afresh(onto):
@@ -303,7 +300,7 @@ def test_grounding_map_grounds_twins_and_a_second_ontology_afresh(onto):
     assert list(ground([rule], config, by_zone).atoms) == ["p(z1)"]
     assert sorted(
         (vocabulary is by_zone, [r is twin for r in rules]) for vocabulary, rules, _ in config.groundings.values()
-    ) == [(False, []), (False, [False]), (False, [True]), (True, []), (True, [False]), (True, [False, True])]
+    ) == [(False, [False]), (False, [True]), (True, [False]), (True, [False, True])]
 
 
 def test_memo_starts_empty_in_a_replaced_config(onto):
@@ -349,8 +346,8 @@ def test_kept_groundings_equal_the_per_instance_loop(onto, mode):
     commit, the last rule replaced after a rejection, at times with
     assumed literals, a list from scratch or another ontology that gives X
     another sort.  Each grounding, and each grounding the config keeps,
-    equals the per-instance loop's, a grounding's `prefix_index` holds the
-    clauses of grounding its rules but the last, and the atoms and clauses
+    equals the per-instance loop's, and so does the grounding of its rules
+    but the last that the map gives, and the atoms and clauses
     `extend` adds for assumed literals complete the per-instance loop's
     grounding with those literals as unit clauses."""
     vocabulary = two_sort_vocabulary(onto)
@@ -370,7 +367,8 @@ def test_kept_groundings_equal_the_per_instance_loop(onto, mode):
             listed = [*rules, candidate] if move == "commit" else [*rules[:-1], candidate]
             db = ground(listed, config, ontology)
             assert grounding_parts(db) == grounding_parts(reference_ground(listed, config, ontology))
-            assert set(db.prefix_index.clauses) == set(reference_ground(listed[:-1], config, ontology).clauses)
+            assert grounding_parts(ground(listed[:-1], config, ontology)) == grounding_parts(
+                reference_ground(listed[:-1], config, ontology))
             if move == "assume":
                 assumptions = random_assumptions(rng, listed, config, ontology)
                 attempt = [ground_literal(lit, substitution) for lit, substitution in assumptions]

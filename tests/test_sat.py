@@ -67,10 +67,10 @@ def test_empty_clause_is_unsat():
 
 
 def test_model_is_total_and_satisfying():
-    clauses = [frozenset({1, -2}), frozenset({2, 3}), frozenset({-3, -1})]
-    model = solve(clauses, num_vars=5)
+    clauses = [frozenset({1, -2}), frozenset({2, 3}), frozenset({-3, -1}), frozenset({5, -5})]
+    model = solve(clauses)
     assert model is not None
-    assert set(model) == {1, 2, 3, 4, 5}
+    assert set(model) == {1, 2, 3, 4, 5}  # 4 occurs in no clause
     for clause in clauses:
         assert any(model[abs(l)] == (l > 0) for l in clause)
 
@@ -84,7 +84,7 @@ def test_agrees_with_truth_table_on_random_cnfs():
     rng = random.Random(1234)
     for _ in range(80):
         clauses, num_vars = random_cnf(rng, max_vars=10, max_clauses=30)
-        model = solve(clauses, num_vars)
+        model = solve(clauses)
         expected = truth_table_satisfiable(clauses, num_vars)
         assert (model is not None) == expected
         if model is not None:
@@ -93,13 +93,13 @@ def test_agrees_with_truth_table_on_random_cnfs():
 
 
 def test_pigeonhole_4_into_3_is_unsat():
-    clauses, num_vars = pigeonhole(4, 3)
-    assert solve(clauses, num_vars) is None
+    clauses, _ = pigeonhole(4, 3)
+    assert solve(clauses) is None
 
 
 def test_pigeonhole_3_into_3_is_sat():
-    clauses, num_vars = pigeonhole(3, 3)
-    assert solve(clauses, num_vars) is not None
+    clauses, _ = pigeonhole(3, 3)
+    assert solve(clauses) is not None
 
 
 def test_deep_decision_chain_does_not_hit_recursion_limit():
@@ -118,7 +118,7 @@ def test_deep_decision_chain_does_not_hit_recursion_limit():
 
 def messy_cnf(rng):
     """Random CNF with tautologies, unit clauses, duplicate clauses and
-    variables that occur in no clause."""
+    variables below the largest that occur in no clause."""
     num_vars = rng.randint(1, 12)
     clauses = []
     for _ in range(rng.randint(0, 40)):
@@ -131,29 +131,29 @@ def messy_cnf(rng):
         clauses.append(frozenset(clause))
     if clauses and rng.random() < 0.3:
         clauses += rng.sample(clauses, min(3, len(clauses)))
-    return clauses, num_vars + rng.randint(0, 2)
+    return clauses
 
 
-def reference_call(index, num_vars=None, off=(), extra=()):
-    """The same call answered by the reference on the explicit clause list."""
+def reference_call(index, off=(), extra=()):
+    """The same call answered by the reference on the explicit clause list,
+    over the variables of the index and of `extra`."""
     kept = [clause for clause in index.clauses if clause not in set(off)]
     extra = [frozenset(clause) for clause in extra]
-    return reference_dpll.solve(kept + extra, max(num_vars or 0, index.num_vars))
+    return reference_dpll.solve(kept + extra, index.num_vars)
 
 
 def test_models_equal_reference_on_random_cnfs():
     rng = random.Random("reference-plain")
     for _ in range(1500):
-        clauses, num_vars = messy_cnf(rng)
-        assert solve(clauses, num_vars) == reference_dpll.solve(clauses, num_vars)
+        clauses = messy_cnf(rng)
+        assert solve(clauses) == reference_dpll.solve(clauses)
 
 
 def test_models_equal_reference_with_switched_off_and_extra_clauses():
     rng = random.Random("reference-switches")
     outcomes = set()
     for _ in range(1500):
-        clauses, num_vars = messy_cnf(rng)
-        index = Index(clauses)
+        index = Index(messy_cnf(rng))
         off = {clause for clause in index.clauses if rng.random() < 0.3}
         extra = []
         for _ in range(rng.randint(0, 3)):
@@ -165,8 +165,8 @@ def test_models_equal_reference_with_switched_off_and_extra_clauses():
         if rng.random() < 0.3:  # a wider clause, as interval axioms over new atoms are
             variables = rng.sample(range(1, index.num_vars + 4), 2)
             extra.append([v * rng.choice((1, -1)) for v in variables])
-        model = solve(index, num_vars, off=off, extra=extra)
-        assert model == reference_call(index, num_vars, off, extra)
+        model = solve(index, off=off, extra=extra)
+        assert model == reference_call(index, off, extra)
         outcomes.add(model is None)
     assert outcomes == {True, False}
 
@@ -199,8 +199,8 @@ def test_models_equal_reference_on_run_all_solver_calls(tmp_path, monkeypatch):
     assert len(calls) > 50
     assert any(kwargs.get("off") for _, kwargs, _ in calls)
     assert any(kwargs.get("extra") for _, kwargs, _ in calls)
-    for (index, num_vars), kwargs, model in calls:
-        assert model == reference_call(index, num_vars, **kwargs)
+    for (index,), kwargs, model in calls:
+        assert model == reference_call(index, **kwargs)
 
 
 # --- refutation by unit propagation ---
@@ -233,18 +233,18 @@ def horn_chain_case(rng):
     top = num_vars + 3
     extra = links(rng, top, rng.randint(0, 4))
     extra += [[rng.randint(1, top) * rng.choice((1, -1))] for _ in range(rng.randint(1, 3))]
-    return Index(clauses), num_vars + rng.randint(0, 4), extra
+    return Index(clauses), extra
 
 
 def test_propagation_refutes_the_unsatisfiable_horn_calls_before_set_up():
     rng = random.Random("horn-chains")
     outcomes, conflicting_roots, deep = set(), 0, 0
     for _ in range(1500):
-        index, num_vars, extra = horn_chain_case(rng)
-        expected = reference_call(index, num_vars, extra=extra)
+        index, extra = horn_chain_case(rng)
+        expected = reference_call(index, extra=extra)
         if expected is None:
             index.counts = NoCopy()
-        assert solve(index, num_vars, extra=extra) == expected
+        assert solve(index, extra=extra) == expected
         outcomes.add(expected is None)
         conflicting_roots += index.root is None
         if index.root is not None and expected is None:
@@ -289,7 +289,7 @@ def extension_case(rng):
     or Horn CNF's clauses, and links and units over up to 3 variables above
     its range, at times contradictory units or an empty clause."""
     if rng.random() < 0.5:
-        clauses, _ = messy_cnf(rng)
+        clauses = messy_cnf(rng)
     else:
         clauses = horn_chain_case(rng)[0].clauses
     rng.shuffle(clauses)
@@ -322,12 +322,12 @@ def test_extended_index_equals_a_fresh_build():
         assert extended.clauses == fresh.clauses and extended.ids == fresh.ids
         assert (index_parts(index), list(index.clauses), [list(o) for o in index.occurs],
                 list(index.sizes)) == before  # the base is unchanged
-        num_vars = extended.num_vars + rng.randint(0, 2)
-        extra = [[rng.randint(1, num_vars) * rng.choice((1, -1))] for _ in range(rng.randint(0, 2))]
+        top = extended.num_vars + rng.randint(0, 2)
+        extra = [[rng.randint(1, top) * rng.choice((1, -1))] for _ in range(rng.randint(0, 2))]
         off = {clause for clause in extended.clauses if rng.random() < 0.2}
         for kwargs in ({}, {"extra": extra}, {"off": off, "extra": extra}):
-            model = solve(extended, num_vars, **kwargs)
-            assert model == reference_call(fresh, num_vars, **kwargs)
+            model = solve(extended, **kwargs)
+            assert model == reference_call(fresh, **kwargs)
             seen["unsat"] += model is None
         seen["new variables"] += extended.num_vars > index.num_vars
         seen["root lost"] += index.root is not None and extended.root is None

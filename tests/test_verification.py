@@ -81,22 +81,26 @@ def test_interval_axioms_expose_cross_threshold_contradictions(onto):
     assert result.core == (theory[0].id,)
 
 
+def entailed(theory, candidate, config, onto):
+    return check_entailment(ground(theory, config, onto), ground([*theory, candidate], config, onto))
+
+
 def test_identical_rule_is_entailed(onto, config):
     theory = rules(onto, COLLIDE_RULE)
     candidate = parse_rule(COLLIDE_RULE, onto)
-    assert check_entailment(ground([*theory, candidate], config, onto))
+    assert entailed(theory, candidate, config, onto)
 
 
 def test_weaker_rule_is_entailed(onto, config):
     theory = rules(onto, "forall X . sd_front(X) <- true")
     candidate = parse_rule("forall X . sd_front(X) <- dense(X)", onto)
-    assert check_entailment(ground([*theory, candidate], config, onto))
+    assert entailed(theory, candidate, config, onto)
 
 
 def test_collide_rule_is_novel_against_dense_rule(onto, config):
     theory = rules(onto, DENSE_RULE)
     candidate = parse_rule(COLLIDE_RULE, onto)
-    assert not check_entailment(ground([*theory, candidate], config, onto))
+    assert not entailed(theory, candidate, config, onto)
 
 
 def test_invariant_self_entailment_preserved(onto, config):

@@ -42,6 +42,7 @@ from rulesynth.verify import (
 )
 
 import reference_dpll
+from conftest import grounding_parts
 from reference_grounding import reference_ground
 from rulegen import random_rule
 
@@ -199,7 +200,8 @@ def test_shared_grounding_matches_fresh_groundings(onto, mode):
         assert (consistency.consistent, consistency.core) == reference_consistency(
             theory, candidate, config, onto), case
         if consistency.consistent:
-            assert check_entailment(consistency.db) == reference_entailment(
+            theory_db, db = ground(theory, config, onto), ground([*theory, candidate], config, onto)
+            assert check_entailment(theory_db, db) == reference_entailment(
                 theory, candidate, config, onto), case
         for with_candidate in (candidate, None):
             rules = [*theory] if with_candidate is None else [*theory, candidate]
@@ -282,6 +284,30 @@ def test_grounding_map_verifies_a_sequence_again_like_cold_configs(onto, mode):
     assert min(verdicts[v] for v in ("Inconsistent", "Redundant", "Unsafe", "Accepted")) >= 5, verdicts
 
 
+@pytest.mark.parametrize("mode", ["opaque", "interval-axioms"])
+def test_grounding_map_grounds_a_theory_and_its_candidate_in_either_order(onto, mode):
+    """Theory plus candidate grounded before the theory, and after it: both
+    groundings equal the per-instance loop's, entailment answers as the
+    reference does, and the map holds one entry per rule tuple asked for."""
+    vocabulary = small_vocabulary(onto)
+    rng = random.Random(f"order-{mode}")
+    answers = Counter()
+    for case in range(40):
+        theory, candidate, _ = random_case(rng, vocabulary, onto)
+        extended = [*theory, candidate]
+        for asked in ([extended, theory], [theory, extended]):
+            config = GroundingConfig.default(onto, case % 3 + 1, mode)
+            for rules in asked:
+                assert grounding_parts(ground(rules, config, onto)) == grounding_parts(
+                    reference_ground(rules, config, onto)), case
+            if reference_consistency(theory, candidate, config, onto)[0]:
+                entailed = check_entailment(ground(theory, config, onto), ground(extended, config, onto))
+                assert entailed == reference_entailment(theory, candidate, config, onto), case
+                answers[entailed] += 1
+            assert len(config.groundings) == 2, case
+    assert answers[True] and answers[False], answers
+
+
 # --- the attempt table against the per-attempt loop ---
 
 class _Overlay(ChainMap):
@@ -330,7 +356,7 @@ def reference_check_invariants(db, invariants, config, onto):
             for head_lit in invariant.rule.head:
                 negated = [*assumptions, (head_lit.complement(), substitution)]
                 atoms, clauses = reference_extend(db, negated, config, onto)
-                model = sat.solve(db.index, len(db.atoms) + len(atoms), extra=clauses)
+                model = sat.solve(db.index, extra=clauses)
                 if model is not None:
                     countermodel = render_model({**db.atoms, **atoms}, model)
                     return InvariantResult(False, invariant.id, countermodel)
