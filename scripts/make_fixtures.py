@@ -20,7 +20,7 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from rulesynth.fol import load_ontology, parse_rule  # noqa: E402
-from rulesynth.oracle import DeterministicOracle, DeterministicOracleSpec, RecordingOracle  # noqa: E402
+from rulesynth.oracle import DeterministicOracle, DeterministicOracleSpec, TranscriptOracle  # noqa: E402
 from rulesynth.pipeline import ScenarioConfig, run_analyze, run_synthesize  # noqa: E402
 from rulesynth.store import Goal, Invariant, Principle, TheoryStore, load_store, save_store  # noqa: E402
 
@@ -358,8 +358,8 @@ def make_golden_transcript() -> dict:
         config = ScenarioConfig.from_file(tmp_path / "scenario1.config.json")
         onto = load_ontology(config.ontology_path)
         store = load_store(config.store_path, onto)
-        recorder = RecordingOracle(
-            DeterministicOracle(DeterministicOracleSpec.from_file(config.oracle_spec_path))
+        recorder = TranscriptOracle(
+            live=DeterministicOracle(DeterministicOracleSpec.from_file(config.oracle_spec_path))
         )
         store, _ = run_synthesize(store, onto, recorder, config)
         store, _ = run_analyze(store, recorder, config)

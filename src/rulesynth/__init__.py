@@ -39,8 +39,7 @@ from .oracle import (
     MalformedResponse,
     Oracle,
     OracleUnavailable,
-    RecordingOracle,
-    ReplayOracle,
+    TranscriptOracle,
     UntranslatableCause,
 )
 from .sat import solve

@@ -29,7 +29,7 @@ from pathlib import Path
 from .analysis import AnalysisReport, UniverseTooLarge
 from .fol import OntologyError, load_ontology
 from .grounding import GroundingError
-from .oracle import MalformedResponse, OracleUnavailable, RecordingOracle, UntranslatableCause
+from .oracle import MalformedResponse, OracleUnavailable, TranscriptOracle, UntranslatableCause
 from .pipeline import (
     ConfigError,
     ScenarioConfig,
@@ -171,7 +171,7 @@ def _run(args: argparse.Namespace) -> int:
     if args.command in ("verify", "run-all"):
         config.grounding_config(onto)  # bad grounding settings end the run before any oracle call
     oracle = build_oracle(config)
-    recorder = RecordingOracle(oracle) if args.record else None
+    recorder = TranscriptOracle(live=oracle) if args.record else None
     oracle = recorder or oracle
 
     exit_code = 0
@@ -184,6 +184,8 @@ def _run(args: argparse.Namespace) -> int:
             )
             print(f"goal {synthesis.goal.id}: {synthesis.goal.text}")
             print(f"  raw causes generated: {len(synthesis.raw_causes)}")
+            for inconsistency in synthesis.merge_inconsistencies:
+                print(f"  merge inconsistency: {inconsistency}")
             print(f"  consolidated causes: {len(synthesis.causes)}")
             for cause in synthesis.causes:
                 print(f"    {cause.id}  {cause.text}")

@@ -220,7 +220,7 @@ def load_ontology(path: str | Path) -> Ontology:
     """Load an ontology from its JSON file format."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise OntologyError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise OntologyError(f"{path}: top level must be an object")

@@ -27,7 +27,8 @@ from .oracle import (
     Oracle,
     OracleUnavailable,
     Translation,
-    check_necessity,
+    parse_necessity,
+    parse_translation,
 )
 from .store import Cause, Goal, Principle
 
@@ -49,6 +50,8 @@ class LlmOracleConfig:
             raise ValueError("pipeline determinism requires temperature 0")
         if not 0 <= self.max_retries <= 5:
             raise ValueError("max_retries must be between 0 and 5")
+        if not 0 < self.timeout < float("inf"):  # also false for NaN
+            raise ValueError(f"llm timeout must be a finite positive number of seconds, got {self.timeout!r}")
         for name in ("endpoint", "model", "api_key_env"):
             if not isinstance(getattr(self, name), str):
                 raise ValueError(f"llm {name} must be a string")
@@ -304,19 +307,7 @@ class LlmOracle(Oracle):
         prompt = self.config.template("necessity").format(
             goal=goal.text, principles=format_principles(principles), cause=cause.text
         )
-
-        def validate(doc: Any) -> NecessityVerdict:
-            if (
-                not isinstance(doc, dict)
-                or not isinstance(doc.get("necessary"), bool)
-                or not isinstance(doc.get("rationale"), str)
-            ):
-                raise MalformedResponse("necessity answer malformed")
-            return check_necessity(
-                NecessityVerdict(doc["necessary"], doc["rationale"]), principles
-            )
-
-        return self._ask("necessity", prompt, validate)
+        return self._ask("necessity", prompt, lambda doc: parse_necessity(doc, principles))
 
     def judge_subset_achieves(
         self,
@@ -351,12 +342,7 @@ class LlmOracle(Oracle):
             prompt += f"\n\nA previous attempt failed to parse: {feedback}"
 
         def validate(doc: Any) -> Translation:
-            if (
-                not isinstance(doc, dict)
-                or not isinstance(doc.get("rule"), str)
-                or not isinstance(doc.get("explanation"), str)
-            ):
-                raise MalformedResponse("translation answer malformed")
-            return Translation(doc["rule"].strip(), doc["explanation"].strip())
+            translation = parse_translation(doc)
+            return Translation(translation.rule_text.strip(), translation.explanation.strip())
 
         return self._ask("translate", prompt, validate)

@@ -7,22 +7,23 @@ and translation of a cause into the rule language.  Implementations:
 * DeterministicOracle - answers scripted in a JSON spec file; the
   reproducible backend used by tests and offline runs.
 * LlmOracle (rulesynth.llm) - OpenAI-compatible chat completions.
-* ReplayOracle - replays a recorded transcript with no backend at all.
+* TranscriptOracle - serves a recorded transcript and asks a live oracle,
+  if it has one, about each key it lacks, recording the answer.
 
 Every query has a canonical string key (subset ids sorted, equivalence
-pairs ordered).  Transcripts are keyed by it, and so is the LLM backend's
-prompt text.  The achievement judge is not: it is called with the cause
-search's own bitmask over the goal's causes and keeps its answers by
-that int, which maps one-to-one to the string key.  Only a new mask is
-decoded (`mask_ids`) to the frozenset of cause ids the backend is asked
-about, so a repeated subset costs a dict lookup and the number of
-distinct backend queries is the same.
+pairs ordered), built only in TranscriptOracle.  It checks each answer's
+JSON form, recorded or live, before serving or recording it; the LLM
+backend shares the necessity and translation checks.  The achievement
+judge is called with the cause search's own bitmask and keeps answers
+by that int, one-to-one with the string key; only a new mask is decoded
+(`mask_ids`) to the cause ids the backend is asked about, so a repeated
+subset costs a dict lookup and the distinct backend queries stay the same.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
@@ -163,7 +164,7 @@ class DeterministicOracleSpec:
     def from_file(cls, path: str | Path) -> "DeterministicOracleSpec":
         try:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise MalformedResponse(f"{path}: oracle spec is not valid JSON: {exc}") from exc
         return cls.from_json(doc)
 
@@ -413,124 +414,112 @@ class CachedAchievementJudge:
         return self
 
 
-# --- transcripts: record and replay ---
+# --- transcripts ---
 
 
-class RecordingOracle(Oracle):
-    """Wraps any oracle and records every answer keyed by canonical query key."""
+class TranscriptOracle(Oracle):
+    """Serves recorded answers keyed by canonical query key.  A missing key
+    is asked of `live`, and the answer's JSON form is recorded only after it
+    passes the check a recorded answer gets, so every transcript a run
+    writes replays.  With no live oracle a missing key is an
+    OracleUnavailable naming it, never a silent fallback to a backend."""
 
-    def __init__(self, inner: Oracle):
-        self.inner = inner
-        self.entries: dict[str, Any] = {}
+    def __init__(self, entries: Mapping[str, Any] | None = None, live: Oracle | None = None):
+        self.entries = dict(entries or {})
+        self.live = live
 
-    def _record(self, key: str, value: Any) -> Any:
-        self.entries[key] = value
-        return value
-
-    def generate_causes(self, goal, principles, count_hint):
-        answer = self.inner.generate_causes(goal, principles, count_hint)
-        self._record(query_key("generate", goal.id, count_hint), list(answer))
-        return answer
-
-    def judge_equivalent(self, a, b):
-        verdict = self.inner.judge_equivalent(a, b)
-        self._record(
-            equivalence_key(a, b),
-            {"equivalent": verdict.equivalent, "merged_text": verdict.merged_text},
-        )
-        return verdict
-
-    def judge_individual_necessity(self, cause, goal, principles):
-        verdict = self.inner.judge_individual_necessity(cause, goal, principles)
-        self._record(
-            query_key("necessity", goal.id, cause.id),
-            {"necessary": verdict.necessary, "rationale": verdict.rationale},
-        )
-        return verdict
-
-    def judge_subset_achieves(self, goal, subset, causes, principles):
-        answer = self.inner.judge_subset_achieves(goal, subset, causes, principles)
-        self._record(achieves_key(goal.id, subset), bool(answer))
-        return answer
-
-    def translate_to_fol(self, cause, onto, grammar_doc, feedback=None):
-        translation = self.inner.translate_to_fol(cause, onto, grammar_doc, feedback)
-        self._record(
-            query_key("translate", cause.goal_id, cause.text, feedback or ""),
-            {"rule": translation.rule_text, "explanation": translation.explanation},
-        )
-        return translation
+    @classmethod
+    def from_file(cls, path: str | Path) -> "TranscriptOracle":
+        try:
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise MalformedResponse(f"{path}: transcript is not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict) or not isinstance(doc.get("entries"), dict):
+            raise MalformedResponse(f"{path}: not a transcript file")
+        return cls(doc["entries"])
 
     def save(self, path: str | Path) -> None:
         """Write the transcript in one step, so a failed save keeps the old one."""
         payload = {"version": 1, "entries": self.entries}
         replace_file(path, json_text(payload) + "\n")
 
-
-class ReplayOracle(Oracle):
-    """Serves recorded answers only; a missing key is an OracleUnavailable
-    naming the key, never a silent fallback to a live backend."""
-
-    def __init__(self, entries: Mapping[str, Any]):
-        self.entries = dict(entries)
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "ReplayOracle":
-        try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise MalformedResponse(f"{path}: transcript is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict) or not isinstance(doc.get("entries"), dict):
-            raise MalformedResponse(f"{path}: not a transcript file")
-        return cls(doc["entries"])
-
-    def _lookup(self, key: str) -> Any:
-        if key not in self.entries:
+    def _answer(self, key: str, ask: Callable[[Oracle], Any], parse: Callable[[Any], Any]) -> Any:
+        # `ask` gives the live answer's JSON form: a verdict's dataclass fields, say
+        if key in self.entries:
+            return parse(self.entries[key])
+        if self.live is None:
             raise OracleUnavailable(f"transcript missing query key: {key}")
-        return self.entries[key]
-
-    def generate_causes(self, goal, principles, count_hint):
-        answer = self._lookup(query_key("generate", goal.id, count_hint))
-        if not (answer and isinstance(answer, list) and all(isinstance(t, str) for t in answer)):
-            raise MalformedResponse("recorded generate answer is not a nonempty list of strings")
-        return list(answer)
-
-    def judge_equivalent(self, a, b):
-        answer = self._lookup(equivalence_key(a, b))
-        if not (
-            isinstance(answer, dict)
-            and isinstance(answer.get("equivalent"), bool)
-            and isinstance(answer.get("merged_text", 0), (str, type(None)))
-        ):
-            raise MalformedResponse(
-                "recorded equivalence answer is not {equivalent: boolean, merged_text: string or null}"
-            )
-        return EquivalenceVerdict(answer["equivalent"], answer["merged_text"])
-
-    def judge_individual_necessity(self, cause, goal, principles):
-        answer = self._lookup(query_key("necessity", goal.id, cause.id))
-        if not (
-            isinstance(answer, dict)
-            and isinstance(answer.get("necessary"), bool)
-            and isinstance(answer.get("rationale"), str)
-        ):
-            raise MalformedResponse(
-                "recorded necessity answer is not {necessary: boolean, rationale: string}"
-            )
-        return check_necessity(NecessityVerdict(answer["necessary"], answer["rationale"]), principles)
-
-    def judge_subset_achieves(self, goal, subset, causes, principles):
-        answer = self._lookup(achieves_key(goal.id, subset))
-        if not isinstance(answer, bool):
-            raise MalformedResponse("recorded achievement answer is not a boolean")
+        doc = ask(self.live)
+        answer = parse(doc)
+        self.entries[key] = doc
         return answer
 
+    def generate_causes(self, goal, principles, count_hint):
+        return self._answer(
+            query_key("generate", goal.id, count_hint),
+            lambda live: list(live.generate_causes(goal, principles, count_hint)),
+            _causes,
+        )
+
+    def judge_equivalent(self, a, b):
+        return self._answer(
+            equivalence_key(a, b),
+            lambda live: asdict(live.judge_equivalent(a, b)),
+            lambda doc: EquivalenceVerdict(
+                *_fields(doc, "equivalence", equivalent=bool, merged_text=(str, type(None)))
+            ),
+        )
+
+    def judge_individual_necessity(self, cause, goal, principles):
+        return self._answer(
+            query_key("necessity", goal.id, cause.id),
+            lambda live: asdict(live.judge_individual_necessity(cause, goal, principles)),
+            lambda doc: parse_necessity(doc, principles),
+        )
+
+    def judge_subset_achieves(self, goal, subset, causes, principles):
+        return self._answer(
+            achieves_key(goal.id, subset),
+            lambda live: bool(live.judge_subset_achieves(goal, subset, causes, principles)),
+            _achieves,
+        )
+
     def translate_to_fol(self, cause, onto, grammar_doc, feedback=None):
-        answer = self._lookup(query_key("translate", cause.goal_id, cause.text, feedback or ""))
-        if not (
-            isinstance(answer, dict)
-            and isinstance(answer.get("rule"), str)
-            and isinstance(answer.get("explanation"), str)
-        ):
-            raise MalformedResponse("recorded translation is not {rule: string, explanation: string}")
-        return Translation(answer["rule"], answer["explanation"])
+        def ask(live: Oracle) -> dict[str, Any]:
+            translation = live.translate_to_fol(cause, onto, grammar_doc, feedback)
+            return {"rule": translation.rule_text, "explanation": translation.explanation}
+
+        return self._answer(
+            query_key("translate", cause.goal_id, cause.text, feedback or ""), ask, parse_translation
+        )
+
+
+# checks of an answer's JSON form; the LLM backend shares the last two
+
+
+def _fields(doc: Any, kind: str, **types: type | tuple[type, ...]) -> list[Any]:
+    """The values of an answer object's fields, each checked for its type."""
+    if not (isinstance(doc, dict) and all(isinstance(doc.get(f, ...), t) for f, t in types.items())):
+        raise MalformedResponse(f"{kind} answer is not an object whose {', '.join(types)} have the right types")
+    return [doc[f] for f in types]
+
+
+def _causes(doc: Any) -> list[str]:
+    if not (doc and isinstance(doc, list) and all(isinstance(t, str) for t in doc)):
+        raise MalformedResponse("generate answer is not a nonempty list of strings")
+    return list(doc)
+
+
+def _achieves(doc: Any) -> bool:
+    if not isinstance(doc, bool):
+        raise MalformedResponse("achievement answer is not a boolean")
+    return doc
+
+
+def parse_necessity(doc: Any, principles: Sequence[Principle]) -> NecessityVerdict:
+    verdict = NecessityVerdict(*_fields(doc, "necessity", necessary=bool, rationale=str))
+    return check_necessity(verdict, principles)
+
+
+def parse_translation(doc: Any) -> Translation:
+    return Translation(*_fields(doc, "translation", rule=str, explanation=str))

@@ -30,8 +30,8 @@ from .oracle import (
     DeterministicOracle,
     DeterministicOracleSpec,
     Oracle,
-    ReplayOracle,
     Translation,
+    TranscriptOracle,
     UntranslatableCause,
 )
 from .store import Cause, Goal, TheoryStore, commit_verified_rule, json_text
@@ -82,7 +82,7 @@ class ScenarioConfig:
             raise ConfigError(f"config file does not exist: {path}")
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
         return cls.from_json(doc, base_dir=path.parent)
 
@@ -117,7 +117,7 @@ class ScenarioConfig:
                 out_dir=base_dir / doc.get("out", "out"),
                 count_hint=doc.get("count_hint", 8),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             if isinstance(exc, ConfigError):
                 raise
             raise ConfigError(f"bad scenario config: {exc}") from exc
@@ -138,7 +138,7 @@ def build_oracle(config: ScenarioConfig) -> Oracle:
             raise ConfigError("replay mode requires a transcript path")
         if not config.transcript_path.exists():
             raise ConfigError(f"transcript does not exist: {config.transcript_path}")
-        return ReplayOracle.from_file(config.transcript_path)
+        return TranscriptOracle.from_file(config.transcript_path)
     if config.llm is None:
         raise ConfigError("llm mode requires an llm configuration block")
     return LlmOracle(config.llm)
@@ -178,9 +178,10 @@ class SynthesisResult:
     goal: Goal
     raw_causes: tuple[str, ...]
     causes: tuple[Cause, ...]
+    merge_inconsistencies: tuple[str, ...] = ()
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {
+        doc = {
             "goal_id": self.goal.id,
             "goal_text": self.goal.text,
             "raw_causes": list(self.raw_causes),
@@ -196,6 +197,9 @@ class SynthesisResult:
                 for c in self.causes
             ],
         }
+        if self.merge_inconsistencies:  # kept out otherwise, so consistent runs keep their bytes
+            doc["merge_inconsistencies"] = list(self.merge_inconsistencies)
+        return doc
 
 
 def run_synthesize(
@@ -218,7 +222,7 @@ def run_synthesize(
         rule, translation = translate_cause(oracle, cause, onto, grammar_doc)
         causes.append(replace(cause, rule=rule, rule_explanation=translation.explanation))
     store = store.with_causes(causes)
-    return store, SynthesisResult(goal, tuple(raw), tuple(causes))
+    return store, SynthesisResult(goal, tuple(raw), tuple(causes), partition.inconsistencies)
 
 
 def run_analyze(

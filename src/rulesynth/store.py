@@ -227,11 +227,10 @@ def load_store(path: str | Path, onto: Ontology | None = None) -> TheoryStore:
     Rules are parsed structurally; pass the ontology to also schema-check
     every stored rule.  Violations abort the load.
     """
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise StoreFormatError("$", f"not valid JSON: {exc}") from exc
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise StoreFormatError("$", f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise StoreFormatError("$", "top level must be an object")
     missing = [s for s in _SECTIONS if s not in doc]

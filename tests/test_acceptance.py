@@ -304,8 +304,8 @@ def test_criterion_8_golden_transcript_replay(tmp_path):
             ["run-all", "--config", str(works["det"] / "scenario1.config.json")]
         ) == 0
 
-        # replay the shipped golden transcript: no backend, no network; the
-        # ReplayOracle holds recorded answers only
+        # replay the shipped golden transcript: no backend, no network; a
+        # TranscriptOracle without a live oracle serves recorded answers only
         config_doc = json.loads((works["replay"] / "scenario1.config.json").read_text())
         config_doc["oracle"] = {
             "mode": "replay",

@@ -222,7 +222,7 @@ def test_strict_monotone_duality_mismatch_exits_5(work_dir, capsys):
     from rulesynth.oracle import (
         DeterministicOracle,
         DeterministicOracleSpec,
-        RecordingOracle,
+        TranscriptOracle,
     )
     from rulesynth.pipeline import ScenarioConfig, run_analyze, run_synthesize
     from rulesynth.store import load_store, save_store
@@ -237,7 +237,7 @@ def test_strict_monotone_duality_mismatch_exits_5(work_dir, capsys):
     onto = load_ontology(config.ontology_path)
     store = load_store(config.store_path, onto)
     oracle = NonMonotone(DeterministicOracleSpec.from_file(config.oracle_spec_path))
-    recorder = RecordingOracle(oracle)
+    recorder = TranscriptOracle(live=oracle)
     store, _ = run_synthesize(store, onto, recorder, config)
     save_store(store, config.store_path)
     _, report = run_analyze(store, recorder, config)
@@ -380,3 +380,51 @@ def test_one_parser_serves_every_call_like_a_fresh_one(tmp_path, capsys):
     assert [code for code, _, _ in results["warm"]] == [2, 2, 0, 0, 0, 2]
     assert "usage: rulesynth run-all" in results["warm"][3][1]
     assert "verdict" in results["warm"][4][1]
+
+
+@pytest.mark.parametrize(
+    "timeout, message",
+    [(0, "timeout"), (-1, "timeout"), (float("nan"), "timeout"), (float("inf"), "timeout"), (10**400, "float")],
+    ids=["zero", "negative", "nan", "inf", "huge-int"],
+)
+def test_bad_llm_timeout_exits_2_before_any_oracle_call(work_dir, capsys, monkeypatch, timeout, message):
+    _refuse_oracle(monkeypatch)
+    monkeypatch.setenv("RULESYNTH_API_KEY", "test-key")
+
+    def edit(doc):
+        llm = {"endpoint": "https://llm.test/v1", "model": "m", "timeout": timeout}
+        doc["oracle"] = {"mode": "llm", "llm": llm}
+
+    assert run(["run-all", "--config", _write_config(work_dir, edit)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not (work_dir / "out").exists()
+
+
+def test_merge_inconsistencies_are_printed_and_recorded(work_dir, capsys, monkeypatch):
+    from rulesynth.oracle import DeterministicOracle, DeterministicOracleSpec, EquivalenceVerdict
+
+    merged = "Driver maintains control of the vehicle and is aware of surrounding traffic"
+
+    class Intransitive(DeterministicOracle):
+        """Judges a~b and b~c, but not a~c."""
+
+        def generate_causes(self, goal, principles, count_hint):
+            return ["a", "b", "c"]
+
+        def judge_equivalent(self, x, y):
+            equivalent = {x, y} != {"a", "c"}
+            return EquivalenceVerdict(equivalent, merged if equivalent else None)
+
+    spec = DeterministicOracleSpec.from_file(work_dir / "scenario1.oracle.json")
+    monkeypatch.setattr(cli, "build_oracle", lambda config: Intransitive(spec))
+    assert run(["synthesize", "--config", str(work_dir / "scenario1.config.json")]) == 0
+    out = capsys.readouterr().out
+    contradiction = "transitive merge of 'a' and 'c' contradicts an earlier non-equivalent verdict"
+    assert [line.strip() for line in out.splitlines() if "inconsistency" in line] == [
+        f"merge inconsistency: {contradiction}"
+    ]
+    artifact = read(work_dir / "out" / "g1.synthesis.json")
+    assert artifact["merge_inconsistencies"] == [contradiction]
+    assert [c["merged_from"] for c in artifact["causes"]] == [["a", "b", "c"]]
+

@@ -2,9 +2,10 @@
 
 Each example copies the shipped fixtures, runs `synthesize` on scenario 1
 when the command needs its causes, then corrupts one input file and runs
-one CLI command.  A corruption truncates the file's text, or replaces or
-deletes one to three values anywhere in its JSON tree.  The transcript is
-corrupted under a config switched to replay mode.
+one CLI command.  A corruption truncates the file's text, replaces or
+deletes one to three values anywhere in its JSON tree, or puts a byte
+that UTF-8 never uses into it.  The transcript is corrupted under a
+config switched to replay mode.
 """
 
 import contextlib
@@ -53,9 +54,14 @@ def _paths(doc, path=()):
 
 
 def _corrupt(data, text):
-    kind = data.draw(st.sampled_from(["truncate", "replace", "delete"]), label="kind")
+    """The corrupted file's bytes."""
+    kind = data.draw(st.sampled_from(["truncate", "replace", "delete", "undecodable"]), label="kind")
     if kind == "truncate":
-        return text[: data.draw(st.integers(0, len(text) - 1), label="cut")]
+        return text[: data.draw(st.integers(0, len(text) - 1), label="cut")].encode()
+    if kind == "undecodable":
+        raw = text.encode()
+        at = data.draw(st.integers(0, len(raw)), label="at")
+        return raw[:at] + data.draw(st.sampled_from([b"\xff", b"\xfe"]), label="byte") + raw[at:]
     doc = json.loads(text)
     for _ in range(data.draw(st.integers(1, 3), label="edits")):
         paths = list(_paths(doc))[1 if kind == "delete" else 0 :]
@@ -72,7 +78,20 @@ def _corrupt(data, text):
             del parent[path[-1]]
         else:
             parent[path[-1]] = data.draw(REPLACEMENTS, label="value")
-    return json.dumps(doc)
+    return json.dumps(doc).encode()
+
+
+def _work_copy(work, target):
+    """Copy the fixtures into `work`; the config it returns replays the
+    golden transcript when that is the target."""
+    for path in SCENARIOS.glob("*.json"):
+        shutil.copy(path, work / path.name)
+    config = work / "scenario1.config.json"
+    if target == "transcript":
+        doc = json.loads(config.read_text())
+        doc["oracle"] = {"mode": "replay", "transcript": TARGETS["transcript"]}
+        config.write_text(json.dumps(doc))
+    return config
 
 
 def _quiet_main(argv):
@@ -85,16 +104,21 @@ def _quiet_main(argv):
 @given(command=st.sampled_from(COMMANDS), data=st.data())
 def test_corrupted_input_ends_in_a_documented_exit_code(target, command, data):
     with tempfile.TemporaryDirectory() as tmp:
-        work = Path(tmp)
-        for path in SCENARIOS.glob("*.json"):
-            shutil.copy(path, work / path.name)
-        config = work / "scenario1.config.json"
-        if target == "transcript":
-            doc = json.loads(config.read_text())
-            doc["oracle"] = {"mode": "replay", "transcript": TARGETS["transcript"]}
-            config.write_text(json.dumps(doc))
+        config = _work_copy(Path(tmp), target)
         if command[0] in ("analyze", "verify"):
             assert _quiet_main(["synthesize", "--config", str(config)]) == 0
-        victim = work / TARGETS[target]
-        victim.write_text(_corrupt(data, victim.read_text()))
+        victim = config.parent / TARGETS[target]
+        victim.write_bytes(_corrupt(data, victim.read_text()))
         assert _quiet_main([*command, "--config", str(config)]) in EXIT_CODES
+
+
+@pytest.mark.parametrize(
+    "target, code", [("config", 2), ("store", 2), ("ontology", 2), ("spec", 3), ("transcript", 3)]
+)
+def test_input_that_is_not_utf8_ends_in_its_exit_code_naming_the_file(tmp_path, capsys, target, code):
+    config = _work_copy(tmp_path, target)
+    victim = tmp_path / TARGETS[target]
+    victim.write_bytes(b"\xff\xfe" + victim.read_bytes())
+    assert main(["run-all", "--config", str(config)]) == code
+    err = capsys.readouterr().err
+    assert str(victim) in err and "Traceback" not in err

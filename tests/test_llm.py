@@ -46,6 +46,15 @@ def test_temperature_zero_is_mandatory():
         make_config(max_retries=99)
 
 
+@pytest.mark.parametrize("timeout", [0, -1, float("nan"), float("inf"), float("-inf")])
+def test_timeout_must_be_a_finite_positive_number(timeout):
+    with pytest.raises(ValueError, match="timeout"):
+        make_config(timeout=timeout)
+    with pytest.raises(ValueError, match="timeout"):
+        LlmOracleConfig.from_json({"endpoint": "e", "model": "m", "timeout": timeout})
+    assert make_config(timeout=0.5).timeout == 0.5
+
+
 def test_prompt_overrides_must_be_templates_of_their_query_fields():
     assert make_config(prompts=dict(PROMPTS)).prompts == PROMPTS  # the defaults pass
     for prompts in (

@@ -1,9 +1,12 @@
 import itertools
 import json
 import random
+import shutil
 
 import pytest
 
+from rulesynth.cli import main as cli_main
+from rulesynth.llm import LlmOracle, LlmOracleConfig
 from rulesynth.oracle import (
     CachedAchievementJudge,
     DeterministicOracle,
@@ -12,8 +15,8 @@ from rulesynth.oracle import (
     MalformedResponse,
     NecessityVerdict,
     OracleUnavailable,
-    RecordingOracle,
-    ReplayOracle,
+    TranscriptOracle,
+    Translation,
     achieves_key,
     check_necessity,
     equivalence_key,
@@ -186,38 +189,90 @@ def test_spec_rejects_wrong_value_types_at_load(goal):
 
 
 CAUSE = Cause("g1-c1", "g1", "cause 1", ("cause 1",))
+NECESSITY_KEY = query_key("necessity", "g1", "g1-c1")
+TRANSLATE_KEY = query_key("translate", "g1", "cause 1", "")
+
+
+def replay(key, answer):
+    return TranscriptOracle({key: answer})
+
+
+def llm_answering(key, answer):
+    """An LLM backend whose transport gives `answer` to the query and to its re-ask."""
+
+    def transport(endpoint, payload, headers, timeout):
+        return {"choices": [{"message": {"content": json.dumps(answer)}}]}
+
+    config = LlmOracleConfig(endpoint="https://llm.test/v1", model="m", api_key_env="RULESYNTH_TEST_KEY")
+    return LlmOracle(config, transport)
+
+
+def ask_necessity(oracle):
+    return oracle.judge_individual_necessity(CAUSE, GOAL, PRINCIPLES)
+
+
+def ask_translation(oracle):
+    return oracle.translate_to_fol(CAUSE, None, "grammar")
 
 
 @pytest.mark.parametrize(
-    "key, answer, ask",
+    "key, answer, ask, backend",
     [
-        (query_key("generate", "g1", 8), [], lambda r: r.generate_causes(GOAL, PRINCIPLES, 8)),
+        (query_key("generate", "g1", 8), [], lambda r: r.generate_causes(GOAL, PRINCIPLES, 8), replay),
         (
             equivalence_key("a", "b"),
             {"equivalent": "no", "merged_text": None},
             lambda r: r.judge_equivalent("a", "b"),
+            replay,
         ),
         (
             equivalence_key("a", "b"),
             {"equivalent": True, "merged_text": ["a"]},
             lambda r: r.judge_equivalent("a", "b"),
+            replay,
         ),
-        (
-            query_key("necessity", "g1", "g1-c1"),
-            {"necessary": "false", "rationale": "p-control"},
-            lambda r: r.judge_individual_necessity(CAUSE, GOAL, PRINCIPLES),
-        ),
-        (
-            query_key("translate", "g1", "cause 1", ""),
-            {"rule": 5, "explanation": ""},
-            lambda r: r.translate_to_fol(CAUSE, None, "grammar"),
-        ),
+        (NECESSITY_KEY, {"necessary": "false", "rationale": "p-control"}, ask_necessity, replay),
+        (TRANSLATE_KEY, {"rule": 5, "explanation": ""}, ask_translation, replay),
+        # the one check of each of these two forms also serves the LLM backend
+        (NECESSITY_KEY, {"necessary": "false", "rationale": "p-control"}, ask_necessity, llm_answering),
+        (NECESSITY_KEY, {"necessary": True}, ask_necessity, llm_answering),
+        (TRANSLATE_KEY, {"rule": 5, "explanation": ""}, ask_translation, llm_answering),
+        (TRANSLATE_KEY, {"rule": "r"}, ask_translation, llm_answering),
+        (TRANSLATE_KEY, {"rule": "r"}, ask_translation, replay),
     ],
-    ids=["empty-causes", "text-equivalent", "list-merged-text", "text-necessary", "number-rule"],
+    ids=[
+        "empty-causes",
+        "text-equivalent",
+        "list-merged-text",
+        "text-necessary",
+        "number-rule",
+        "llm-text-necessary",
+        "llm-no-rationale",
+        "llm-number-rule",
+        "llm-no-explanation",
+        "no-explanation",
+    ],
 )
-def test_replay_rejects_answers_of_the_wrong_type(key, answer, ask):
-    with pytest.raises(MalformedResponse):
-        ask(ReplayOracle({key: answer}))
+def test_replay_rejects_answers_of_the_wrong_type(monkeypatch, key, answer, ask, backend):
+    monkeypatch.setenv("RULESYNTH_TEST_KEY", "test-key")
+    with pytest.raises(MalformedResponse, match="answer is not"):
+        ask(backend(key, answer))
+
+
+def test_transcript_checks_live_answers_before_recording_them():
+    class Broken(DeterministicOracle):
+        def judge_individual_necessity(self, cause, goal, principles):
+            return NecessityVerdict(True, "cites no principle")
+
+        def translate_to_fol(self, cause, onto, grammar_doc, feedback=None):
+            return Translation(5, "")
+
+    recorder = TranscriptOracle(live=Broken(scenario1_oracle().spec))
+    with pytest.raises(MalformedResponse, match="principle"):
+        ask_necessity(recorder)
+    with pytest.raises(MalformedResponse, match="translation answer is not"):
+        ask_translation(recorder)
+    assert recorder.entries == {}
 
 
 def test_cached_judge_counts_backend_queries():
@@ -293,7 +348,7 @@ def test_cached_judge_matches_uncached_oracle_and_asks_once_per_key(seed):
     }}})
     uncached = DeterministicOracle(spec)
     counting = CountingOracle(spec)
-    recorder = RecordingOracle(counting)
+    recorder = TranscriptOracle(live=counting)
     judge = CachedAchievementJudge(recorder, GOAL, causes, PRINCIPLES)
     pool = [rng.randrange(1 << n) for _ in range(60)]
     queries = [rng.choice(pool) for _ in range(300)]  # repeats on purpose
@@ -324,9 +379,9 @@ def test_query_keys_are_canonical():
     assert query_key("generate", "g1", 8) == '["generate","g1",8]'
 
 
-def test_record_and_replay_round_trip(tmp_path, onto):
+def test_transcript_record_and_replay_round_trip(tmp_path, onto):
     inner = scenario1_oracle()
-    recorder = RecordingOracle(inner)
+    recorder = TranscriptOracle(live=inner)
     raw = recorder.generate_causes(GOAL, PRINCIPLES, 8)
     verdict = recorder.judge_equivalent(raw[0], raw[1])
     cause = Cause("g1-c1", "g1", verdict.merged_text, (raw[0], raw[1]))
@@ -336,7 +391,8 @@ def test_record_and_replay_round_trip(tmp_path, onto):
     path = tmp_path / "transcript.json"
     recorder.save(path)
 
-    replay = ReplayOracle.from_file(path)
+    replay = TranscriptOracle.from_file(path)
+    assert replay.live is None
     assert replay.generate_causes(GOAL, PRINCIPLES, 8) == raw
     assert replay.judge_equivalent(raw[1], raw[0]) == verdict  # symmetric key
     assert replay.judge_subset_achieves(GOAL, frozenset(["g1-c1"]), (cause,), PRINCIPLES) is False
@@ -350,7 +406,7 @@ def test_record_and_replay_round_trip(tmp_path, onto):
 def test_failed_transcript_save_keeps_old_transcript_and_leaves_no_temp_file(
     tmp_path, monkeypatch, failing
 ):
-    recorder = RecordingOracle(scenario1_oracle())
+    recorder = TranscriptOracle(live=scenario1_oracle())
     raw = recorder.generate_causes(GOAL, PRINCIPLES, 8)
     path = tmp_path / "run.transcript.json"
     recorder.save(path)
@@ -367,13 +423,38 @@ def test_failed_transcript_save_keeps_old_transcript_and_leaves_no_temp_file(
     assert [p.name for p in tmp_path.iterdir()] == ["run.transcript.json"]
     monkeypatch.undo()
     recorder.save(path)
-    assert ReplayOracle.from_file(path).entries == recorder.entries
+    assert TranscriptOracle.from_file(path).entries == recorder.entries
 
 
-def test_replay_missing_key_names_it(tmp_path):
+def test_transcript_missing_key_names_it(tmp_path):
     path = tmp_path / "t.json"
     path.write_text(json.dumps({"version": 1, "entries": {}}))
-    replay = ReplayOracle.from_file(path)
+    replay = TranscriptOracle.from_file(path)
     with pytest.raises(OracleUnavailable) as err:
         replay.judge_subset_achieves(GOAL, frozenset(["g1-c1"]), (), PRINCIPLES)
     assert achieves_key("g1", frozenset(["g1-c1"])) in str(err.value)
+
+
+def test_transcript_asks_live_once_per_key():
+    counting = CountingOracle(scenario1_oracle().spec)
+    recorder = TranscriptOracle(live=counting)
+    causes = make_causes("g1", 4)
+    subsets = [frozenset(["g1-c1"]), frozenset(["g1-c1", "g1-c2"]), frozenset(["g1-c1"])]
+    answers = [recorder.judge_subset_achieves(GOAL, s, causes, PRINCIPLES) for s in subsets]
+    assert answers[0] is answers[2] is False
+    assert counting.asked == subsets[:2]  # the repeat is served from the transcript
+    assert set(recorder.entries) == {achieves_key("g1", s) for s in subsets}
+
+
+def test_transcript_recorded_over_the_golden_replay_gives_back_its_entries(tmp_path):
+    for path in SCENARIOS.glob("*.json"):
+        shutil.copy(path, tmp_path / path.name)
+    doc = json.loads((tmp_path / "scenario1.config.json").read_text())
+    doc["oracle"] = {"mode": "replay", "transcript": "golden-scenario1.transcript.json"}
+    config = tmp_path / "replay.config.json"
+    config.write_text(json.dumps(doc))
+    recorded = tmp_path / "again.transcript.json"
+    assert cli_main(["run-all", "--config", str(config), "--record", str(recorded)]) == 0
+    golden = SCENARIOS / "golden-scenario1.transcript.json"
+    assert json.loads(recorded.read_text()) == json.loads(golden.read_text())
+    assert recorded.read_bytes() == golden.read_bytes()
