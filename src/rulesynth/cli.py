@@ -7,7 +7,8 @@ a run-all composite.  Exit codes:
   2  configuration error (bad arguments, bad config or grounding
      settings, an ontology with no sorts to ground over for verify and
      run-all, missing file, unknown goal/rule, --brute-force over more
-     causes than analysis.BRUTE_FORCE_LIMIT)
+     causes than analysis.BRUTE_FORCE_LIMIT, a --record path that is a
+     directory or whose directory does not exist)
   3  oracle error (backend unavailable, malformed answer, malformed
      oracle spec or transcript, missing transcript key)
   4  translation failure (names the cause id)
@@ -170,6 +171,12 @@ def _run(args: argparse.Namespace) -> int:
     store = load_store(config.store_path, onto)
     if args.command in ("verify", "run-all"):
         config.grounding_config(onto)  # bad grounding settings end the run before any oracle call
+    if args.record:  # and so does a transcript path that cannot be written
+        record = Path(args.record).resolve()
+        if record.is_dir():
+            raise ConfigError(f"--record path is a directory: {args.record}")
+        if not record.parent.is_dir():
+            raise ConfigError(f"--record path's directory does not exist: {args.record}")
     oracle = build_oracle(config)
     recorder = TranscriptOracle(live=oracle) if args.record else None
     oracle = recorder or oracle

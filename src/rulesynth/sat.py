@@ -36,15 +36,30 @@ would, without copying anything of the index's size.  An extended index
 propagates its new clauses from the old index's root, not from scratch:
 the old root is a fixpoint of the old clauses, so only a new clause, or
 an old one that a newly set literal falsifies in part, can set more.
+
+`satisfiable` answers yes or no without a model, for callers that read
+none.  After the same refutation by propagation, it tries the index's
+kept witnesses: the models of its earlier DPLL calls, as sets of true
+literals, newest first.  Each is overridden by the literals that `root`
+and the extra clauses force and then checked against every clause that
+is on, the newest clauses first; one that satisfies them all answers
+yes.  Only when none does is DPLL run, and its model is kept.  A witness
+is checked clause by clause, so it can only ever answer yes for a clause
+set that has a model: a wrong or stale witness costs a miss, never a
+wrong answer, and the answer is always `solve(...) is not None`.  This
+is the counterexample cache of KLEE (Cadar, Dunbar and Engler, OSDI
+2008), close to phase saving (Pipatsrisawat and Darwiche, SAT 2007).
 """
 
 from __future__ import annotations
 
 from copy import copy
-from itertools import islice
+from itertools import filterfalse, islice
 from typing import Collection, Iterable, Sequence
 
 Clause = frozenset[int]
+
+WITNESSES = 4  # models kept per index lineage for `satisfiable`
 
 
 class Index:
@@ -56,7 +71,10 @@ class Index:
     containing lit, `counts[lit]` their count.  `root` holds the literals
     that unit propagation of the index's own clauses sets, or is None when
     it conflicts.  An index is not changed once built: `extended` and
-    `solve` rebind or copy what they change.
+    `solve` rebind or copy what they change.  The one exception is
+    `witnesses`, the models `satisfiable` keeps (each the set of its
+    true literals, newest first, at most WITNESSES): one list, shared by
+    the index and every index `extended` builds from it.
     """
 
     def __init__(self, clauses: Iterable[Iterable[int]]) -> None:
@@ -70,6 +88,7 @@ class Index:
         self.units: list[int] = []
         self.pure: list[int] = []
         self.root: set[int] | None = set()
+        self.witnesses: list[frozenset[int]] = []
         self._add(clauses)
 
     def extended(self, clauses: Iterable[Iterable[int]]) -> "Index":
@@ -78,7 +97,8 @@ class Index:
 
         The per-literal occurrence lists are shared, except those of the
         literals the new clauses contain, and `root` is propagated from this
-        index's root through the new clauses only."""
+        index's root through the new clauses only.  The witness pool is
+        shared, not copied."""
         index = copy(self)
         index.ids = self.ids.copy()
         index.clauses = self.clauses.copy()
@@ -288,3 +308,34 @@ def solve(
             units.clear()
             zeroed.clear()
             consistent = assign(-lowest)
+
+
+def satisfiable(
+    index: Index, *, off: Collection[Clause] = (), extra: Iterable[Iterable[int]] = ()
+) -> bool:
+    """Whether the index's clauses, less `off` and plus `extra`, have a
+    model: `solve(index, off=off, extra=extra) is not None`, answered by
+    propagation or a kept witness where they can."""
+    extra = [frozenset(c) for c in extra]
+    forced = index.root or set()  # under `off`, only a guess for the override
+    if not off:
+        implied = None if index.root is None else _propagate(index, index.root, extra)
+        if implied is None:
+            return False
+        forced = forced | implied
+    if index.witnesses:
+        falsified = {-literal for literal in forced}
+        for witness in index.witnesses:
+            truth = set(witness)
+            truth -= falsified
+            truth |= forced
+            # the newest clauses first; a clause switched off may be unsatisfied
+            violated = filterfalse(off.__contains__, filter(truth.isdisjoint, reversed(index.clauses)))
+            if not any(map(truth.isdisjoint, extra)) and next(violated, None) is None:
+                return True
+    model = solve(index, off=off, extra=extra)
+    if model is None:
+        return False
+    index.witnesses.insert(0, frozenset(v if value else -v for v, value in model.items()))
+    del index.witnesses[WITNESSES:]
+    return True

@@ -33,6 +33,13 @@ ClauseDB's atom table.  Each of these clause sets, and its atom
 numbering, equals what grounding that check's rules afresh would give,
 with an attempt's literals as unit clauses, up to clause order, and the
 DPLL answer depends only on those two.
+
+Only an Unsafe verdict reports a model, its countermodel, so only the
+invariant attempts ask `sat.solve` for one.  The consistency check, the
+core-shrinking trials, the entailment checks and `theory_soundness`'s
+satisfiability check ask `sat.satisfiable` for a yes or no, which a model
+kept from an earlier call on the same index lineage often gives after a
+clause-by-clause check, without search; its answer is always DPLL's.
 """
 
 from __future__ import annotations
@@ -81,7 +88,7 @@ def check_consistency(
     Theory plus candidate is grounded once; each shrinking trial switches
     off the clauses its kept rules and the candidate do not have."""
     db = ground([*theory, candidate], config, onto)
-    if sat.solve(db.index) is not None:
+    if sat.satisfiable(db.index):
         return ConsistencyResult(True)
     candidate_index = len(theory)
     kept = list(range(len(theory)))
@@ -89,7 +96,7 @@ def check_consistency(
         trial = [i for i in kept if theory[i] is not theory[dropped]]
         # a subset's clauses, axioms included, are all in the index
         off = db.index.ids.keys() - rule_subset(db, [*trial, candidate_index])
-        if sat.solve(db.index, off=off) is None:
+        if not sat.satisfiable(db.index, off=off):
             kept = trial
     return ConsistencyResult(False, tuple(theory[i].id for i in kept))
 
@@ -106,7 +113,7 @@ def check_entailment(theory_db: ClauseDB, db: ClauseDB) -> bool:
     axioms = [axiom for axiom in db.axioms if axiom not in theory.ids]
     for clause in db.rule_clauses[-1]:
         negation = [[-lit] for lit in clause]
-        if sat.solve(theory, extra=[*axioms, *negation]) is not None:
+        if sat.satisfiable(theory, extra=[*axioms, *negation]):
             return False
     return True
 
@@ -232,7 +239,7 @@ def theory_soundness(
     declared invariant is entailed by it."""
     theory = store.theory_rules()
     db = ground(theory, config, onto)
-    if sat.solve(db.index) is None:
+    if not sat.satisfiable(db.index):
         return False, "verified theory is unsatisfiable"
     result = check_invariants(db, store.invariants, config, onto)
     if not result.preserved:

@@ -316,6 +316,23 @@ def test_bad_grounding_settings_exit_2_before_any_oracle_call(
     assert not (work_dir / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "record, message",
+    [(".", "is a directory"), ("missing/dir/t.json", "directory does not exist")],
+)
+def test_unwritable_record_path_exits_2_before_any_oracle_call(
+    work_dir, capsys, monkeypatch, record, message
+):
+    _refuse_oracle(monkeypatch)
+    store_before = (work_dir / "merge.kb.json").read_bytes()
+    config = str(work_dir / "scenario1.config.json")
+    assert run(["run-all", "--config", config, "--record", str(work_dir / record)]) == 2
+    assert message in capsys.readouterr().err
+    assert (work_dir / "merge.kb.json").read_bytes() == store_before
+    assert not (work_dir / "out").exists()
+    assert not (work_dir / "missing").exists()
+
+
 @pytest.mark.parametrize("command", [["verify", "--all-unverified"], ["run-all"]])
 def test_ontology_without_sorts_exits_2_before_any_oracle_call(work_dir, capsys, monkeypatch, command):
     _refuse_oracle(monkeypatch)

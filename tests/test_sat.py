@@ -9,7 +9,7 @@ from rulesynth import sat
 from rulesynth.cli import main
 from rulesynth.fol import load_ontology, parse_rule
 from rulesynth.grounding import GroundingConfig
-from rulesynth.sat import Index, solve
+from rulesynth.sat import Index, satisfiable, solve
 from rulesynth.store import load_store
 from rulesynth.verify import verify
 
@@ -149,22 +149,29 @@ def test_models_equal_reference_on_random_cnfs():
         assert solve(clauses) == reference_dpll.solve(clauses)
 
 
+def switches(rng, index):
+    """Clauses of the index to switch off, and extra clauses: unit
+    assumptions, at times contradictory, over up to 3 variables above the
+    index's range, and at times a wider clause."""
+    off = {clause for clause in index.clauses if rng.random() < 0.3}
+    extra = []
+    for _ in range(rng.randint(0, 3)):
+        literal = rng.randint(1, index.num_vars + 3) * rng.choice((1, -1))
+        extra.append([literal])
+        if rng.random() < 0.2:
+            extra.append([-literal])
+    if rng.random() < 0.3:  # as interval axioms over new atoms are
+        variables = rng.sample(range(1, index.num_vars + 4), 2)
+        extra.append([v * rng.choice((1, -1)) for v in variables])
+    return off, extra
+
+
 def test_models_equal_reference_with_switched_off_and_extra_clauses():
     rng = random.Random("reference-switches")
     outcomes = set()
     for _ in range(1500):
         index = Index(messy_cnf(rng))
-        off = {clause for clause in index.clauses if rng.random() < 0.3}
-        extra = []
-        for _ in range(rng.randint(0, 3)):
-            # up to 3 variables above the index's range
-            literal = rng.randint(1, index.num_vars + 3) * rng.choice((1, -1))
-            extra.append([literal])
-            if rng.random() < 0.2:
-                extra.append([-literal])  # contradictory assumptions
-        if rng.random() < 0.3:  # a wider clause, as interval axioms over new atoms are
-            variables = rng.sample(range(1, index.num_vars + 4), 2)
-            extra.append([v * rng.choice((1, -1)) for v in variables])
+        off, extra = switches(rng, index)
         model = solve(index, off=off, extra=extra)
         assert model == reference_call(index, off, extra)
         outcomes.add(model is None)
@@ -172,17 +179,26 @@ def test_models_equal_reference_with_switched_off_and_extra_clauses():
 
 
 def test_models_equal_reference_on_run_all_solver_calls(tmp_path, monkeypatch):
-    calls = []
-    engine = sat.solve
+    calls, answers = [], []  # solve calls with their models, satisfiable calls with their answers
+    engine, yes_no = sat.solve, sat.satisfiable
 
     def recording(*args, **kwargs):
         model = engine(*args, **kwargs)
         calls.append((args, kwargs, model))
         return model
 
+    def recording_yes_no(*args, **kwargs):
+        searched = len(calls)
+        answer = yes_no(*args, **kwargs)
+        # True with no solve call of its own: a kept witness answered
+        answers.append((args, kwargs, answer, answer and len(calls) == searched))
+        return answer
+
     monkeypatch.setattr(sat, "solve", recording)
-    # at domain 6 more invariant attempts are refuted by propagation alone
-    for domain in ("3", "6"):
+    monkeypatch.setattr(sat, "satisfiable", recording_yes_no)
+    # at domain 6 more invariant attempts are refuted by propagation alone;
+    # domain 20 is the benchmark's
+    for domain in ("3", "6", "20"):
         work = tmp_path / domain
         work.mkdir()
         for path in SCENARIOS.glob("*.json"):
@@ -196,11 +212,133 @@ def test_models_equal_reference_on_run_all_solver_calls(tmp_path, monkeypatch):
     grounding = GroundingConfig.default(onto, 3)
     for text in ("forall X . speed(X) > 130 <- true", "forall X . overtake_right(X) <- true"):
         assert verify(parse_rule(text, onto), store, grounding, onto).verdict == "Inconsistent"
-    assert len(calls) > 50
-    assert any(kwargs.get("off") for _, kwargs, _ in calls)
+    assert len(calls) > 50 and len(answers) > 50
+    assert any(kwargs.get("off") for _, kwargs, _, _ in answers)
+    assert any(kwargs.get("extra") for _, kwargs, _, _ in answers)
     assert any(kwargs.get("extra") for _, kwargs, _ in calls)
+    assert sum(witnessed for *_, witnessed in answers) > 20
     for (index,), kwargs, model in calls:
         assert model == reference_call(index, **kwargs)
+    for (index,), kwargs, answer, _ in answers:
+        assert answer == (reference_call(index, **kwargs) is not None)
+
+
+# --- yes/no answers from kept witnesses ---
+
+class CountingSolve:
+    """Stands in for `sat.solve`, which `satisfiable` runs when no kept
+    witness answers, and counts those calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return solve(*args, **kwargs)
+
+
+@pytest.fixture
+def counting(monkeypatch):
+    engine = CountingSolve()
+    monkeypatch.setattr(sat, "solve", engine)
+    return engine
+
+
+def assumptions(rng, index):
+    """No clause switched off, and one or two unit assumptions over up to
+    2 variables above the index's range."""
+    top = index.num_vars + 2
+    return (), [[rng.randint(1, top) * rng.choice((1, -1))] for _ in range(rng.randint(1, 2))]
+
+
+@pytest.mark.parametrize("draw", [assumptions, switches])
+def test_satisfiable_equals_reference_on_repeated_calls(counting, draw):
+    rng = random.Random(f"witness-{draw.__name__}")
+    seen = Counter()
+    for _ in range(500):
+        index = Index(messy_cnf(rng))
+        for call in range(5):
+            off, extra = ((), ()) if call == 0 else draw(rng, index)
+            searched = counting.calls
+            answer = satisfiable(index, off=off, extra=extra)
+            assert answer == (reference_call(index, off, extra) is not None)
+            seen["unsat" if not answer else "witness" if counting.calls == searched else "dpll"] += 1
+        assert len(index.witnesses) <= sat.WITNESSES
+    assert min(seen.values()) > 100, seen
+
+
+def assignment(rng, top):
+    """A random assignment of variables 1..top, as its true literals."""
+    return frozenset(v if rng.random() < 0.5 else -v for v in range(1, top + 1))
+
+
+def test_a_wrong_witness_never_answers_an_unsatisfiable_call(counting):
+    rng = random.Random("witness-wrong")
+    checked = 0
+    for _ in range(1500):
+        index = Index(messy_cnf(rng))
+        off, extra = switches(rng, index)
+        if reference_call(index, off, extra) is not None:
+            continue
+        top = index.num_vars + 3
+        wrong = [assignment(rng, top), assignment(rng, top), frozenset(range(1, top + 1))]
+        # a model of every clause but one, as near as a wrong witness gets
+        clauses = [c for c in index.clauses if c not in off] + [frozenset(c) for c in extra]
+        for dropped in range(len(clauses)):
+            model = reference_dpll.solve(clauses[:dropped] + clauses[dropped + 1:], top)
+            if model is not None:
+                wrong.append(frozenset(v if value else -v for v, value in model.items()))
+                break
+        index.witnesses[:] = wrong
+        searched = counting.calls
+        assert not satisfiable(index, off=off, extra=extra)
+        checked += counting.calls > searched  # propagation did not refute it first
+    assert checked > 100
+
+
+def test_a_witness_of_another_index_only_costs_a_miss(counting):
+    first, second = Index([[1], [2]]), Index([[-1], [-2, 3]])
+    assert satisfiable(first) and first.witnesses == [frozenset({1, 2})]
+    second.witnesses[:] = first.witnesses
+    assert satisfiable(second) and counting.calls == 2
+    assert second.witnesses == [frozenset({-1, -2, 3}), frozenset({1, 2})]
+    rng = random.Random("witness-foreign")
+    misses = 0
+    for _ in range(800):
+        first, second = Index(messy_cnf(rng)), Index(messy_cnf(rng))
+        satisfiable(first)
+        second.witnesses[:] = first.witnesses
+        off, extra = switches(rng, second)
+        searched = counting.calls
+        answer = satisfiable(second, off=off, extra=extra)
+        assert answer == (reference_call(second, off, extra) is not None)
+        misses += answer and counting.calls > searched
+    assert misses > 100
+
+
+def test_an_extended_index_shares_its_base_witness_pool(counting):
+    base = Index([[1, 2], [-1, 3]])
+    extended = base.extended([[-3]])
+    assert extended.witnesses is base.witnesses
+    assert satisfiable(extended) and counting.calls == 1
+    assert satisfiable(base) and counting.calls == 1  # the extended index's model
+    grown = extended.extended([[4, -2, 5]])
+    assert grown.witnesses is base.witnesses
+    assert satisfiable(grown) and counting.calls == 2  # the kept model lacks 4 and 5
+    assert base.witnesses == [frozenset({-1, 2, -3, 4, 5}), frozenset({-1, 2, -3})]
+    # overridden by what 1 forces, the newest witness satisfies the base
+    assert satisfiable(base, extra=[[1]]) and counting.calls == 2
+    assert not satisfiable(grown, extra=[[1]]) and counting.calls == 2  # refuted by propagation
+
+
+def test_a_witness_is_checked_against_the_clauses_switched_on_only(counting):
+    base = Index([[1], [-1, 2]])
+    assert satisfiable(base) and base.witnesses == [frozenset({1, 2})]
+    conflicting = base.extended([[-2]])
+    assert not satisfiable(conflicting) and counting.calls == 1  # its root conflicts
+    assert satisfiable(conflicting, off={frozenset({-2})}) and counting.calls == 1
+    assert satisfiable(conflicting, off={frozenset({1})}) and counting.calls == 2
+    assert base.witnesses == [frozenset({-1, -2}), frozenset({1, 2})]
 
 
 # --- refutation by unit propagation ---
