@@ -14,7 +14,10 @@ skipped, which is sound exactly when the achievement oracle is monotone
 (adding causes never destroys achievement).  Monotonicity is checked
 rather than assumed: any answer contradicting it is recorded and disables
 pruning for the remainder of the run, after which such a candidate is
-still judged but never kept.
+still judged but never kept.  The monitor is shown each answer a search
+keeps, and every answer once a violation is recorded; an answer dropped
+before then could only contradict that search's own found sets, and the
+kernel judges no superset of those while pruning (see MonotoneMonitor).
 
 A removal set N is necessary when judging universe minus N fails; for a
 monotone oracle the minimal necessary sets are precisely the minimal
@@ -42,6 +45,11 @@ BRUTE_FORCE_LIMIT = 20
 
 class UniverseTooLarge(ValueError):
     """Exhaustive enumeration refused beyond 2**20 subsets."""
+
+
+def _check_brute_force_size(universe: Sized) -> None:
+    if len(universe) > BRUTE_FORCE_LIMIT:
+        raise UniverseTooLarge(f"|universe| = {len(universe)} exceeds {BRUTE_FORCE_LIMIT}")
 
 
 @dataclass(frozen=True)
@@ -98,12 +106,21 @@ class MonotonicityViolation:
 
 
 class MonotoneMonitor:
-    """Cross-checks every observed answer against sets found so far.
+    """Cross-checks observed answers against sets found so far.
 
     Sets are bitmasks (bit i is cause i).  A failing answer on a superset
     of a known sufficient set, or an achieving answer on a set disjoint
     from a known necessary removal set, contradicts monotonicity.  Either
     observation disables superset pruning for the rest of the run.
+
+    A search observes each answer it keeps (achieving in the sufficient
+    search, failing in the necessary one), which is checked against the
+    other search's sets, and every answer once `violations` is non-empty.
+    An answer it drops before then is checked against its own search's
+    sets, the `found` list of the kernel, and contradicts one only on a
+    candidate containing a found set; the kernel judges none of those
+    while `violations` is empty.  So the violations, witnesses and order
+    are those of observing every answer, with no check repeated.
     """
 
     def __init__(self, universe: Sequence[str]):
@@ -168,16 +185,17 @@ def _monitored_search(
         raise ValueError("universe must be nonempty")
     monitor = monitor if monitor is not None else MonotoneMonitor(universe)
     flip = (1 << len(universe)) - 1 if removal else 0
-    observe = monitor.observe
+    found = monitor.necessary if removal else monitor.sufficient
+    observe, violations = monitor.observe, monitor.violations
 
     def holds(mask: int) -> bool:
         subset = mask ^ flip
-        achieves = judge(subset)
-        observe(subset, achieves)
-        return achieves != removal
+        result = judge(subset) != removal
+        if result or violations:  # while pruning, a dropped answer contradicts nothing (MonotoneMonitor)
+            observe(subset, result != removal)
+        return result
 
-    found = monitor.necessary if removal else monitor.sufficient
-    minimal_sets(len(universe), holds, found, monitor.violations)
+    minimal_sets(len(universe), holds, found, violations)
     return CauseSetFamily.from_id_sets(universe, map(monitor.ids, found))
 
 
@@ -212,8 +230,7 @@ def brute_force_families(
     universe = tuple(universe)
     if not universe:
         raise ValueError("universe must be nonempty")
-    if len(universe) > BRUTE_FORCE_LIMIT:
-        raise UniverseTooLarge(f"|universe| = {len(universe)} exceeds {BRUTE_FORCE_LIMIT}")
+    _check_brute_force_size(universe)
     n = len(universe)
     order = [sum(1 << i for i in combo) for size in range(n + 1) for combo in combinations(range(n), size)]
     answers = {mask: judge(mask) for mask in order}  # judged in ascending order
@@ -336,11 +353,15 @@ def analyze(
     Runs individual necessity, the minimal necessary and minimal
     sufficient searches over a shared cache, the transversal duality
     cross-check, and assembles the necessary-and-sufficient disjunction.
+    A brute-force search over more than BRUTE_FORCE_LIMIT causes raises
+    UniverseTooLarge before any query.
     """
     causes = store.causes_for_goal(goal.id)
     if not causes:
         raise ValueError(f"goal {goal.id!r} has no consolidated causes; synthesize first")
     universe = tuple(c.id for c in causes)
+    if brute_force:
+        _check_brute_force_size(universe)
     judge = CachedAchievementJudge(oracle, goal, causes, store.principles)
 
     individual = evaluate_individual_necessity(causes, goal, store.principles, oracle)

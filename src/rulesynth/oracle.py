@@ -337,21 +337,33 @@ class DeterministicOracle(Oracle):
 
 
 def mask_ids(universe: Sequence[str]) -> Callable[[int], frozenset[str]]:
-    """Decoder from a bitmask (bit i is universe[i]) to its ids, one
-    table lookup per 8 bits of the mask."""
+    """Decoder from a bitmask (bit i is universe[i], no bit at or past
+    len(universe)) to the frozenset of its ids.
+
+    One table of frozensets per 8 causes holds at entry b the causes of b's
+    bits.  Up to 8 causes a mask decodes with one lookup and no allocation,
+    up to 16 with one union of two lookups, and wider universes fold one
+    more union per further 8 bits.  Equal id sets built by different
+    unions may iterate in different orders, so every consumer sorts the
+    ids or tests membership."""
     tables = []
-    for lo in range(0, len(universe), 8):
-        table: list[tuple[str, ...]] = [()]
-        for cause in universe[lo : lo + 8]:  # entry b lists the causes of b's bits
-            table += [t + (cause,) for t in table]
+    for lo in range(0, max(len(universe), 1), 8):
+        table: list[frozenset[str]] = [frozenset()]
+        for cause in universe[lo : lo + 8]:
+            table += [t | {cause} for t in table]
         tables.append(table)
+    if len(tables) == 1:
+        return tables[0].__getitem__
+    low, high, *wider = tables
+    if not wider:
+        return lambda mask: low[mask & 255] | high[mask >> 8]
 
     def ids(mask: int) -> frozenset[str]:
-        out: tuple[str, ...] = ()
-        for table in tables:
-            out += table[mask & 255]
+        out = low[mask & 255]
+        for table in tables[1:]:
             mask >>= 8
-        return frozenset(out)
+            out |= table[mask & 255]
+        return out
 
     return ids
 
@@ -363,8 +375,9 @@ class CachedAchievementJudge:
     bitmasks: bit i stands for causes[i].  Answers are kept in one dict
     keyed by the mask, so a hit costs one lookup and no decoding.  A miss
     checks the mask's width, decodes it to a frozenset of cause ids and
-    asks the oracle about it, so backends, recorders and transcripts see
-    the same queries as with string keys.  An answer that raised is not
+    asks the oracle's `judge_subset_achieves` (bound once, when the judge
+    is built) about it, so backends, recorders and transcripts see the
+    same queries as with string keys.  An answer that raised is not
     kept, so the number of kept answers is the number of distinct backend
     queries, the query budget.  A mask with a bit beyond the causes raises
     ValueError before any query.  Not synchronised: use one judge from one
@@ -386,6 +399,7 @@ class CachedAchievementJudge:
         self._answers: dict[int, bool] = {}
         self._width = len(self.causes)
         self._ids = mask_ids([cause.id for cause in self.causes])
+        self._achieves = oracle.judge_subset_achieves  # bound once, called on every miss
 
     def __call__(self, mask: int) -> bool:
         answer = self._answers.get(mask)
@@ -397,7 +411,7 @@ class CachedAchievementJudge:
                 f"mask {mask:#x} has a bit beyond the {self._width} causes of goal {self.goal.id!r}"
             )
         answer = self._answers[mask] = bool(
-            self.oracle.judge_subset_achieves(self.goal, self._ids(mask), self.causes, self.principles)
+            self._achieves(self.goal, self._ids(mask), self.causes, self.principles)
         )
         return answer
 

@@ -293,6 +293,68 @@ def test_kernel_walk_matches_reference_on_random_predicates():
         assert walks[0] == walks[1]
 
 
+def _reference_monitored_search(universe, judge, monitor, removal):
+    # the search as first written: the monitor observes every answer
+    flip = (1 << len(universe)) - 1 if removal else 0
+
+    def holds(mask):
+        subset = mask ^ flip
+        achieves = judge(subset)
+        monitor.observe(subset, achieves)
+        return achieves != removal
+
+    found = monitor.necessary if removal else monitor.sufficient
+    minimal_sets(len(universe), holds, found, monitor.violations)
+    return CauseSetFamily.from_id_sets(universe, map(monitor.ids, found))
+
+
+def _pruned_search(universe, judge, monitor, removal):
+    search = minimal_necessary_search if removal else minimal_sufficient_search
+    return search(universe, judge, monitor)
+
+
+def _random_answers(rng, universe):
+    """Answers per mask: monotone, monotone with a few flipped, or coin flips."""
+    n = len(universe)
+    roll = rng.random()
+    if roll < 0.6:
+        judge = on_masks(universe, monotone_judge(random_antichain(rng, list(universe))))
+        answers = [judge(mask) for mask in range(1 << n)]
+        if roll < 0.4:
+            for mask in rng.sample(range(1 << n), rng.randint(1, min(3, 1 << n))):
+                answers[mask] = not answers[mask]
+        return answers
+    p = rng.random()
+    return [rng.random() < p for _ in range(1 << n)]
+
+
+def test_monitor_seeing_kept_answers_only_equals_seeing_every_answer():
+    # the searches show the monitor only the answers they keep until a
+    # violation is recorded; the reference shows it every answer
+    rng = random.Random(18)
+    outcomes = set()
+    for _ in range(400):
+        n = rng.randint(1, 8)
+        universe = ids(n)
+        answers = _random_answers(rng, universe)
+        removal_first = rng.random() < 0.5
+        prefill = rng.random() < 0.3
+        pre_sufficient = [rng.randrange(1 << n) for _ in range(rng.randint(0, 2))] if prefill else []
+        pre_necessary = [rng.randrange(1 << n) for _ in range(rng.randint(0, 2))] if prefill else []
+        runs = []
+        for search in (_pruned_search, _reference_monitored_search):
+            monitor = MonotoneMonitor(universe)
+            monitor.sufficient.extend(pre_sufficient)
+            monitor.necessary.extend(pre_necessary)
+            seen = []
+            judge = lambda mask: seen.append(mask) or answers[mask]
+            families = [search(universe, judge, monitor, removal) for removal in (removal_first, not removal_first)]
+            runs.append((seen, families, monitor.violations))
+        assert runs[0] == runs[1], (universe, answers, removal_first, pre_sufficient, pre_necessary)
+        outcomes.add((prefill, bool(runs[0][2])))
+    assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
+
+
 def test_non_monotone_oracle_detected_and_pruning_disabled():
     universe = ids(3)
     calls = []

@@ -20,6 +20,7 @@ from rulesynth.oracle import (
     achieves_key,
     check_necessity,
     equivalence_key,
+    mask_ids,
     query_key,
 )
 from rulesynth.store import Cause, Goal, Principle
@@ -371,6 +372,26 @@ def test_cached_judge_rejects_bits_beyond_its_causes():
         with pytest.raises(ValueError, match="goal 'g1'"):
             judge(mask)
     assert judge.query_count == 0
+
+
+def test_mask_ids_equals_bit_by_bit_decode():
+    # one table (up to 8 causes), two (9 to 16) and a fold past 16
+    rng = random.Random(8)
+    for n in range(1, 21):
+        universe = [f"c{i}" for i in range(n)]
+        decode = mask_ids(universe)
+        full = (1 << n) - 1
+        masks = [0, full, 1, 1 << (n - 1)] + [rng.randrange(1 << n) for _ in range(200)]
+        for mask in masks:
+            got = decode(mask)
+            assert type(got) is frozenset
+            assert got == frozenset(universe[i] for i in range(n) if mask >> i & 1), (n, mask)
+    for n in (8, 9, 16, 17):  # every mask, on both sides of the table edges
+        universe = [f"c{i}" for i in range(n)]
+        decode = mask_ids(universe)
+        for mask in range(1 << n):
+            assert decode(mask) == frozenset(universe[i] for i in range(n) if mask >> i & 1)
+    assert mask_ids([])(0) == frozenset()
 
 
 def test_query_keys_are_canonical():
