@@ -11,7 +11,14 @@ cardinality.  It keeps the minimal masks on which a predicate holds: the
 judge achieves on them (sufficient), or the judge fails on the universe
 minus them (necessary).  A candidate that contains an already found set is
 skipped, which is sound exactly when the achievement oracle is monotone
-(adding causes never destroys achievement).  Monotonicity is checked
+(adding causes never destroys achievement).  The walk goes one cardinality
+level at a time (as in levelwise search: H. Mannila and H. Toivonen,
+Data Min. Knowl. Disc. 1997): each level's masks come from an order kept
+per universe size, and which of them contain a found set is read from an
+up-closure bitmap settled before the level starts.  A set found at
+level k contains no other set of level k, so the bitmap cannot change
+within a level, and the walk judges and keeps exactly what testing each
+candidate against every found set would.  Monotonicity is checked
 rather than assumed: any answer contradicting it is recorded and disables
 pruning for the remainder of the run, after which such a candidate is
 still judged but never kept.  The monitor is shown each answer a search
@@ -29,8 +36,10 @@ judges every subset and shares no code with the kernel either.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+from array import array
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Any, Callable, Iterable, Sequence, Sized
@@ -40,14 +49,14 @@ from .store import Cause, Goal, TheoryStore
 
 Judge = Callable[[int], bool]
 
-BRUTE_FORCE_LIMIT = 20
+BRUTE_FORCE_LIMIT = 20  # causes; both searches refuse more (2^n masks, answers and flags)
 
 
 class UniverseTooLarge(ValueError):
-    """Exhaustive enumeration refused beyond 2**20 subsets."""
+    """A cause search refused over more than BRUTE_FORCE_LIMIT causes."""
 
 
-def _check_brute_force_size(universe: Sized) -> None:
+def _check_universe_size(universe: Sized) -> None:
     if len(universe) > BRUTE_FORCE_LIMIT:
         raise UniverseTooLarge(f"|universe| = {len(universe)} exceeds {BRUTE_FORCE_LIMIT}")
 
@@ -153,28 +162,64 @@ class MonotoneMonitor:
                     )
 
 
+@functools.cache
+def _levels(n: int) -> tuple[array, ...]:
+    """The masks over n bits, one array per cardinality, each in
+    lexicographic order by bit index.  Built on first use of n and kept
+    (2^n ints in all), since every goal of the same width walks them."""
+    bits = [1 << i for i in range(n)]
+    return tuple(array("I", map(sum, combinations(bits, size))) for size in range(n + 1))
+
+
+def _supersets(mask: int, n: int) -> int:
+    """The up-closure of one mask as an int with one byte per mask over n
+    bits: byte m is 1 when m contains `mask`, else 0.  Built bit by bit as
+    the product of a [0, 1] factor per bit of `mask` and [1, 1] per other
+    bit, so it costs a few shifts of at most 2^n bytes."""
+    up = 1
+    for i in range(n):
+        shifted = up << (8 << i)
+        up = shifted if mask >> i & 1 else up | shifted
+    return up
+
+
 def minimal_sets(
     n: int, holds: Callable[[int], bool], found: list[int], violations: Sized = ()
 ) -> list[int]:
     """The minimal masks over n bits on which `holds` is true.
 
-    Candidates are walked bottom-up: ascending cardinality, lexicographic
-    by bit index within a cardinality.  A candidate containing a mask
-    already in `found` is skipped while `violations` is empty; once it is
-    not, such a candidate is still judged but never kept.  Minimal masks
-    are appended to `found`, which is returned.
+    Candidates are walked bottom-up, one cardinality level at a time, and
+    lexicographic by bit index within a level.  A candidate containing a
+    mask already in `found` is skipped while `violations` is empty; once it
+    is not, such a candidate is still judged but never kept.  Minimal
+    masks are appended to `found` (which may start non-empty, with masks
+    over the same n bits), and it is returned.
+
+    Which candidates of a level contain a found mask is decided once, when
+    the level starts, from a bitmap with one byte per mask: the union of
+    the supersets of every mask in `found`, grown at the end of each level
+    by the masks that level found.  That is exact because a mask found at
+    level k has k bits and so contains no other mask of level k: the
+    flags of a level do not change while it is walked, and the judged
+    order, the kept masks and their order are those of testing each
+    candidate against every found mask.
     """
-    bits = [1 << i for i in range(n)]
-    for size in range(n + 1):
-        for mask in map(sum, combinations(bits, size)):
-            for f in found:
-                if f & mask == f:
-                    if violations:
-                        holds(mask)
-                    break
-            else:
-                if holds(mask):
-                    found.append(mask)
+    up = 0  # byte m is 1: mask m contains a found mask
+    for f in found:
+        up |= _supersets(f, n)
+    flags = up.to_bytes(1 << n, "little")
+    for level in _levels(n):
+        start = len(found)
+        for mask, covered in zip(level, map(flags.__getitem__, level)):
+            if covered:
+                if violations:
+                    holds(mask)
+            elif holds(mask):
+                found.append(mask)
+        if len(found) > start:  # the next level's flags, from the masks this one found
+            for f in found[start:]:
+                up |= _supersets(f, n)
+            flags = up.to_bytes(1 << n, "little")
     return found
 
 
@@ -183,6 +228,7 @@ def _monitored_search(
 ) -> CauseSetFamily:
     if not universe:
         raise ValueError("universe must be nonempty")
+    _check_universe_size(universe)
     monitor = monitor if monitor is not None else MonotoneMonitor(universe)
     flip = (1 << len(universe)) - 1 if removal else 0
     found = monitor.necessary if removal else monitor.sufficient
@@ -230,7 +276,7 @@ def brute_force_families(
     universe = tuple(universe)
     if not universe:
         raise ValueError("universe must be nonempty")
-    _check_brute_force_size(universe)
+    _check_universe_size(universe)
     n = len(universe)
     order = [sum(1 << i for i in combo) for size in range(n + 1) for combo in combinations(range(n), size)]
     answers = {mask: judge(mask) for mask in order}  # judged in ascending order
@@ -353,25 +399,24 @@ def analyze(
     Runs individual necessity, the minimal necessary and minimal
     sufficient searches over a shared cache, the transversal duality
     cross-check, and assembles the necessary-and-sufficient disjunction.
-    A brute-force search over more than BRUTE_FORCE_LIMIT causes raises
+    Either search over more than BRUTE_FORCE_LIMIT causes raises
     UniverseTooLarge before any query.
     """
     causes = store.causes_for_goal(goal.id)
     if not causes:
         raise ValueError(f"goal {goal.id!r} has no consolidated causes; synthesize first")
     universe = tuple(c.id for c in causes)
-    if brute_force:
-        _check_brute_force_size(universe)
+    _check_universe_size(universe)
     judge = CachedAchievementJudge(oracle, goal, causes, store.principles)
 
     individual = evaluate_individual_necessity(causes, goal, store.principles, oracle)
     monitor = MonotoneMonitor(universe)
     if brute_force:
-        sufficient_family, necessary_family = brute_force_families(universe, judge)
+        sufficient_family, necessary_family = brute_force_families(universe, judge.ask)
         violations: tuple[MonotonicityViolation, ...] = ()
     else:
-        necessary_family = minimal_necessary_search(universe, judge, monitor)
-        sufficient_family = minimal_sufficient_search(universe, judge, monitor)
+        necessary_family = minimal_necessary_search(universe, judge.ask, monitor)
+        sufficient_family = minimal_sufficient_search(universe, judge.ask, monitor)
         violations = tuple(monitor.violations)
 
     duality_ok = minimal_transversals(sufficient_family) == necessary_family

@@ -6,9 +6,10 @@ a run-all composite.  Exit codes:
   0  success
   2  configuration error (bad arguments, bad config or grounding
      settings, an ontology with no sorts to ground over for verify and
-     run-all, missing file, unknown goal/rule, --brute-force over more
-     causes than analysis.BRUTE_FORCE_LIMIT, a --record path that is a
-     directory or whose directory does not exist)
+     run-all, missing file, unknown goal/rule, a cause search, pruned
+     or --brute-force, over more causes than analysis.BRUTE_FORCE_LIMIT,
+     a --record path that is a directory or whose directory does not
+     exist)
   3  oracle error (backend unavailable, malformed answer, malformed
      oracle spec or transcript, missing transcript key)
   4  translation failure (names the cause id)
@@ -155,7 +156,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except UniverseTooLarge as exc:
-        print(f"config error: --brute-force refused: {exc}", file=sys.stderr)
+        search = "--brute-force" if getattr(args, "brute_force", False) else "cause search"
+        print(f"config error: {search} refused: {exc}", file=sys.stderr)
         return 2
     except UntranslatableCause as exc:
         print(f"translation failure: {exc}", file=sys.stderr)

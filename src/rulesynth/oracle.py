@@ -375,13 +375,16 @@ class CachedAchievementJudge:
     bitmasks: bit i stands for causes[i].  Answers are kept in one dict
     keyed by the mask, so a hit costs one lookup and no decoding.  A miss
     checks the mask's width, decodes it to a frozenset of cause ids and
-    asks the oracle's `judge_subset_achieves` (bound once, when the judge
-    is built) about it, so backends, recorders and transcripts see the
-    same queries as with string keys.  An answer that raised is not
-    kept, so the number of kept answers is the number of distinct backend
-    queries, the query budget.  A mask with a bit beyond the causes raises
-    ValueError before any query.  Not synchronised: use one judge from one
-    thread.
+    asks the oracle's `judge_subset_achieves` about it, so backends,
+    recorders and transcripts see the same queries as with string keys.
+    An answer that raised is not kept, so the number of kept answers is
+    the number of distinct backend queries, the query budget.  A mask with
+    a bit beyond the causes raises ValueError before any query.  Not
+    synchronised: use one judge from one thread.
+
+    `ask` is the call path itself, a closure over locals bound once
+    (`_judge_path`): a hit or a miss looks up no attribute.  The searches
+    are handed `ask`; calling the judge goes through it too.
     """
 
     def __init__(
@@ -395,25 +398,16 @@ class CachedAchievementJudge:
         self.goal = goal
         self.causes = tuple(causes)
         self.principles = tuple(principles)
-        self.hits = 0
-        self._answers: dict[int, bool] = {}
-        self._width = len(self.causes)
-        self._ids = mask_ids([cause.id for cause in self.causes])
-        self._achieves = oracle.judge_subset_achieves  # bound once, called on every miss
+        self.ask, self._answers, self._hits = _judge_path(
+            oracle.judge_subset_achieves, goal, self.causes, self.principles
+        )
 
     def __call__(self, mask: int) -> bool:
-        answer = self._answers.get(mask)
-        if answer is not None:
-            self.hits += 1
-            return answer
-        if mask >> self._width:  # also true for a negative mask
-            raise ValueError(
-                f"mask {mask:#x} has a bit beyond the {self._width} causes of goal {self.goal.id!r}"
-            )
-        answer = self._answers[mask] = bool(
-            self._achieves(self.goal, self._ids(mask), self.causes, self.principles)
-        )
-        return answer
+        return self.ask(mask)
+
+    @property
+    def hits(self) -> int:
+        return self._hits()
 
     @property
     def query_count(self) -> int:
@@ -426,6 +420,33 @@ class CachedAchievementJudge:
         # bench/tracing.py reads judge.cache.hits and judge.cache.misses;
         # this alias goes once it reads the judge's own counts
         return self
+
+
+def _judge_path(
+    achieves: Callable[..., bool], goal: Goal, causes: tuple[Cause, ...], principles: tuple[Principle, ...]
+) -> tuple[Callable[[int], bool], dict[int, bool], Callable[[], int]]:
+    """The judge's call path, its dict of answers and a reader of its hit
+    count.  The path closes over locals only and never over the judge, so
+    no reference cycle keeps a judge, and with it its 2^n answers, alive
+    past its analysis: reference counting frees them."""
+    answers: dict[int, bool] = {}
+    lookup = answers.get
+    width = len(causes)
+    ids = mask_ids([cause.id for cause in causes])
+    hits = 0
+
+    def ask(mask: int) -> bool:
+        nonlocal hits
+        answer = lookup(mask)
+        if answer is not None:
+            hits += 1
+            return answer
+        if mask >> width:  # also true for a negative mask
+            raise ValueError(f"mask {mask:#x} has a bit beyond the {width} causes of goal {goal.id!r}")
+        answer = answers[mask] = bool(achieves(goal, ids(mask), causes, principles))
+        return answer
+
+    return ask, answers, lambda: hits
 
 
 # --- transcripts ---

@@ -1,8 +1,11 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
+from rulesynth import analysis
 from rulesynth.analysis import (
     CauseSetFamily,
     MonotoneMonitor,
@@ -14,7 +17,7 @@ from rulesynth.analysis import (
     minimal_sufficient_search,
     minimal_transversals,
 )
-from rulesynth.oracle import DeterministicOracle, DeterministicOracleSpec
+from rulesynth.oracle import CachedAchievementJudge, DeterministicOracle, DeterministicOracleSpec
 from rulesynth.pipeline import ScenarioConfig, run_synthesize
 
 
@@ -271,12 +274,17 @@ def _reference_minimal_sets(n, holds, found, violations):
 
 
 def test_kernel_walk_matches_reference_on_random_predicates():
-    # non-monotone answers, and pruning that switches off part-way
+    # non-monotone answers, pruning that switches off at any candidate and
+    # `found` lists that start non-empty; widths up to 12 in a shuffled
+    # order, so the kept per-width level order is built by one walk and
+    # reused by later ones
     rng = random.Random(5)
-    for _ in range(60):
-        n = rng.randint(0, 8)
-        answers = [rng.random() < 0.3 for _ in range(1 << n)]
-        cutoff = rng.choice([None, rng.randint(0, 1 << n)])
+    widths = [rng.randint(0, 12) for _ in range(100)]
+    assert len(set(widths)) > 6
+    for n in widths:
+        answers = [rng.random() < rng.choice([0.05, 0.3]) for _ in range(1 << n)]
+        prefill = [rng.randrange(1 << n) for _ in range(rng.choice([0, 0, 1, 3]))]
+        cutoff = rng.choice([None, None, 0, rng.randint(1, 1 << n)])
         walks = []
         for kernel in (minimal_sets, _reference_minimal_sets):
             seen = []
@@ -288,9 +296,9 @@ def test_kernel_walk_matches_reference_on_random_predicates():
                     violations.append(mask)
                 return answers[mask]
 
-            found = kernel(n, holds, [], violations)
+            found = kernel(n, holds, list(prefill), violations)
             walks.append((seen, found))
-        assert walks[0] == walks[1]
+        assert walks[0] == walks[1], (n, prefill, cutoff)
 
 
 def _reference_monitored_search(universe, judge, monitor, removal):
@@ -421,6 +429,38 @@ def test_analyze_scenario1_report(work_dir):
     # identical run yields identical report ids (content-derived)
     again = analyze(store.goal_by_id("g1"), store, oracle)
     assert again.id == report.id
+
+
+def test_cached_judge_is_freed_by_reference_counting(work_dir, monkeypatch):
+    # a judge holds 2^n answers; a reference cycle through its call path
+    # would keep them until the cycle collector ran
+    store, oracle = _scenario_store(work_dir, 2)
+    goal = store.goal_by_id("g2")
+    causes = store.causes_for_goal(goal.id)
+    universe = tuple(c.id for c in causes)
+    made = []
+
+    def judge_factory(*args):
+        judge = CachedAchievementJudge(*args)
+        made.append(weakref.ref(judge))
+        return judge
+
+    monkeypatch.setattr(analysis, "CachedAchievementJudge", judge_factory)
+    gc.disable()
+    try:
+        judge = CachedAchievementJudge(oracle, goal, causes, store.principles)
+        monitor = MonotoneMonitor(universe)
+        minimal_necessary_search(universe, judge.ask, monitor)
+        minimal_sufficient_search(universe, judge, monitor)
+        assert judge.query_count > 0
+        freed = weakref.ref(judge)
+        del judge
+        assert freed() is None
+        report = analyze(goal, store, oracle)
+        assert report.query_count > 0 and len(made) == 1
+        assert made[0]() is None  # gone with analyze's frame
+    finally:
+        gc.enable()
 
 
 def test_analyze_brute_force_flag_equivalence(work_dir):

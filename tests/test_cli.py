@@ -380,6 +380,21 @@ def test_brute_force_past_the_limit_exits_2_before_any_analysis_query(work_dir, 
     assert (work_dir / "merge.kb.json").read_bytes() == store_before
 
 
+def test_pruned_search_past_the_limit_exits_2_before_any_analysis_query(work_dir, capsys, monkeypatch):
+    config = str(work_dir / "scenario1.config.json")
+    assert run(["synthesize", "--config", config]) == 0
+    monkeypatch.setattr(analysis, "BRUTE_FORCE_LIMIT", 3)  # scenario 1 has 4 causes
+    store_before = (work_dir / "merge.kb.json").read_bytes()
+    transcript = work_dir / "t.json"
+    capsys.readouterr()
+    assert run(["analyze", "--config", config, "--record", str(transcript)]) == 2
+    err = capsys.readouterr().err
+    assert "cause search refused" in err and "exceeds 3" in err and "--brute-force" not in err
+    kinds = {json.loads(key)[0] for key in read(transcript)["entries"]}
+    assert not kinds & {"necessity", "achieves"}
+    assert (work_dir / "merge.kb.json").read_bytes() == store_before
+
+
 def test_one_parser_serves_every_call_like_a_fresh_one(tmp_path, capsys):
     """A bad argument, help and a valid run-all, in one process: each exit
     code and output equals that of a call with a parser built afresh."""
