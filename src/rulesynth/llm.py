@@ -27,6 +27,8 @@ from .oracle import (
     Oracle,
     OracleUnavailable,
     Translation,
+    parse_causes,
+    parse_equivalence,
     parse_necessity,
     parse_translation,
 )
@@ -274,13 +276,7 @@ class LlmOracle(Oracle):
         )
 
         def validate(doc: Any) -> list[str]:
-            causes = doc.get("causes") if isinstance(doc, dict) else None
-            if (
-                not isinstance(causes, list)
-                or not causes
-                or not all(isinstance(c, str) and c.strip() for c in causes)
-            ):
-                raise MalformedResponse("generate answer must be a nonempty list of sentences")
+            causes = parse_causes(doc.get("causes") if isinstance(doc, dict) else None)
             return [c.strip() for c in causes[:count_hint]]
 
         return self._ask("generate", prompt, validate)
@@ -290,16 +286,7 @@ class LlmOracle(Oracle):
             raise ValueError("judge_equivalent requires distinct texts")
         first, second = sorted((a, b))  # canonical pair order before dispatch
         prompt = self.config.template("equivalent").format(a=first, b=second)
-
-        def validate(doc: Any) -> EquivalenceVerdict:
-            if not isinstance(doc, dict) or not isinstance(doc.get("equivalent"), bool):
-                raise MalformedResponse("equivalence answer malformed")
-            merged = doc.get("merged_text")
-            if doc["equivalent"] and (not isinstance(merged, str) or not merged.strip()):
-                raise MalformedResponse("equivalent verdict requires merged_text")
-            return EquivalenceVerdict(doc["equivalent"], merged if doc["equivalent"] else None)
-
-        return self._ask("equivalent", prompt, validate)
+        return self._ask("equivalent", prompt, parse_equivalence)
 
     def judge_individual_necessity(
         self, cause: Cause, goal: Goal, principles: Sequence[Principle]

@@ -493,16 +493,14 @@ class TranscriptOracle(Oracle):
         return self._answer(
             query_key("generate", goal.id, count_hint),
             lambda live: list(live.generate_causes(goal, principles, count_hint)),
-            _causes,
+            parse_causes,
         )
 
     def judge_equivalent(self, a, b):
         return self._answer(
             equivalence_key(a, b),
             lambda live: asdict(live.judge_equivalent(a, b)),
-            lambda doc: EquivalenceVerdict(
-                *_fields(doc, "equivalence", equivalent=bool, merged_text=(str, type(None)))
-            ),
+            parse_equivalence,
         )
 
     def judge_individual_necessity(self, cause, goal, principles):
@@ -529,7 +527,7 @@ class TranscriptOracle(Oracle):
         )
 
 
-# checks of an answer's JSON form; the LLM backend shares the last two
+# checks of an answer's JSON form; the LLM backend shares the `parse_` ones
 
 
 def _fields(doc: Any, kind: str, **types: type | tuple[type, ...]) -> list[Any]:
@@ -539,10 +537,19 @@ def _fields(doc: Any, kind: str, **types: type | tuple[type, ...]) -> list[Any]:
     return [doc[f] for f in types]
 
 
-def _causes(doc: Any) -> list[str]:
-    if not (doc and isinstance(doc, list) and all(isinstance(t, str) for t in doc)):
-        raise MalformedResponse("generate answer is not a nonempty list of strings")
+def parse_causes(doc: Any) -> list[str]:
+    if not (doc and isinstance(doc, list) and all(isinstance(t, str) and t.strip() for t in doc)):
+        raise MalformedResponse("generate answer is not a nonempty list of non-blank strings")
     return list(doc)
+
+
+def parse_equivalence(doc: Any) -> EquivalenceVerdict:
+    """An equivalent verdict needs a non-blank merged text; a non-equivalent
+    one's merged text is dropped."""
+    equivalent, merged = _fields(doc, "equivalence", equivalent=bool, merged_text=(str, type(None)))
+    if equivalent and not (merged and merged.strip()):
+        raise MalformedResponse("equivalence answer is not a verdict with a non-blank merged_text")
+    return EquivalenceVerdict(equivalent, merged if equivalent else None)
 
 
 def _achieves(doc: Any) -> bool:

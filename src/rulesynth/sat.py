@@ -11,9 +11,11 @@ on a trail: per clause it counts true and non-false literals, per literal
 its occurrences in unsatisfied clauses, and it undoes the trail on
 backtrack, so no clause list is copied.  Each call may switch clauses off
 and add extra clauses (such as unit assumptions) for that call only.
-`Index.extended` adds clauses for good, as a new index that shares the
-old one's per-literal lists except those of the literals the new clauses
-contain, so a clause set that grows by a few clauses is not indexed again.
+`Index.extended` adds clauses as a new index that shares the old one's
+per-literal lists except those of the literals the new clauses contain,
+so a clause set that grows by a few clauses is not indexed again.  It is
+also how a call's extra clauses reach DPLL: `Index._add`, behind `Index()`
+and `extended`, is the only code that numbers and indexes clauses.
 
 The model depends only on the clause set, because:
 
@@ -141,19 +143,20 @@ class Index:
         if self.root is not None:
             # under an empty root only the unit and empty clauses can propagate
             check = new if self.root else [clause for clause in new if len(clause) < 2]
-            true = _propagate(self, self.root, check)
+            true = _propagate(self, check)
             self.root = None if true is None else self.root | true
 
     def __len__(self) -> int:
         return len(self.clauses)
 
 
-def _propagate(index: Index, root: set[int], clauses: list[Clause]) -> set[int] | None:
-    """Unit propagation from the true literals in `root` through the index's
-    clauses and `clauses`: the literals it sets beyond root, or None on a
+def _propagate(index: Index, clauses: list[Clause]) -> set[int] | None:
+    """Unit propagation from the true literals in the index's `root` through
+    its clauses and `clauses`: the literals it sets beyond root, or None on a
     conflict.  It checks `clauses`, then the clauses of each literal it
     falsifies, those the index lacks through a map of their own; a unit
     clause holds once its first check has passed."""
+    root = index.root
     by_literal: dict[int, list[Clause]] = {}
     for clause in clauses:
         if len(clause) > 1 and clause not in index.ids:
@@ -187,29 +190,24 @@ def solve(
     """Return a total satisfying assignment, or None when unsatisfiable.
 
     `clauses` is an Index or a clause list to index.  The clauses in `off`
-    are switched off and those in `extra` added, for this call only.  The
-    model covers variables 1 to the largest variable of the index and of
-    `extra`."""
+    are switched off and those in `extra` added, for this call only; an
+    extra clause equal to a switched-off one stays on.  A call that unit
+    propagation does not refute lays its extra clauses over the index with
+    `Index.extended`, and DPLL runs over that one index.  The model covers
+    variables 1 to the largest variable of the index and of `extra`."""
     index = clauses if isinstance(clauses, Index) else Index(clauses)
     extra = [frozenset(c) for c in extra]
-    if any(not c for c in extra):
+    if not off and (index.root is None or _propagate(index, extra) is None):
         return None
-    if not off and (index.root is None or _propagate(index, index.root, extra) is None):
-        return None
-    top = index.num_vars
-    n = max(top, max((abs(l) for c in extra for l in c), default=0))
-    occurs, remaining = index.occurs, index.counts.copy()
-    if n > top:  # literal slots for the variables above the index's
-        gap = 2 * (n - top)
-        occurs = occurs[: top + 1] + [()] * gap + occurs[top + 1 :]
-        remaining = remaining[: top + 1] + [0] * gap + remaining[top + 1 :]
-    elif extra:
-        occurs = occurs.copy()
-    all_clauses = index.clauses + extra
+    if extra:
+        off = [c for c in off if c not in extra]  # an extra clause stays on
+        index = index.extended(extra)
+    n, occurs, all_clauses = index.num_vars, index.occurs, index.clauses
+    remaining = index.counts.copy()
     satisfied = [0] * len(all_clauses)  # true literals, 1 more when off
-    free = index.sizes + [len(c) for c in extra]  # literals not yet false
-    # pure-literal candidates: literals whose count fell to 0 and variables
-    # pure in the index or occurring in `extra`
+    free = index.sizes.copy()  # literals not yet false
+    # pure-literal candidates: the index's pure variables and literals whose
+    # count fell to 0
     zeroed = [*index.pure]
     for number in {index.ids[c] for c in off if c in index.ids}:
         satisfied[number] = 1
@@ -220,13 +218,6 @@ def solve(
     if any(not satisfied[number] for number in index.empty):
         return None
     units = [number for number in index.units if not satisfied[number]]
-    for number, clause in enumerate(extra, len(index.clauses)):
-        for literal in clause:
-            remaining[literal] += 1
-            occurs[literal] = [*occurs[literal], number]
-            zeroed.append(literal)
-        if len(clause) == 1:
-            units.append(number)
 
     truth = [0] * (2 * n + 1)  # 1 true, -1 false, 0 unassigned
     trail: list[int] = []
@@ -319,7 +310,7 @@ def satisfiable(
     extra = [frozenset(c) for c in extra]
     forced = index.root or set()  # under `off`, only a guess for the override
     if not off:
-        implied = None if index.root is None else _propagate(index, index.root, extra)
+        implied = None if index.root is None else _propagate(index, extra)
         if implied is None:
             return False
         forced = forced | implied

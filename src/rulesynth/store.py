@@ -12,6 +12,7 @@ import json
 import os
 import secrets
 import shutil
+from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -332,31 +333,32 @@ def _check_integrity(store: TheoryStore) -> None:
         ("invariant", [i.id for i in store.invariants]),
         ("report", [r["id"] for r in store.reports]),
     ):
-        dupes = {x for x in ids if ids.count(x) > 1}
+        dupes = {x for x, count in Counter(ids).items() if count > 1}
         if dupes:
             raise StoreIntegrityError(f"duplicate {section} ids: {sorted(dupes)}")
     goal_ids = {g.id for g in store.goals}
-    cause_ids = {c.id for c in store.causes}
+    goal_of_cause = {c.id: c.goal_id for c in store.causes}
     for cause in store.causes:
         if cause.goal_id not in goal_ids:
             raise StoreIntegrityError(
                 f"cause {cause.id!r} traces to missing goal {cause.goal_id!r}"
             )
     for entry in store.verified_rules:
-        if entry.cause_id not in cause_ids:
+        if entry.cause_id not in goal_of_cause:
             raise StoreIntegrityError(
                 f"verified rule {entry.rule.id} traces to missing cause {entry.cause_id!r}"
             )
-        if store.cause_by_id(entry.cause_id).goal_id != entry.goal_id:
+        if goal_of_cause[entry.cause_id] != entry.goal_id:
             raise StoreIntegrityError(
                 f"verified rule {entry.rule.id} trace goal mismatch"
             )
-    rules = [v.rule for v in store.verified_rules]
-    for i, rule in enumerate(rules):
-        if rule in rules[:i]:
+    seen: set[Rule] = set()
+    for entry in store.verified_rules:
+        if entry.rule in seen:
             raise StoreIntegrityError(
-                f"verified rules contain structural duplicate {render_rule(rule)!r}"
+                f"verified rules contain structural duplicate {render_rule(entry.rule)!r}"
             )
+        seen.add(entry.rule)
 
 
 def store_to_json(store: TheoryStore) -> dict[str, Any]:

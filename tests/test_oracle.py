@@ -192,6 +192,8 @@ def test_spec_rejects_wrong_value_types_at_load(goal):
 CAUSE = Cause("g1-c1", "g1", "cause 1", ("cause 1",))
 NECESSITY_KEY = query_key("necessity", "g1", "g1-c1")
 TRANSLATE_KEY = query_key("translate", "g1", "cause 1", "")
+GENERATE_KEY = query_key("generate", "g1", 8)
+EQUIVALENCE_KEY = equivalence_key("a", "b")
 
 
 def replay(key, answer):
@@ -214,6 +216,14 @@ def ask_necessity(oracle):
 
 def ask_translation(oracle):
     return oracle.translate_to_fol(CAUSE, None, "grammar")
+
+
+def ask_causes(oracle):
+    return oracle.generate_causes(GOAL, PRINCIPLES, 8)
+
+
+def ask_equivalent(oracle):
+    return oracle.judge_equivalent("a", "b")
 
 
 @pytest.mark.parametrize(
@@ -240,6 +250,13 @@ def ask_translation(oracle):
         (TRANSLATE_KEY, {"rule": 5, "explanation": ""}, ask_translation, llm_answering),
         (TRANSLATE_KEY, {"rule": "r"}, ask_translation, llm_answering),
         (TRANSLATE_KEY, {"rule": "r"}, ask_translation, replay),
+        # the one check of each of these two kinds serves both backends
+        (GENERATE_KEY, ["cause 1", "  "], ask_causes, replay),
+        (GENERATE_KEY, {"causes": ["cause 1", "  "]}, ask_causes, llm_answering),
+        (EQUIVALENCE_KEY, {"equivalent": True, "merged_text": "  "}, ask_equivalent, replay),
+        (EQUIVALENCE_KEY, {"equivalent": True, "merged_text": None}, ask_equivalent, replay),
+        (EQUIVALENCE_KEY, {"equivalent": True, "merged_text": "  "}, ask_equivalent, llm_answering),
+        (EQUIVALENCE_KEY, {"equivalent": True, "merged_text": None}, ask_equivalent, llm_answering),
     ],
     ids=[
         "empty-causes",
@@ -252,6 +269,12 @@ def ask_translation(oracle):
         "llm-number-rule",
         "llm-no-explanation",
         "no-explanation",
+        "blank-cause",
+        "llm-blank-cause",
+        "blank-merged-text",
+        "null-merged-text",
+        "llm-blank-merged-text",
+        "llm-null-merged-text",
     ],
 )
 def test_replay_rejects_answers_of_the_wrong_type(monkeypatch, key, answer, ask, backend):

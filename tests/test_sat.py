@@ -348,9 +348,13 @@ class DenseSetUp(Exception):
 
 
 class NoCopy:
-    """Stands in for `Index.counts`, which that set-up copies first."""
+    """Stands in for `Index.counts`, which that set-up copies, or slices
+    when it extends the index by the call's extra clauses."""
 
     def copy(self):
+        raise DenseSetUp
+
+    def __getitem__(self, key):
         raise DenseSetUp
 
 

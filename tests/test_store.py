@@ -224,6 +224,23 @@ def test_duplicate_verified_rules_rejected_on_load(tmp_path, seed_store, onto):
 
 
 @pytest.mark.parametrize(
+    "section, kind",
+    [("principles", "principle"), ("goals", "goal"), ("causes", "cause"),
+     ("invariants", "invariant"), ("reports", "report")],
+)
+def test_duplicate_id_rejected_on_load(tmp_path, seed_store, onto, section, kind):
+    store, _ = _commit_collide(seed_store, onto)
+    doc = store_to_json(store)
+    entry = doc[section][-1]
+    doc[section].append(entry)
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(StoreIntegrityError) as err:
+        load_store(path, onto)
+    assert str(err.value) == f"duplicate {kind} ids: [{entry['id']!r}]"
+
+
+@pytest.mark.parametrize(
     "section, field", [
         ("principles", "formal"),
         ("causes", "rule"),
