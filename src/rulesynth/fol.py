@@ -207,6 +207,9 @@ class Ontology:
         for sort in self.sorts():  # grounding names a sort's constants <sort>1, <sort>2, ...
             if not CONSTANT_RE.match(sort):
                 raise OntologyError(f"bad sort name {sort!r}")
+            for name in self.constants:  # a declared constant may not alias them
+                if re.fullmatch(re.escape(sort) + "[1-9][0-9]*", name):
+                    raise OntologyError(f"constant {name!r} is named like a fresh constant of sort {sort!r}")
 
     def sorts(self) -> tuple[str, ...]:
         found = {s for d in self.predicates.values() for s in d.sorts}

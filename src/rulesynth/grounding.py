@@ -35,12 +35,12 @@ candidate, and either way the map holds its grounding.  The atom
 numbering, the rule clauses and the order of the distinct clauses are
 those of grounding every rule in turn, however the grounding was reached.
 
-A config also keeps, per invariant, the ground literals each attempt to
-refute it assumes (`invariant_attempts`, memoized in
-`GroundingConfig.attempts` by the rule's content and its variables'
-sorts): per substitution and head literal, the body literals and the head
-literal's complement, each as its atom's name, its sign and its ground
-comparison.  They are rendered once per config, not once per candidate.
+The attempts to refute a rule, any rule: an invariant or a candidate
+tested for redundancy (`invariant_attempts`), are the ground literals each
+assumes: per substitution and head literal, the body literals and the
+head literal's complement, as atom name, sign and ground comparison.
+They are rendered as a walk reaches them; a complete walk is kept in
+`GroundingConfig.attempts` by the rule's content and its variables' sorts.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ import operator
 from collections import ChainMap
 from dataclasses import dataclass, field, replace
 from itertools import chain, combinations, product
-from typing import Any, KeysView, Mapping, MutableMapping, Sequence
+from typing import Any, Iterator, KeysView, Mapping, MutableMapping, Sequence
 
 from . import sat
 from .fol import (
@@ -112,9 +112,9 @@ class GroundingConfig:
                 comparison_mode: str = "opaque") -> "GroundingConfig":
         """Per sort, domain_size fresh constants named <sort>1..<sort>N.
 
-        Quantified variables range over these fresh constants only, never
-        over the ontology's declared constants such as `ego`, so that
-        `forall X . collide(X) <- true` and
+        Quantified variables range over these fresh constants only, not
+        over the ontology's declared constants such as `ego`: a known gap,
+        by which `forall X . collide(X) <- true` and
         `forall X . not collide(ego) <- true` check as consistent.
         """
         if domain_size < 1:
@@ -193,7 +193,7 @@ def rule_substitutions(
 ) -> list[dict[str, str]]:
     """Every assignment of same-sort constants to the rule's variables, in
     declaration order (variables outermost, constants in declared order)."""
-    return _substitutions(rule, _sorts(rule, onto), config)
+    return list(_substitutions(rule, _sorts(rule, onto), config))
 
 
 def _sorts(rule: Rule, onto: Ontology) -> tuple[str, ...]:
@@ -204,7 +204,7 @@ def _sorts(rule: Rule, onto: Ontology) -> tuple[str, ...]:
 
 def _substitutions(
     rule: Rule, sorts: Sequence[str], config: GroundingConfig
-) -> list[dict[str, str]]:
+) -> Iterator[dict[str, str]]:
     names = [t.name for t in rule.quantified_vars]
     pools = []
     for name, sort in zip(names, sorts):
@@ -212,7 +212,7 @@ def _substitutions(
         if not constants:
             raise GroundingError(f"no constants declared for sort {sort!r} (variable {name})")
         pools.append(constants)
-    return [dict(zip(names, choice)) for choice in product(*pools)]
+    return (dict(zip(names, choice)) for choice in product(*pools))
 
 
 def instantiate_rule(
@@ -329,23 +329,26 @@ def ground_literal(lit: Literal, substitution: Mapping[str, str]) -> GroundLiter
     return render_inner(inner, substitution), lit.negated, comparison
 
 
-def invariant_attempts(rule: Rule, config: GroundingConfig, onto: Ontology) -> tuple[Attempt, ...]:
+def invariant_attempts(rule: Rule, config: GroundingConfig, onto: Ontology) -> Iterator[Attempt]:
     """The ground literals each attempt to refute `rule` assumes: per
     substitution, in substitution order, and per head literal, in head
     order, the body literals and then the head literal's complement.
 
-    Memoized in `config.attempts` by the rule's content and its
-    variables' sorts."""
-    sorts = _sorts(rule, onto)
-    key = (rule, sorts)
+    Rendered lazily, so a walk that stops at a counterexample renders no
+    more.  A complete walk is memoized in `config.attempts` by the rule's
+    content and its variables' sorts, and a later walk yields from it."""
+    key = (rule, _sorts(rule, onto))
     found = config.attempts.get(key)
-    if found is None:
-        attempts = []
-        for substitution in _substitutions(rule, sorts, config):
-            body = [ground_literal(lit, substitution) for lit in rule.body]
-            attempts += [(*body, ground_literal(lit.complement(), substitution)) for lit in rule.head]
-        found = config.attempts[key] = tuple(attempts)
-    return found
+    if found is not None:
+        yield from found
+        return
+    attempts = []
+    for substitution in _substitutions(rule, key[1], config):
+        body = [ground_literal(lit, substitution) for lit in rule.body]
+        for lit in rule.head:
+            attempts.append((*body, ground_literal(lit.complement(), substitution)))
+            yield attempts[-1]
+    config.attempts[key] = tuple(attempts)
 
 
 def extend(

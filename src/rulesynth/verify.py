@@ -6,7 +6,7 @@ Stages run in a fixed order with fail-fast verdicts:
 2. consistency -> Inconsistent  (grounded theory + candidate is UNSAT;
                                  a minimal conflict core is extracted by
                                  deletion-based shrinking)
-3. redundancy  -> Redundant     (theory entails every candidate clause)
+3. redundancy  -> Redundant     (the theory entails the candidate)
 4. invariants  -> Unsafe        (some safety invariant is no longer
                                  entailed; a countermodel is reported)
 5. (all pass)  -> Accepted
@@ -15,28 +15,28 @@ The quantification semantics is finite-model: rules are grounded over the
 configured constant domain, so every verdict is relative to the grounding
 config recorded in the report.
 
-One `verify()` call asks `ground` for the theory's grounding and then for
-that of theory plus candidate, each a ClauseDB with its clause index;
-every check is one solve of one of those two indexes.  The config keeps
-every grounding it made in one map: `ground` grounds the theory once per
-theory version and lays the candidate over that grounding, and a later
-stage that asks `ground` for theory plus candidate finds the grounding
-the consistency stage made.  Consistency solves the index of theory plus
-candidate whole; each core-shrinking trial switches off the clauses its
-kept rules and the candidate lack; entailment solves the theory's index
-with the interval axioms it lacks and one negated candidate clause as
-extra clauses; each invariant attempt adds the unit and axiom clauses
-that its assumed literals bring (`extend`), without copying the ClauseDB.
-The attempts' literals are rendered once per config
-(`invariant_attempts`), so an attempt only looks their names up in the
-ClauseDB's atom table.  Each of these clause sets, and its atom
-numbering, equals what grounding that check's rules afresh would give,
-with an attempt's literals as unit clauses, up to clause order, and the
-DPLL answer depends only on those two.
+Redundancy and invariants ask one question, whether a grounding entails a
+rule, and `counterexample` answers both: it walks the attempts to refute
+the rule (`invariant_attempts`) and returns the first one the grounding
+does not refute.  Redundancy asks about the candidate over the theory's
+grounding, invariants about each invariant over theory plus candidate's.
+
+One `verify()` call asks `ground` for the theory's grounding and, at the
+invariants stage, for that of theory plus candidate, each a ClauseDB with
+its clause index; every check is one solve of one of those two indexes.
+The config keeps every grounding in one map: the theory is grounded once
+per theory version, the consistency stage lays the candidate over it, and
+the invariants stage finds that grounding.  Consistency solves it whole; each
+core-shrinking trial switches off the clauses its kept rules and the
+candidate lack; each attempt adds the unit and axiom clauses that its
+assumed literals bring (`extend`), without copying the ClauseDB.  Each of
+these clause sets, and its atom numbering, equals what grounding that
+check's rules afresh would give, with an attempt's literals as unit
+clauses, up to clause order, and the DPLL answer depends only on those two.
 
 Only an Unsafe verdict reports a model, its countermodel, so only the
-invariant attempts ask `sat.solve` for one.  The consistency check, the
-core-shrinking trials, the entailment checks and `theory_soundness`'s
+invariants stage asks `sat.solve` for one.  The consistency check, the
+core-shrinking trials, the redundancy stage and `theory_soundness`'s
 satisfiability check ask `sat.satisfiable` for a yes or no, which a model
 kept from an earlier call on the same index lineage often gives after a
 clause-by-clause check, without search; its answer is always DPLL's.
@@ -47,7 +47,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from . import sat
 from .fol import Ontology, Rule, render_rule, validate_schema
@@ -101,21 +101,23 @@ def check_consistency(
     return ConsistencyResult(False, tuple(theory[i].id for i in kept))
 
 
-def check_entailment(theory_db: ClauseDB, db: ClauseDB) -> bool:
-    """True when every grounding clause of the candidate is refuted by the
-    theory (clause-by-clause negation + SAT), i.e. the candidate is redundant.
+def counterexample(
+    db: ClauseDB, rule: Rule, config: GroundingConfig, onto: Ontology, ask: Callable[..., Any]
+) -> tuple[dict[str, int], Any] | None:
+    """The first attempt to refute `rule` that `ask`, asked about db's index
+    with the clauses the attempt adds (`extend`), does not refute: the atoms
+    it adds and `ask`'s model or True.  None when db's rules entail `rule`."""
+    for attempt in invariant_attempts(rule, config, onto):
+        atoms, clauses = extend(db, attempt, config, onto)
+        answer = ask(db.index, extra=clauses)
+        if answer is not None and answer is not False:  # `solve([])` is the model {}
+            return atoms, answer
+    return None
 
-    `theory_db` grounds the theory's rules and `db` those rules and then
-    the candidate, and the theory plus candidate is consistent.  Each
-    check solves the theory's index with the interval axioms it lacks and
-    the negated literals of one candidate clause as extra clauses."""
-    theory = theory_db.index
-    axioms = [axiom for axiom in db.axioms if axiom not in theory.ids]
-    for clause in db.rule_clauses[-1]:
-        negation = [[-lit] for lit in clause]
-        if sat.satisfiable(theory, extra=[*axioms, *negation]):
-            return False
-    return True
+
+def check_entailment(theory_db: ClauseDB, candidate: Rule, config: GroundingConfig, onto: Ontology) -> bool:
+    """True when the theory grounded in `theory_db` entails the candidate, which is then redundant."""
+    return counterexample(theory_db, candidate, config, onto, sat.satisfiable) is None
 
 
 @dataclass(frozen=True)
@@ -130,22 +132,14 @@ def check_invariants(
 ) -> InvariantResult:
     """Check that the rules grounded in `db` entail each invariant.
 
-    Invariant I is violated when some model of the grounded theory
-    satisfies I's body while falsifying one of its head literals, for some
-    substitution.  Conjunctive heads are negated one literal per SAT
-    attempt.  The first violation (store order, then substitution order,
-    then head-literal order) is reported with its countermodel.  The
-    attempts' ground literals are rendered once per config
-    (`invariant_attempts`); each attempt numbers them in db's atom table
-    and solves db's index with the clauses they add (`extend`).
-    """
+    The first invariant in store order that has a counterexample
+    (`counterexample`, asking `sat.solve`) is reported with that model, in
+    which its body holds and one head literal fails, as its countermodel."""
     for invariant in invariants:
-        for attempt in invariant_attempts(invariant.rule, config, onto):
-            atoms, clauses = extend(db, attempt, config, onto)
-            model = sat.solve(db.index, extra=clauses)
-            if model is not None:
-                countermodel = render_model({**db.atoms, **atoms}, model)
-                return InvariantResult(False, invariant.id, countermodel)
+        found = counterexample(db, invariant.rule, config, onto, sat.solve)
+        if found is not None:
+            atoms, model = found
+            return InvariantResult(False, invariant.id, render_model({**db.atoms, **atoms}, model))
     return InvariantResult(True)
 
 
@@ -223,10 +217,10 @@ def verify(
     if not consistency.consistent:
         return report("Inconsistent", consistency=consistency)
     stages.append("redundancy")
-    db = ground([*theory, candidate], config, onto)  # the one check_consistency made
-    if check_entailment(theory_db, db):
+    if check_entailment(theory_db, candidate, config, onto):
         return report("Redundant", consistency=consistency, redundancy="entailed")
     stages.append("invariants")
+    db = ground([*theory, candidate], config, onto)  # the one check_consistency made
     invariants = check_invariants(db, store.invariants, config, onto)
     verdict = "Accepted" if invariants.preserved else "Unsafe"
     return report(verdict, consistency=consistency, redundancy="novel", invariants=invariants)

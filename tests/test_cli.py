@@ -348,6 +348,24 @@ def test_ontology_without_sorts_exits_2_before_any_oracle_call(work_dir, capsys,
     assert not (work_dir / "out").exists()
 
 
+@pytest.mark.parametrize("command", [["verify", "--all-unverified"], ["run-all"]])
+def test_constant_named_like_a_fresh_constant_exits_2_before_any_oracle_call(
+    work_dir, capsys, monkeypatch, command
+):
+    # `vehicle1` would share the ground atoms of grounding's first fresh vehicle
+    _refuse_oracle(monkeypatch)
+    onto = read(work_dir / "traffic.onto.json")
+    onto["constants"]["vehicle1"] = "vehicle"
+    (work_dir / "traffic.onto.json").write_text(json.dumps(onto))
+    store_before = (work_dir / "merge.kb.json").read_bytes()
+    config = str(work_dir / "scenario1.config.json")
+    assert run([command[0], "--config", config, *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "'vehicle1'" in err and "Traceback" not in err
+    assert (work_dir / "merge.kb.json").read_bytes() == store_before
+    assert not (work_dir / "out").exists()
+
+
 @pytest.mark.parametrize("value", ["0", "-1", "three"])
 def test_domain_size_flag_must_be_a_positive_integer(work_dir, capsys, monkeypatch, value):
     _refuse_oracle(monkeypatch)

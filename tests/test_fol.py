@@ -1,6 +1,7 @@
 import json
 import random
 import string
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -258,6 +259,8 @@ def test_grammar_reference_lists_vocabulary(onto):
         lambda doc: doc.update(predicates=["collide"]),
         lambda doc: doc.update(constants={"ego": 5}),
         lambda doc: doc.update(default_sort=["vehicle"]),
+        lambda doc: doc["constants"].update(vehicle1="vehicle"),  # a fresh constant's name
+        lambda doc: doc["constants"].update(vehicle12="lane"),  # one of another sort's
     ],
 )
 def test_load_ontology_rejects_malformed_documents(tmp_path, edit):
@@ -267,3 +270,9 @@ def test_load_ontology_rejects_malformed_documents(tmp_path, edit):
     path.write_text(json.dumps(doc))
     with pytest.raises(OntologyError):
         load_ontology(path)
+
+
+@pytest.mark.parametrize("name", ["vehicle0", "vehicle01", "vehicles1", "vehicle_1", "lane1"])
+def test_constants_not_named_like_a_fresh_constant_are_accepted(onto, name):
+    constants = {**onto.constants, name: "vehicle"}
+    assert replace(onto, constants=constants).constants[name] == "vehicle"

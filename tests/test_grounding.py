@@ -306,7 +306,7 @@ def test_grounding_map_grounds_twins_and_a_second_ontology_afresh(onto):
 def test_memo_starts_empty_in_a_replaced_config(onto):
     config = GroundingConfig.default(onto, 2)
     ground([parse_rule(COLLIDE_RULE, onto)], config, onto)
-    invariant_attempts(parse_rule(DENSE_RULE, onto), config, onto)
+    tuple(invariant_attempts(parse_rule(DENSE_RULE, onto), config, onto))
     assert config.groundings and config.attempts
     for copy in (replace(config), replace(config, comparison_mode="interval-axioms")):
         assert copy.groundings == {} and copy.groundings is not config.groundings
@@ -318,7 +318,7 @@ def test_memo_leaves_equality_json_and_reports_alone(onto, seed_store):
     cold = GroundingConfig.default(onto, 2)
     rule = parse_rule(DENSE_RULE, onto)
     ground([*seed_store.theory_rules(), rule], warm, onto)
-    invariant_attempts(rule, warm, onto)
+    tuple(invariant_attempts(rule, warm, onto))
     assert warm.groundings and warm.attempts and not cold.groundings and not cold.attempts
     assert warm == cold and repr(warm) == repr(cold)
     assert warm.to_json() == cold.to_json() == {

@@ -82,7 +82,7 @@ def test_interval_axioms_expose_cross_threshold_contradictions(onto):
 
 
 def entailed(theory, candidate, config, onto):
-    return check_entailment(ground(theory, config, onto), ground([*theory, candidate], config, onto))
+    return check_entailment(ground(theory, config, onto), candidate, config, onto)
 
 
 def test_identical_rule_is_entailed(onto, config):

@@ -17,7 +17,7 @@ from itertools import chain
 
 import pytest
 
-from rulesynth import sat
+from rulesynth import grounding, sat
 from rulesynth.fol import PredicateDecl, Rule, parse_rule, validate_schema
 from rulesynth.grounding import (
     ClauseDB,
@@ -200,9 +200,8 @@ def test_shared_grounding_matches_fresh_groundings(onto, mode):
         assert (consistency.consistent, consistency.core) == reference_consistency(
             theory, candidate, config, onto), case
         if consistency.consistent:
-            theory_db, db = ground(theory, config, onto), ground([*theory, candidate], config, onto)
-            assert check_entailment(theory_db, db) == reference_entailment(
-                theory, candidate, config, onto), case
+            assert check_entailment(ground(theory, config, onto), candidate, config, onto) == (
+                reference_entailment(theory, candidate, config, onto)), case
         for with_candidate in (candidate, None):
             rules = [*theory] if with_candidate is None else [*theory, candidate]
             result = check_invariants(ground(rules, config, onto), invariants, config, onto)
@@ -301,10 +300,33 @@ def test_grounding_map_grounds_a_theory_and_its_candidate_in_either_order(onto, 
                 assert grounding_parts(ground(rules, config, onto)) == grounding_parts(
                     reference_ground(rules, config, onto)), case
             if reference_consistency(theory, candidate, config, onto)[0]:
-                entailed = check_entailment(ground(theory, config, onto), ground(extended, config, onto))
+                entailed = check_entailment(ground(theory, config, onto), candidate, config, onto)
                 assert entailed == reference_entailment(theory, candidate, config, onto), case
                 answers[entailed] += 1
             assert len(config.groundings) == 2, case
+    assert answers[True] and answers[False], answers
+
+
+@pytest.mark.parametrize("mode", ["opaque", "interval-axioms"])
+@pytest.mark.parametrize("domain_size", [1, 2, 3])
+def test_redundancy_and_invariants_give_one_entailment_answer(onto, mode, domain_size):
+    """On random cases, consistent or not: redundancy equals the reference
+    and equals the invariants stage's answer for the candidate as the
+    only invariant, over the theory's grounding; redundancy grounds
+    nothing, so the config's map of groundings does not change."""
+    vocabulary = small_vocabulary(onto)
+    rng = random.Random(f"one-entailment-{mode}-{domain_size}")
+    answers = Counter()
+    for case in range(40):
+        config = GroundingConfig.default(onto, domain_size, mode)
+        theory, candidate, _ = random_case(rng, vocabulary, onto)
+        theory_db = ground(theory, config, onto)
+        kept = dict(config.groundings)
+        entailed = check_entailment(theory_db, candidate, config, onto)
+        assert config.groundings == kept, case
+        assert entailed == reference_entailment(theory, candidate, config, onto), case
+        assert entailed == check_invariants(theory_db, [Invariant("c", candidate)], config, onto).preserved, case
+        answers[entailed] += 1
     assert answers[True] and answers[False], answers
 
 
@@ -422,14 +444,32 @@ def test_attempt_table_is_memoized_per_rule_content_and_sorts(onto):
     vocabulary, by_zone = two_sort_vocabularies(onto)
     config = GroundingConfig({"vehicle": ("v1", "v2"), "zone": ("z1",)}, "interval-axioms")
     rule = parse_rule("forall X . not dense(X) <- speed(X) > 50 and dense(X)")
-    attempts = invariant_attempts(rule, config, vocabulary)
-    assert invariant_attempts(replace(rule, id="r-twin"), config, vocabulary) is attempts
+    attempts = tuple(invariant_attempts(rule, config, vocabulary))
+    twin = tuple(invariant_attempts(replace(rule, id="r-twin"), config, vocabulary))
+    assert list(map(id, twin)) == list(map(id, attempts))  # the memoized objects
     assert [[(name, negated) for name, negated, _ in attempt] for attempt in attempts] == [
         [("speed(v1) > 50", False), ("dense(v1)", False), ("dense(v1)", False)],
         [("speed(v2) > 50", False), ("dense(v2)", False), ("dense(v2)", False)],
     ]
     assert attempts[0][0][2] == ground_literal(rule.body[0], {"X": "v1"})[2]
     assert attempts[0][0][2].subject.name == "v1" and attempts[0][1][2] is None
-    zoned = invariant_attempts(rule, config, by_zone)
+    zoned = tuple(invariant_attempts(rule, config, by_zone))
     assert [attempt[1][0] for attempt in zoned] == ["dense(z1)"]
     assert sorted(key[1] for key in config.attempts) == [("vehicle",), ("zone",)]
+
+
+def test_attempts_are_rendered_lazily_and_memoized_once_walked(onto, monkeypatch):
+    """A walk that stops at its first attempt renders that attempt only
+    and memoizes nothing; a complete walk is memoized, and a later walk
+    renders nothing and yields the same attempt objects."""
+    rendered = []
+    monkeypatch.setattr(grounding, "ground_literal", lambda *args: rendered.append(args) or ground_literal(*args))
+    config = GroundingConfig.default(onto, 3)
+    candidate = parse_rule("forall X . not collide(X) <- sd_front(X) and sd_rear(X)", onto)
+    assert not check_entailment(ground([], config, onto), candidate, config, onto)  # novel
+    assert len(rendered) == 3 and config.attempts == {}  # two body literals, one head literal
+    assert check_entailment(ground([candidate], config, onto), candidate, config, onto)  # redundant
+    assert len(rendered) == 3 + 3 * 3 and len(config.attempts) == 1
+    (memoized,) = config.attempts.values()
+    walked = tuple(invariant_attempts(candidate, config, onto))
+    assert len(rendered) == 12 and list(map(id, walked)) == list(map(id, memoized))
