@@ -37,19 +37,33 @@ those of grounding every rule in turn, however the grounding was reached.
 
 The attempts to refute a rule, any rule: an invariant or a candidate
 tested for redundancy (`invariant_attempts`), are the ground literals each
-assumes: per substitution and head literal, the body literals and the
-head literal's complement, as atom name, sign and ground comparison.
-They are rendered as a walk reaches them; a complete walk is kept in
-`GroundingConfig.attempts` by the rule's content and its variables' sorts.
+assumes: per canonical substitution and head literal, the body literals
+and the head literal's complement, as atom name, sign and ground
+comparison.  A pool constant that no rule can name, because the ontology
+does not declare it, and that no other pool place holds is
+interchangeable with the other such constants of its sort: the grounding
+is function-free and equality-free, so permuting them renames its atoms
+and leaves it otherwise unchanged, and every substitution in one orbit
+of the permutations is refuted or not alike (the EPR symmetry argument
+of Piskac, de Moura and Bjorner, JAR 2010).
+A substitution is canonical when, per sort, the interchangeable constants
+it uses appear in pool order, which makes it the lexicographically first
+of its orbit (lex-leader symmetry breaking: Crawford, Ginsberg, Luks and
+Roy, KR 1996).  So the first attempt a rule's grounding does not refute is
+canonical, and walking only canonical attempts finds the same one.  The
+grounding itself (`rule_substitutions`) keeps every substitution.
+Attempts are rendered as a walk reaches them; a complete walk is kept in
+`GroundingConfig.attempts` by the rule's content, its variables' sorts and
+the constants that no permutation moves.
 """
 
 from __future__ import annotations
 
 import operator
-from collections import ChainMap
+from collections import ChainMap, Counter
 from dataclasses import dataclass, field, replace
 from itertools import chain, combinations, product
-from typing import Any, Iterator, KeysView, Mapping, MutableMapping, Sequence
+from typing import AbstractSet, Any, Iterator, KeysView, Mapping, MutableMapping, Sequence
 
 from . import sat
 from .fol import (
@@ -83,22 +97,27 @@ class GroundingConfig:
     tuple and the ClauseDB `ground` made of them, one entry per rule tuple
     `ground` was asked for; the entry holds the objects whose ids key it,
     so no id is reused while it lives.
-    `attempts` is `invariant_attempts`' memo, keyed by a rule's content
-    and the sort of each quantified variable, which the ontology of each
-    call decides; within one config a sort fixes the constants.
+    `attempts` is `invariant_attempts`' memo, keyed by a rule's content,
+    the sort of each quantified variable and the fixed constants
+    (`fixed_constants`), which the ontology of each call decides; within
+    one config a sort fixes the constants.
     Neither cache is part of equality, repr or `to_json`, and they live as
     long as the config, which is one verification batch: a
     `dataclasses.replace`d config starts empty.
+    `pooled` holds every constant of the sorts and `shared` those that
+    occur more than once among them.
     """
 
     domain_constants: Mapping[str, tuple[str, ...]]
     comparison_mode: str = "opaque"
-    attempts: dict[tuple[Rule, tuple[str, ...]], tuple[Attempt, ...]] = field(
+    attempts: dict[tuple[Rule, tuple[str, ...], frozenset[str]], tuple[Attempt, ...]] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
     groundings: dict[tuple[int, ...], tuple[Ontology, tuple[Rule, ...], ClauseDB]] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
+    pooled: frozenset[str] = field(init=False, compare=False, repr=False)
+    shared: frozenset[str] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.comparison_mode not in COMPARISON_MODES:
@@ -106,6 +125,9 @@ class GroundingConfig:
         for sort, constants in self.domain_constants.items():
             if not constants:
                 raise GroundingError(f"sort {sort!r} declares no constants")
+        counts = Counter(chain(*self.domain_constants.values()))
+        object.__setattr__(self, "pooled", frozenset(counts))
+        object.__setattr__(self, "shared", frozenset(c for c, n in counts.items() if n > 1))
 
     @classmethod
     def default(cls, onto: Ontology, domain_size: int = 3,
@@ -126,6 +148,13 @@ class GroundingConfig:
         if not domains:
             raise GroundingError("ontology declares no sorts to ground over")
         return cls(domains, comparison_mode)
+
+    def fixed_constants(self, onto: Ontology) -> frozenset[str]:
+        """The pool constants that `invariant_attempts` may not permute:
+        those `onto` declares, which rules name, and those pooled more
+        than once, which a permutation of one sort's constants would move
+        in another sort or position too."""
+        return self.shared | self.pooled.intersection(onto.constants)
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -202,17 +231,66 @@ def _sorts(rule: Rule, onto: Ontology) -> tuple[str, ...]:
     return tuple(sorts[term.name] for term in rule.quantified_vars)
 
 
+def _pools(rule: Rule, sorts: Sequence[str], config: GroundingConfig) -> list[Sequence[str]]:
+    """The constants of each quantified variable's sort, in declaration order."""
+    pools = []
+    for term, sort in zip(rule.quantified_vars, sorts):
+        constants = config.domain_constants.get(sort)
+        if not constants:
+            raise GroundingError(f"no constants declared for sort {sort!r} (variable {term.name})")
+        pools.append(constants)
+    return pools
+
+
 def _substitutions(
     rule: Rule, sorts: Sequence[str], config: GroundingConfig
 ) -> Iterator[dict[str, str]]:
     names = [t.name for t in rule.quantified_vars]
-    pools = []
-    for name, sort in zip(names, sorts):
-        constants = config.domain_constants.get(sort)
-        if not constants:
-            raise GroundingError(f"no constants declared for sort {sort!r} (variable {name})")
-        pools.append(constants)
-    return (dict(zip(names, choice)) for choice in product(*pools))
+    return (dict(zip(names, choice)) for choice in product(*_pools(rule, sorts, config)))
+
+
+def canonical_choices(
+    pools: Sequence[Sequence[str]], sorts: Sequence[str], fixed: AbstractSet[str]
+) -> Iterator[tuple[str, ...]]:
+    """The canonical members of `product(*pools)`, in its (lexicographic)
+    order; `sorts[i]` is the sort of position i, and positions of one sort
+    share a pool.
+
+    A choice is canonical when, per sort, the constants outside `fixed`
+    that it uses first appear in pool order: each position takes a fixed
+    constant, a non-fixed one of its sort that an earlier position took,
+    or the first non-fixed one of its sort that none took.  The choices
+    are generated by a restricted-growth walk, not filtered from the
+    product: k positions of one sort with no fixed constant give Bell(k)
+    choices when the pool holds at least k constants.  A constant outside
+    `fixed` must occur in one pool only, once.
+    """
+    def walk(i: int, used: Mapping[str, int]) -> Iterator[tuple[str, ...]]:
+        """The choices for positions i onwards when `used[sort]` non-fixed
+        constants of each sort are taken."""
+        if i == len(pools):
+            yield ()
+            return
+        sort = sorts[i]
+        taken = used.get(sort, 0)
+        passed = 0  # the non-fixed constants of the pool before this one
+        for constant in pools[i]:
+            if constant in fixed:
+                after = used
+            elif passed < taken:
+                after = used
+                passed += 1
+            elif passed == taken:
+                after = {**used, sort: taken + 1}
+                passed += 1
+            elif fixed:
+                continue  # a fixed constant may come later in the pool
+            else:
+                break
+            for rest in walk(i + 1, after):
+                yield (constant, *rest)
+
+    return walk(0, {})
 
 
 def instantiate_rule(
@@ -331,19 +409,36 @@ def ground_literal(lit: Literal, substitution: Mapping[str, str]) -> GroundLiter
 
 def invariant_attempts(rule: Rule, config: GroundingConfig, onto: Ontology) -> Iterator[Attempt]:
     """The ground literals each attempt to refute `rule` assumes: per
-    substitution, in substitution order, and per head literal, in head
-    order, the body literals and then the head literal's complement.
+    canonical substitution (`canonical_choices`, with the constants of
+    `config.fixed_constants(onto)` fixed), in substitution order, and per
+    head literal, in head order, the body literals and then the head
+    literal's complement.
+
+    The first of these attempts that a grounding of rules over `config`
+    does not refute is the first of all substitutions' attempts it does
+    not refute, provided that every constant those rules and `rule` name
+    is declared by `onto` (which `validate_schema` checks) and so fixed
+    wherever a pool holds it; `Ontology` further refuses a declared
+    constant named like a fresh one.  Then permuting one sort's other
+    constants maps the grounding onto itself and each substitution's
+    attempts onto another's, refuted alike, and the lexicographically
+    first substitution of each such orbit is the canonical one.
 
     Rendered lazily, so a walk that stops at a counterexample renders no
     more.  A complete walk is memoized in `config.attempts` by the rule's
-    content and its variables' sorts, and a later walk yields from it."""
-    key = (rule, _sorts(rule, onto))
+    content, its variables' sorts and the fixed constants, and a later
+    walk yields from it."""
+    sorts = _sorts(rule, onto)
+    fixed = config.fixed_constants(onto)
+    key = (rule, sorts, fixed)
     found = config.attempts.get(key)
     if found is not None:
         yield from found
         return
+    names = [t.name for t in rule.quantified_vars]
     attempts = []
-    for substitution in _substitutions(rule, key[1], config):
+    for choice in canonical_choices(_pools(rule, sorts, config), sorts, fixed):
+        substitution = dict(zip(names, choice))
         body = [ground_literal(lit, substitution) for lit in rule.body]
         for lit in rule.head:
             attempts.append((*body, ground_literal(lit.complement(), substitution)))

@@ -20,6 +20,14 @@ rule, and `counterexample` answers both: it walks the attempts to refute
 the rule (`invariant_attempts`) and returns the first one the grounding
 does not refute.  Redundancy asks about the candidate over the theory's
 grounding, invariants about each invariant over theory plus candidate's.
+The walk tries only canonical substitutions: those that take, per sort,
+the grounding's interchangeable constants (the ones no rule can name) in
+pool order.  Every rule of a check names only declared constants, so
+permuting one sort's interchangeable constants maps the grounding onto
+itself and one substitution's attempts onto another's, refuted alike;
+the first attempt the grounding does not refute is then canonical, and
+the walk finds the same one, with the same model, as a walk over every
+substitution would.
 
 One `verify()` call asks `ground` for the theory's grounding and, at the
 invariants stage, for that of theory plus candidate, each a ClauseDB with

@@ -43,6 +43,7 @@ from rulesynth.verify import (
 
 import reference_dpll
 from conftest import grounding_parts
+from reference_canonical import canonical_substitutions
 from reference_grounding import reference_ground
 from rulegen import random_rule
 
@@ -359,19 +360,20 @@ def reference_extend(db, assumptions, config, onto):
 
 
 def reference_attempts(db, invariants, config, onto):
-    """Each attempt's extension of db, in the order `check_invariants` as it
-    was before the attempt table tried them."""
+    """Each canonical attempt's extension of db, in the order
+    `check_invariants` as it was before the attempt table tried them."""
     return [
         reference_extend(db, [*((lit, s) for lit in invariant.rule.body), (head_lit.complement(), s)],
                          config, onto)
         for invariant in invariants
-        for s in rule_substitutions(invariant.rule, config, onto)
+        for s in canonical_substitutions(invariant.rule, config, onto)
         for head_lit in invariant.rule.head
     ]
 
 
 def reference_check_invariants(db, invariants, config, onto):
-    """`check_invariants` as it was before the attempt table."""
+    """`check_invariants` as it was before the attempt table, over every
+    substitution."""
     for invariant in invariants:
         for substitution in rule_substitutions(invariant.rule, config, onto):
             assumptions = [(lit, substitution) for lit in invariant.rule.body]
@@ -402,8 +404,9 @@ def two_sort_vocabularies(onto):
 @pytest.mark.parametrize("domain_size", [1, 2, 3])
 def test_attempt_table_checks_invariants_like_the_per_attempt_loop(onto, mode, domain_size):
     """Seeded sequences of candidates on one config, some committed, under
-    two ontologies: every attempt's new atoms and clauses, and every
-    InvariantResult, equal the per-attempt loop's."""
+    two ontologies: every canonical attempt's new atoms and clauses equal
+    the per-attempt loop's over the canonical substitutions, and every
+    InvariantResult equals the per-attempt loop's over all of them."""
     vocabularies = two_sort_vocabularies(onto)
     config = GroundingConfig.default(vocabularies[0], domain_size, mode)
     seen = Counter()
@@ -432,8 +435,8 @@ def test_attempt_table_checks_invariants_like_the_per_attempt_loop(onto, mode, d
             seen["violated"] += not result.preserved
             if rng.random() < 0.5:
                 theory.append(candidate)
-    sorts = {rule: set() for rule, _ in config.attempts}
-    for rule, key in config.attempts:
+    sorts = {rule: set() for rule, _, _ in config.attempts}
+    for rule, key, _ in config.attempts:
         sorts[rule].add(key)
     seen["two sorts"] = sum(len(keys) > 1 for keys in sorts.values())
     assert seen["new atoms"] and seen["violated"] and seen["two sorts"], seen
@@ -449,8 +452,7 @@ def test_attempt_table_is_memoized_per_rule_content_and_sorts(onto):
     assert list(map(id, twin)) == list(map(id, attempts))  # the memoized objects
     assert [[(name, negated) for name, negated, _ in attempt] for attempt in attempts] == [
         [("speed(v1) > 50", False), ("dense(v1)", False), ("dense(v1)", False)],
-        [("speed(v2) > 50", False), ("dense(v2)", False), ("dense(v2)", False)],
-    ]
+    ]  # X = v2 is the same attempt up to swapping v1 and v2
     assert attempts[0][0][2] == ground_literal(rule.body[0], {"X": "v1"})[2]
     assert attempts[0][0][2].subject.name == "v1" and attempts[0][1][2] is None
     zoned = tuple(invariant_attempts(rule, config, by_zone))
@@ -469,7 +471,7 @@ def test_attempts_are_rendered_lazily_and_memoized_once_walked(onto, monkeypatch
     assert not check_entailment(ground([], config, onto), candidate, config, onto)  # novel
     assert len(rendered) == 3 and config.attempts == {}  # two body literals, one head literal
     assert check_entailment(ground([candidate], config, onto), candidate, config, onto)  # redundant
-    assert len(rendered) == 3 + 3 * 3 and len(config.attempts) == 1
+    assert len(rendered) == 3 + 3 and len(config.attempts) == 1  # one canonical substitution
     (memoized,) = config.attempts.values()
     walked = tuple(invariant_attempts(candidate, config, onto))
-    assert len(rendered) == 12 and list(map(id, walked)) == list(map(id, memoized))
+    assert len(rendered) == 6 and list(map(id, walked)) == list(map(id, memoized))
