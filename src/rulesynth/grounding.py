@@ -39,22 +39,22 @@ The attempts to refute a rule, any rule: an invariant or a candidate
 tested for redundancy (`invariant_attempts`), are the ground literals each
 assumes: per canonical substitution and head literal, the body literals
 and the head literal's complement, as atom name, sign and ground
-comparison.  A pool constant that no rule can name, because the ontology
-does not declare it, and that no other pool place holds is
-interchangeable with the other such constants of its sort: the grounding
-is function-free and equality-free, so permuting them renames its atoms
-and leaves it otherwise unchanged, and every substitution in one orbit
-of the permutations is refuted or not alike (the EPR symmetry argument
-of Piskac, de Moura and Bjorner, JAR 2010).
+comparison.  No constant is pooled twice (`GroundingConfig` refuses it),
+and a pool constant that no rule can name, because the ontology does not
+declare it, is interchangeable with the other such constants of its sort:
+the grounding is function-free and equality-free, so permuting them
+renames its atoms and leaves it otherwise unchanged, and every
+substitution in one orbit of the permutations is refuted or not alike
+(the EPR symmetry argument of Piskac, de Moura and Bjorner, JAR 2010).
 A substitution is canonical when, per sort, the interchangeable constants
 it uses appear in pool order, which makes it the lexicographically first
 of its orbit (lex-leader symmetry breaking: Crawford, Ginsberg, Luks and
 Roy, KR 1996).  So the first attempt a rule's grounding does not refute is
 canonical, and walking only canonical attempts finds the same one.  The
 grounding itself (`rule_substitutions`) keeps every substitution.
-Attempts are rendered as a walk reaches them; a complete walk is kept in
-`GroundingConfig.attempts` by the rule's content, its variables' sorts and
-the constants that no permutation moves.
+A rule's attempts are rendered all at once, on the first walk over them,
+and kept in `GroundingConfig.attempts` by the rule's content, its
+variables' sorts and the constants that no permutation moves.
 """
 
 from __future__ import annotations
@@ -104,8 +104,10 @@ class GroundingConfig:
     Neither cache is part of equality, repr or `to_json`, and they live as
     long as the config, which is one verification batch: a
     `dataclasses.replace`d config starts empty.
-    `pooled` holds every constant of the sorts and `shared` those that
-    occur more than once among them.
+    `pooled` holds every constant of the sorts.  No constant may be
+    pooled more than once, in two sorts or twice in one: a permutation
+    of one sort's constants would move it in another place too, and the
+    sort names `v` and `v1` would give `v11` two meanings.
     """
 
     domain_constants: Mapping[str, tuple[str, ...]]
@@ -117,7 +119,6 @@ class GroundingConfig:
         default_factory=dict, init=False, compare=False, repr=False
     )
     pooled: frozenset[str] = field(init=False, compare=False, repr=False)
-    shared: frozenset[str] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.comparison_mode not in COMPARISON_MODES:
@@ -126,8 +127,10 @@ class GroundingConfig:
             if not constants:
                 raise GroundingError(f"sort {sort!r} declares no constants")
         counts = Counter(chain(*self.domain_constants.values()))
+        repeated = sorted(c for c, n in counts.items() if n > 1)
+        if repeated:
+            raise GroundingError(f"constants pooled more than once: {', '.join(map(repr, repeated))}")
         object.__setattr__(self, "pooled", frozenset(counts))
-        object.__setattr__(self, "shared", frozenset(c for c, n in counts.items() if n > 1))
 
     @classmethod
     def default(cls, onto: Ontology, domain_size: int = 3,
@@ -151,10 +154,8 @@ class GroundingConfig:
 
     def fixed_constants(self, onto: Ontology) -> frozenset[str]:
         """The pool constants that `invariant_attempts` may not permute:
-        those `onto` declares, which rules name, and those pooled more
-        than once, which a permutation of one sort's constants would move
-        in another sort or position too."""
-        return self.shared | self.pooled.intersection(onto.constants)
+        those `onto` declares, which rules name."""
+        return self.pooled.intersection(onto.constants)
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -251,7 +252,7 @@ def _substitutions(
 
 def canonical_choices(
     pools: Sequence[Sequence[str]], sorts: Sequence[str], fixed: AbstractSet[str]
-) -> Iterator[tuple[str, ...]]:
+) -> list[tuple[str, ...]]:
     """The canonical members of `product(*pools)`, in its (lexicographic)
     order; `sorts[i]` is the sort of position i, and positions of one sort
     share a pool.
@@ -263,34 +264,36 @@ def canonical_choices(
     are generated by a restricted-growth walk, not filtered from the
     product: k positions of one sort with no fixed constant give Bell(k)
     choices when the pool holds at least k constants.  A constant outside
-    `fixed` must occur in one pool only, once.
-    """
-    def walk(i: int, used: Mapping[str, int]) -> Iterator[tuple[str, ...]]:
-        """The choices for positions i onwards when `used[sort]` non-fixed
-        constants of each sort are taken."""
-        if i == len(pools):
-            yield ()
-            return
-        sort = sorts[i]
-        taken = used.get(sort, 0)
-        passed = 0  # the non-fixed constants of the pool before this one
-        for constant in pools[i]:
-            if constant in fixed:
-                after = used
-            elif passed < taken:
-                after = used
-                passed += 1
-            elif passed == taken:
-                after = {**used, sort: taken + 1}
-                passed += 1
-            elif fixed:
-                continue  # a fixed constant may come later in the pool
-            else:
-                break
-            for rest in walk(i + 1, after):
-                yield (constant, *rest)
+    `fixed` must occur in one pool only, once, as in every
+    `GroundingConfig`.
 
-    return walk(0, {})
+    The walk extends the canonical prefixes one position at a time, each
+    with the count of non-fixed constants it takes per sort; extending
+    them in order, each by its pool's constants in order, keeps the
+    prefixes in lexicographic order, at any number of positions.
+    """
+    level: list[tuple[tuple[str, ...], dict[str, int]]] = [((), {})]
+    for pool, sort in zip(pools, sorts):
+        extended = []
+        for prefix, used in level:
+            taken = used.get(sort, 0)
+            passed = 0  # the non-fixed constants of the pool before this one
+            for constant in pool:
+                if constant in fixed:
+                    after = used
+                elif passed < taken:
+                    after = used
+                    passed += 1
+                elif passed == taken:
+                    after = {**used, sort: taken + 1}
+                    passed += 1
+                elif fixed:
+                    continue  # a fixed constant may come later in the pool
+                else:
+                    break
+                extended.append(((*prefix, constant), after))
+        level = extended
+    return [prefix for prefix, _ in level]
 
 
 def instantiate_rule(
@@ -407,7 +410,7 @@ def ground_literal(lit: Literal, substitution: Mapping[str, str]) -> GroundLiter
     return render_inner(inner, substitution), lit.negated, comparison
 
 
-def invariant_attempts(rule: Rule, config: GroundingConfig, onto: Ontology) -> Iterator[Attempt]:
+def invariant_attempts(rule: Rule, config: GroundingConfig, onto: Ontology) -> tuple[Attempt, ...]:
     """The ground literals each attempt to refute `rule` assumes: per
     canonical substitution (`canonical_choices`, with the constants of
     `config.fixed_constants(onto)` fixed), in substitution order, and per
@@ -419,31 +422,28 @@ def invariant_attempts(rule: Rule, config: GroundingConfig, onto: Ontology) -> I
     not refute, provided that every constant those rules and `rule` name
     is declared by `onto` (which `validate_schema` checks) and so fixed
     wherever a pool holds it; `Ontology` further refuses a declared
-    constant named like a fresh one.  Then permuting one sort's other
-    constants maps the grounding onto itself and each substitution's
-    attempts onto another's, refuted alike, and the lexicographically
-    first substitution of each such orbit is the canonical one.
+    constant named like a fresh one, and `GroundingConfig` a constant
+    pooled twice.  Then permuting one sort's other constants maps the
+    grounding onto itself and each substitution's attempts onto
+    another's, refuted alike, and the lexicographically first
+    substitution of each such orbit is the canonical one.
 
-    Rendered lazily, so a walk that stops at a counterexample renders no
-    more.  A complete walk is memoized in `config.attempts` by the rule's
-    content, its variables' sorts and the fixed constants, and a later
-    walk yields from it."""
+    The table is rendered whole on the first call and memoized in
+    `config.attempts` by the rule's content, its variables' sorts and the
+    fixed constants; a later call returns the memoized tuple."""
     sorts = _sorts(rule, onto)
     fixed = config.fixed_constants(onto)
     key = (rule, sorts, fixed)
-    found = config.attempts.get(key)
-    if found is not None:
-        yield from found
-        return
-    names = [t.name for t in rule.quantified_vars]
-    attempts = []
-    for choice in canonical_choices(_pools(rule, sorts, config), sorts, fixed):
-        substitution = dict(zip(names, choice))
-        body = [ground_literal(lit, substitution) for lit in rule.body]
-        for lit in rule.head:
-            attempts.append((*body, ground_literal(lit.complement(), substitution)))
-            yield attempts[-1]
-    config.attempts[key] = tuple(attempts)
+    attempts = config.attempts.get(key)
+    if attempts is None:
+        names = [t.name for t in rule.quantified_vars]
+        rendered = []
+        for choice in canonical_choices(_pools(rule, sorts, config), sorts, fixed):
+            substitution = dict(zip(names, choice))
+            body = [ground_literal(lit, substitution) for lit in rule.body]
+            rendered.extend((*body, ground_literal(lit.complement(), substitution)) for lit in rule.head)
+        attempts = config.attempts[key] = tuple(rendered)
+    return attempts
 
 
 def extend(

@@ -41,15 +41,12 @@ Transport = Callable[[str, Mapping[str, Any], Mapping[str, str], float], Mapping
 class LlmOracleConfig:
     endpoint: str
     model: str
-    temperature: float = 0.0
     max_retries: int = 2
     timeout: float = 60.0
     api_key_env: str = "RULESYNTH_API_KEY"
     prompts: Mapping[str, str] | None = None  # overrides for the default template set
 
     def __post_init__(self) -> None:
-        if self.temperature != 0:
-            raise ValueError("pipeline determinism requires temperature 0")
         if not 0 <= self.max_retries <= 5:
             raise ValueError("max_retries must be between 0 and 5")
         if not 0 < self.timeout < float("inf"):  # also false for NaN
@@ -73,10 +70,11 @@ class LlmOracleConfig:
 
     @classmethod
     def from_json(cls, doc: Mapping[str, Any]) -> "LlmOracleConfig":
+        if float(doc.get("temperature", 0.0)) != 0:  # every query is sent at temperature 0
+            raise ValueError("pipeline determinism requires temperature 0")
         return cls(
             endpoint=doc["endpoint"],
             model=doc["model"],
-            temperature=float(doc.get("temperature", 0.0)),
             max_retries=int(doc.get("max_retries", 2)),
             timeout=float(doc.get("timeout", 60.0)),
             api_key_env=doc.get("api_key_env", "RULESYNTH_API_KEY"),
@@ -221,7 +219,7 @@ class LlmOracle(Oracle):
     def _payload(self, kind: str, user_prompt: str) -> dict[str, Any]:
         return {
             "model": self.config.model,
-            "temperature": self.config.temperature,
+            "temperature": 0.0,
             "messages": [
                 {"role": "system", "content": _SYSTEM_PROMPT},
                 {"role": "user", "content": user_prompt},

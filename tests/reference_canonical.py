@@ -3,16 +3,15 @@
 against its definition, and the canonical substitutions of a rule are the
 full enumeration (`rule_substitutions`) filtered by that test.
 
-A constant is interchangeable when the ontology does not declare it and
-it occurs once among all of the config's pools; every other pool
-constant is fixed.  A choice is canonical when, for each sort, the
-interchangeable constants it uses, listed at their first use, are the
-first ones of the sort's pool, in pool order.
+A pool constant is interchangeable when the ontology does not declare
+it, and fixed when it does; a config pools each constant once.  A choice
+is canonical when, for each sort, the interchangeable constants it uses,
+listed at their first use, are the first ones of the sort's pool, in
+pool order.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import AbstractSet, Mapping, Sequence
 
 from rulesynth.fol import Ontology, Rule, variable_sorts
@@ -40,10 +39,8 @@ def is_canonical(
 
 
 def fixed_constants(config: GroundingConfig, onto: Ontology) -> set[str]:
-    """The pool constants the ontology declares or more than one pool
-    place holds."""
-    counts = Counter(c for pool in config.domain_constants.values() for c in pool)
-    return {c for c, n in counts.items() if n > 1 or c in onto.constants}
+    """The pool constants the ontology declares."""
+    return {c for pool in config.domain_constants.values() for c in pool if c in onto.constants}
 
 
 def canonical_substitutions(rule: Rule, config: GroundingConfig, onto: Ontology) -> list[dict[str, str]]:

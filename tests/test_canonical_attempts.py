@@ -22,8 +22,8 @@ from rulesynth.fol import PredicateDecl, parse_rule, render_rule, validate_schem
 from rulesynth.grounding import (
     ClauseDB,
     GroundingConfig,
+    GroundingError,
     canonical_choices,
-    ground,
     comparison_axioms,
     ground_literal,
     invariant_attempts,
@@ -31,7 +31,7 @@ from rulesynth.grounding import (
     rule_substitutions,
 )
 from rulesynth.store import Invariant, TheoryStore, VerifiedRule
-from rulesynth.verify import check_invariants, theory_soundness, verify
+from rulesynth.verify import theory_soundness, verify
 
 import reference_dpll
 from reference_canonical import canonical_substitutions, is_canonical
@@ -92,11 +92,14 @@ def test_canonical_choices_are_generated_not_filtered():
     ]
 
 
-def test_fixed_constants_are_declared_or_pooled_more_than_once(onto):
-    config = GroundingConfig({"vehicle": ("ego", "v1", "v2"), "zone": ("z1", "v2")})
-    assert config.fixed_constants(onto) == {"ego", "v2"}
-    assert config.fixed_constants(replace(onto, constants={})) == {"v2"}
+def test_fixed_constants_are_declared_and_no_constant_is_pooled_twice(onto):
+    config = GroundingConfig({"vehicle": ("ego", "v1", "v2"), "zone": ("z1", "z2")})
+    assert config.fixed_constants(onto) == {"ego"}
+    assert config.fixed_constants(replace(onto, constants={})) == frozenset()
     assert GroundingConfig.default(onto, 3).fixed_constants(onto) == frozenset()
+    for domain in ({"vehicle": ("ego", "v1", "v2"), "zone": ("z1", "v2")}, {"vehicle": ("v2", "v1", "v2")}):
+        with pytest.raises(GroundingError, match="^constants pooled more than once: 'v2'$"):
+            GroundingConfig(domain)
 
 
 def test_attempt_memo_is_keyed_by_the_fixed_constants(onto):
@@ -182,18 +185,14 @@ def vocabularies(onto):
 
 
 def configs(vocabulary, rng, domain_size, mode):
-    """The default config; one that pools the declared `ego` among the
-    fresh vehicles, first or later; or one whose zones bear the vehicles'
-    names."""
+    """The default config, or one that pools the declared `ego` among the
+    fresh vehicles, first or later."""
     config = GroundingConfig.default(vocabulary, domain_size, mode)
-    layout = rng.choice(["default", "ego", "ego", "shared"])
-    if layout == "default":
+    if rng.choice(["default", "ego", "ego"]) == "default":
         return config
     vehicles = list(config.domain_constants["vehicle"])
-    if layout == "ego":
-        vehicles.insert(0 if rng.random() < 0.75 else 1, "ego")
-        return GroundingConfig({**config.domain_constants, "vehicle": tuple(vehicles)}, mode)
-    return GroundingConfig({**config.domain_constants, "zone": tuple(reversed(vehicles))}, mode)
+    vehicles.insert(0 if rng.random() < 0.75 else 1, "ego")
+    return GroundingConfig({**config.domain_constants, "vehicle": tuple(vehicles)}, mode)
 
 
 def valid_rule(rng, vocabulary):
@@ -234,7 +233,6 @@ def cross_check(onto):
                     mismatches.append((mode, domain_size, case))
                 seen[report.verdict] += 1
                 seen["ego pooled"] += "ego" in config.domain_constants["vehicle"]
-                seen["shared names"] += bool(config.shared)
                 seen["two sorts"] += vocabulary.predicates["dense"].sorts == ("zone",)
                 seen["names ego"] += any("ego" in render_rule(r) for r in [*theory, candidate])
                 seen["three variables"] += len(candidate.quantified_vars) == 3
@@ -245,27 +243,21 @@ def test_counterexample_search_matches_the_full_walk(onto):
     mismatches, seen = cross_check(onto)
     assert mismatches == [], mismatches
     assert min(seen[v] for v in ("Inconsistent", "Redundant", "Unsafe", "Accepted")) >= 10, seen
-    assert min(seen[k] for k in ("ego pooled", "shared names", "two sorts", "names ego", "three variables")) >= 20, seen
+    assert min(seen[k] for k in ("ego pooled", "two sorts", "names ego", "three variables")) >= 20, seen
 
 
-def test_constants_pooled_by_two_sorts_are_fixed(onto):
-    """Vehicles and zones named alike, and an attribute over both sorts
-    that links `collide(a)` to `dense(a)`: the invariant fails only where
-    X and Y take different names, (a, b), which a walk over each sort's
-    own order alone would skip as a copy of (a, a)."""
-    vocabulary = vocabularies(onto)[1]
-    theory = [parse_rule("forall X . speed(X) > 50 <- collide(X)", vocabulary),
-              parse_rule("forall Y . dense(Y) <- speed(Y) > 50", vocabulary)]
-    invariant = Invariant("inv", parse_rule("forall X, Y . dense(Y) <- collide(X)", vocabulary))
-    config = GroundingConfig({"vehicle": ("a", "b"), "zone": ("a", "b")})
-    assert config.fixed_constants(vocabulary) == {"a", "b"}
-    result = check_invariants(ground(theory, config, vocabulary), [invariant], config, vocabulary)
-    assert result.countermodel == full_walk(theory, invariant.rule, config, vocabulary)
-    assert "not dense(b)" in result.countermodel
+def test_constants_pooled_by_two_sorts_are_refused():
+    """Vehicles and zones named alike would let an attribute over both
+    sorts link `collide(a)` to `dense(a)`, so that an invariant over X
+    and Y fails only where they take different names, (a, b), which a
+    walk over each sort's own order alone would skip as a copy of
+    (a, a).  Such a config is refused."""
+    with pytest.raises(GroundingError, match="'a', 'b'"):
+        GroundingConfig({"vehicle": ("a", "b"), "zone": ("a", "b")})
 
 
 def test_cross_check_fails_when_declared_constants_are_interchangeable(onto, monkeypatch):
-    monkeypatch.setattr(GroundingConfig, "fixed_constants", lambda self, onto: self.shared)
+    monkeypatch.setattr(GroundingConfig, "fixed_constants", lambda self, onto: frozenset())
     mismatches, _ = cross_check(onto)
     assert mismatches
 

@@ -266,6 +266,38 @@ def test_domain_size_and_out_flags(work_dir, tmp_path):
     assert not (work_dir / "out").exists()
 
 
+def test_run_all_gives_a_rule_with_thousands_of_variables_a_verdict(work_dir, capsys):
+    # 1,200 variables over one constant: verification walks them without
+    # recursing once per variable
+    spec_path = work_dir / "scenario1.oracle.json"
+    doc = read(spec_path)
+    names = [f"X{i}" for i in range(1200)]
+    deep = f"forall {', '.join(names)} . not collide(X0) <- " + " and ".join(f"sd_front({n})" for n in names)
+    key = "Driver maintains control of the vehicle and is aware of surrounding traffic"
+    doc["goals"]["g1"]["translations"][key]["rule"] = deep
+    spec_path.write_text(json.dumps(doc))
+    assert run(["run-all", "--config", str(work_dir / "scenario1.config.json"), "--domain-size", "1"]) == 0
+    assert capsys.readouterr().err == ""
+    verdicts = {r["rule_id"]: r["verdict"] for r in read(work_dir / "out" / "g1.verification.json")["reports"]}
+    assert len(verdicts) == 4 and set(verdicts.values()) == {"Accepted"}
+
+
+@pytest.mark.parametrize("command", [["verify", "--all-unverified"], ["run-all"]])
+def test_sorts_whose_fresh_constants_collide_exit_2_before_any_oracle_call(work_dir, capsys, monkeypatch, command):
+    # sort `v`'s eleventh fresh constant is `v11`, sort `v1`'s first
+    _refuse_oracle(monkeypatch)
+    onto = read(work_dir / "traffic.onto.json")
+    onto["predicates"]["p"] = {"arity": 1, "sorts": ["v"]}
+    onto["predicates"]["q"] = {"arity": 1, "sorts": ["v1"]}
+    (work_dir / "traffic.onto.json").write_text(json.dumps(onto))
+    store_before = (work_dir / "merge.kb.json").read_bytes()
+    config = str(work_dir / "scenario1.config.json")
+    assert run([command[0], "--config", config, *command[1:], "--domain-size", "11"]) == 2
+    assert capsys.readouterr().err == "config error: constants pooled more than once: 'v11'\n"
+    assert (work_dir / "merge.kb.json").read_bytes() == store_before
+    assert not (work_dir / "out").exists()
+
+
 def _refuse_oracle(monkeypatch):
     def build_oracle(config):
         raise AssertionError("an oracle was built for an invalid configuration")
@@ -462,6 +494,17 @@ def test_bad_llm_timeout_exits_2_before_any_oracle_call(work_dir, capsys, monkey
     assert run(["run-all", "--config", _write_config(work_dir, edit)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
+    assert not (work_dir / "out").exists()
+
+
+def test_nonzero_llm_temperature_exits_2_before_any_oracle_call(work_dir, capsys, monkeypatch):
+    _refuse_oracle(monkeypatch)
+
+    def edit(doc):
+        doc["oracle"] = {"mode": "llm", "llm": {"endpoint": "https://llm.test/v1", "model": "m", "temperature": 0.7}}
+
+    assert run(["run-all", "--config", _write_config(work_dir, edit)]) == 2
+    assert capsys.readouterr().err == "config error: bad scenario config: pipeline determinism requires temperature 0\n"
     assert not (work_dir / "out").exists()
 
 

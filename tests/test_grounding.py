@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from rulesynth import sat
 from rulesynth.fol import (
+    AttributeDecl,
     Atom,
     Comparison,
     Literal,
@@ -29,6 +30,7 @@ from rulesynth.grounding import (
     invariant_attempts,
     rule_substitutions,
 )
+from rulesynth.store import TheoryStore, VerifiedRule
 from rulesynth.verify import verify
 
 from conftest import COLLIDE_RULE, DENSE_RULE, grounding_parts
@@ -103,6 +105,26 @@ def test_default_config_names_constants_per_sort(onto):
     assert config.domain_constants["vehicle"] == ("vehicle1", "vehicle2", "vehicle3")
     with pytest.raises(GroundingError):
         GroundingConfig.default(onto, 0)
+
+
+def test_default_pools_that_name_one_constant_twice_are_refused():
+    """Sorts `v` and `v1`: at domain 11, `v`'s eleventh fresh constant is
+    `v1`'s first, so `speed(v11)` would be an attribute of both a `v` and
+    a `v1`, and a theory about every `v` would decide a candidate about
+    every `v1`.  Domain 10 names every constant once."""
+    onto = Ontology(
+        predicates={"p": PredicateDecl(1, ("v",)), "q": PredicateDecl(1, ("v1",))},
+        numeric_attributes={"speed": AttributeDecl("km/h", (Fraction(0), Fraction(10)))},
+        constants={},
+    )
+    with pytest.raises(GroundingError, match="^constants pooled more than once: 'v11'$"):
+        GroundingConfig.default(onto, 11)
+    theory = [parse_rule(text, onto) for text in (
+        "forall X . speed(X) > 5 <- p(X)", "forall X . p(X) <- true", "forall Y . q(Y) <- true",
+    )]
+    store = TheoryStore(verified_rules=tuple(VerifiedRule(rule, "c", "g", "vrep") for rule in theory))
+    candidate = parse_rule("forall Y . not speed(Y) > 5 <- q(Y)", onto)
+    assert verify(candidate, store, GroundingConfig.default(onto, 10), onto).verdict == "Accepted"
 
 
 def test_missing_sort_constants_is_grounding_error(onto):

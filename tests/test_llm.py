@@ -40,8 +40,11 @@ def api_key(monkeypatch):
 
 
 def test_temperature_zero_is_mandatory():
-    with pytest.raises(ValueError):
-        make_config(temperature=0.7)
+    with pytest.raises(ValueError, match="temperature 0"):
+        LlmOracleConfig.from_json({"endpoint": "e", "model": "m", "temperature": 0.7})
+    assert LlmOracleConfig.from_json({"endpoint": "e", "model": "m", "temperature": 0}) == make_config(
+        endpoint="e", model="m"
+    )
     with pytest.raises(ValueError):
         make_config(max_retries=99)
 

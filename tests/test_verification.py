@@ -149,6 +149,19 @@ def test_verify_records_all_stages_when_accepted(onto, config, seed_store):
     assert report.redundancy == "novel"
 
 
+def test_a_rule_with_thousands_of_variables_gets_a_verdict(onto, config, seed_store):
+    """1,200 variables over one constant ground like the rule's
+    one-variable collapse, and the canonical walk reaches its one choice
+    without recursing once per variable."""
+    names = [f"X{i}" for i in range(1200)]
+    body = " and ".join(f"sd_front({name})" for name in names)
+    deep = parse_rule(f"forall {', '.join(names)} . not collide(X0) <- {body}", onto)
+    collapsed = parse_rule("forall X . not collide(X) <- sd_front(X)", onto)
+    report = verify(deep, seed_store, config, onto)
+    assert report.verdict == verify(collapsed, seed_store, GroundingConfig({"vehicle": ("a",)}), onto).verdict
+    assert report.stages_executed == ("schema", "consistency", "redundancy", "invariants")
+
+
 def test_verify_inconsistent_against_fixture_theory(onto, config, seed_store):
     candidate = parse_rule("forall X . speed(X) > 130 <- true", onto)
     report = verify(candidate, seed_store, config, onto)

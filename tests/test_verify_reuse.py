@@ -460,18 +460,17 @@ def test_attempt_table_is_memoized_per_rule_content_and_sorts(onto):
     assert sorted(key[1] for key in config.attempts) == [("vehicle",), ("zone",)]
 
 
-def test_attempts_are_rendered_lazily_and_memoized_once_walked(onto, monkeypatch):
-    """A walk that stops at its first attempt renders that attempt only
-    and memoizes nothing; a complete walk is memoized, and a later walk
-    renders nothing and yields the same attempt objects."""
+def test_attempt_table_is_rendered_whole_and_memoized_on_the_first_walk(onto, monkeypatch):
+    """A walk that stops at its first attempt still renders and memoizes
+    the whole table; a later walk renders nothing and gets the same tuple."""
     rendered = []
     monkeypatch.setattr(grounding, "ground_literal", lambda *args: rendered.append(args) or ground_literal(*args))
     config = GroundingConfig.default(onto, 3)
-    candidate = parse_rule("forall X . not collide(X) <- sd_front(X) and sd_rear(X)", onto)
-    assert not check_entailment(ground([], config, onto), candidate, config, onto)  # novel
-    assert len(rendered) == 3 and config.attempts == {}  # two body literals, one head literal
-    assert check_entailment(ground([candidate], config, onto), candidate, config, onto)  # redundant
-    assert len(rendered) == 3 + 3 and len(config.attempts) == 1  # one canonical substitution
+    candidate = parse_rule("forall X, Y . not collide(X) <- sd_front(X) and sd_rear(Y)", onto)
+    assert not check_entailment(ground([], config, onto), candidate, config, onto)  # novel at (v1, v1)
+    assert len(rendered) == 2 * 3  # (v1, v1) and (v1, v2): two body literals and one head literal each
     (memoized,) = config.attempts.values()
-    walked = tuple(invariant_attempts(candidate, config, onto))
-    assert len(rendered) == 6 and list(map(id, walked)) == list(map(id, memoized))
+    assert len(memoized) == 2
+    assert check_entailment(ground([candidate], config, onto), candidate, config, onto)  # redundant
+    assert invariant_attempts(candidate, config, onto) is memoized
+    assert len(rendered) == 6 and len(config.attempts) == 1
