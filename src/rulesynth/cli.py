@@ -7,10 +7,12 @@ a run-all composite.  Exit codes:
   2  configuration error (bad arguments, bad config or grounding
      settings, an ontology with no sorts to ground over for verify and
      run-all, a grounding pool that repeats a constant, such as `v11`
-     for sorts `v` and `v1` at --domain-size 11, missing file, unknown
-     goal/rule, a cause search, pruned or --brute-force, over more
-     causes than analysis.BRUTE_FORCE_LIMIT, a --record path that is a
-     directory or whose directory does not exist)
+     for sorts `v` and `v1` at --domain-size 11, a rule with more
+     ground instances than grounding.MAX_INSTANCES or a --domain-size
+     above it, missing file, unknown goal/rule, a cause search, pruned
+     or --brute-force, over more causes than analysis.BRUTE_FORCE_LIMIT,
+     a --record path that is a directory or whose directory does not
+     exist)
   3  oracle error (backend unavailable, malformed answer, malformed
      oracle spec or transcript, missing transcript key)
   4  translation failure (names the cause id)

@@ -24,12 +24,14 @@ A config keeps every grounding `ground` made in one map
 (`GroundingConfig.groundings`), keyed by the identity of the ontology and
 of each rule, and callers find a grounding by asking `ground` for its
 rules.  `ground` returns the kept grounding of its rules when there is
-one.  When the map holds the grounding of every rule but the last,
-`ground` lays the last rule over it: it copies that grounding's atom
-table, grounds the last rule into the copy and extends that grounding's
-rule index by the new clauses (`Index.extended`).  Otherwise it grounds
-every rule in one go.  Either way it adds the interval axioms and keeps
-the result.  In a verification batch the theory is either unchanged since
+one.  Otherwise it builds one through one loop from a base: the kept
+grounding of every rule but the last, when the map holds it, or else an
+empty ClauseDB.  It copies the base's atom table, grounds the rules the
+base lacks into the copy, and extends the base's rule index, or an empty
+index, by their clauses (`Index.extended`; `Index(()).extended(c)` equals
+`Index(c)`).  Then it adds the interval axioms and keeps the result.
+A rule with more than MAX_INSTANCES ground instances is refused before
+any is built.  In a verification batch the theory is either unchanged since
 the last candidate, which was rejected, or it has grown by that
 candidate, and either way the map holds its grounding.  The atom
 numbering, the rule clauses and the order of the distinct clauses are
@@ -63,7 +65,8 @@ import operator
 from collections import ChainMap, Counter
 from dataclasses import dataclass, field, replace
 from itertools import chain, combinations, product
-from typing import AbstractSet, Any, Iterator, KeysView, Mapping, MutableMapping, Sequence
+from math import prod
+from typing import AbstractSet, Any, KeysView, Mapping, MutableMapping, Sequence
 
 from . import sat
 from .fol import (
@@ -78,6 +81,9 @@ from .fol import (
 )
 
 COMPARISON_MODES = ("opaque", "interval-axioms")
+# ground instances one rule may have, as many as the 2^20 cause subsets of
+# analysis.BRUTE_FORCE_LIMIT; `ground` refuses a rule with more
+MAX_INSTANCES = 2**20
 
 # a ground literal: its atom's name, whether it is negated, and its ground
 # comparison (None for an atom); an attempt is the ground literals it assumes
@@ -86,7 +92,8 @@ Attempt = tuple[GroundLiteral, ...]
 
 
 class GroundingError(ValueError):
-    """A quantified variable's sort has no constants, or bad config."""
+    """A quantified variable's sort has no constants, a rule has more than
+    MAX_INSTANCES ground instances, or bad config."""
 
 
 @dataclass(frozen=True)
@@ -141,9 +148,12 @@ class GroundingConfig:
         over the ontology's declared constants such as `ego`: a known gap,
         by which `forall X . collide(X) <- true` and
         `forall X . not collide(ego) <- true` check as consistent.
+        A domain size above MAX_INSTANCES is refused.
         """
         if domain_size < 1:
             raise GroundingError("domain size must be positive")
+        if domain_size > MAX_INSTANCES:  # every rule has a variable, so none could be grounded
+            raise GroundingError(f"domain size {domain_size} exceeds {MAX_INSTANCES}, the most instances of a rule")
         domains = {
             sort: tuple(f"{sort}{i}" for i in range(1, domain_size + 1))
             for sort in onto.sorts()
@@ -222,8 +232,16 @@ def rule_substitutions(
     rule: Rule, config: GroundingConfig, onto: Ontology
 ) -> list[dict[str, str]]:
     """Every assignment of same-sort constants to the rule's variables, in
-    declaration order (variables outermost, constants in declared order)."""
-    return list(_substitutions(rule, _sorts(rule, onto), config))
+    declaration order (variables outermost, constants in declared order).
+
+    Raises GroundingError, before building any, when there are more than
+    MAX_INSTANCES of them: the product of the variables' pool sizes."""
+    pools = _pools(rule, _sorts(rule, onto), config)
+    instances = prod(map(len, pools))
+    if instances > MAX_INSTANCES:
+        raise GroundingError(f"rule {rule.id} has {instances} ground instances, more than {MAX_INSTANCES}")
+    names = [t.name for t in rule.quantified_vars]
+    return [dict(zip(names, choice)) for choice in product(*pools)]
 
 
 def _sorts(rule: Rule, onto: Ontology) -> tuple[str, ...]:
@@ -241,13 +259,6 @@ def _pools(rule: Rule, sorts: Sequence[str], config: GroundingConfig) -> list[Se
             raise GroundingError(f"no constants declared for sort {sort!r} (variable {term.name})")
         pools.append(constants)
     return pools
-
-
-def _substitutions(
-    rule: Rule, sorts: Sequence[str], config: GroundingConfig
-) -> Iterator[dict[str, str]]:
-    names = [t.name for t in rule.quantified_vars]
-    return (dict(zip(names, choice)) for choice in product(*_pools(rule, sorts, config)))
 
 
 def canonical_choices(
@@ -361,9 +372,8 @@ def ground(rules: Sequence[Rule], config: GroundingConfig, onto: Ontology) -> Cl
     """Ground a rule set to a ClauseDB, kept in `config.groundings`.
 
     The config's kept grounding of the rules is returned when there is
-    one.  Otherwise, when the config keeps the grounding of every rule but
-    the last, the last rule is laid over it; else every rule is grounded
-    in one go.
+    one.  Otherwise the rules are grounded over a base: the kept grounding
+    of every rule but the last, or an empty one when the config lacks it.
     """
     rules = tuple(rules)
     kept = config.groundings
@@ -372,17 +382,13 @@ def ground(rules: Sequence[Rule], config: GroundingConfig, onto: Ontology) -> Cl
     if entry is not None:
         return entry[2]
     base_entry = kept.get(key[:-1])  # for no rules, (): never a key
-    if base_entry is None:
-        db = ClauseDB()
-        for rule in rules:
-            db.rule_clauses.append(_rule_clauses(rule, config, onto, db))
-        db.rules_index = sat.Index(chain(*db.rule_clauses))
-    else:
-        base = base_entry[2]
-        db = ClauseDB(dict(base.atoms), dict(base.comparisons), [*base.rule_clauses])
-        clauses = _rule_clauses(rules[-1], config, onto, db)
-        db.rule_clauses.append(clauses)
-        db.rules_index = base.rules_index.extended(clauses)
+    base = ClauseDB() if base_entry is None else base_entry[2]
+    grounded = len(base.rule_clauses)
+    db = ClauseDB(dict(base.atoms), dict(base.comparisons), [*base.rule_clauses])
+    for rule in rules[grounded:]:
+        db.rule_clauses.append(_rule_clauses(rule, config, onto, db))
+    rules_index = sat.Index(()) if base_entry is None else base.rules_index
+    db.rules_index = rules_index.extended(chain(*db.rule_clauses[grounded:]))
     if config.comparison_mode == "interval-axioms":
         append_comparison_axioms(db, onto)
     db.index = db.rules_index.extended(db.axioms) if db.axioms else db.rules_index

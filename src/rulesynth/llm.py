@@ -27,6 +27,7 @@ from .oracle import (
     Oracle,
     OracleUnavailable,
     Translation,
+    parse_achieves,
     parse_causes,
     parse_equivalence,
     parse_necessity,
@@ -307,13 +308,9 @@ class LlmOracle(Oracle):
         prompt = self.config.template("achieves").format(
             goal=goal.text, principles=format_principles(principles), subset=listing
         )
-
-        def validate(doc: Any) -> bool:
-            if not isinstance(doc, dict) or not isinstance(doc.get("achieves"), bool):
-                raise MalformedResponse("achievement answer malformed")
-            return doc["achieves"]
-
-        return self._ask("achieves", prompt, validate)
+        return self._ask(
+            "achieves", prompt, lambda doc: parse_achieves(doc.get("achieves") if isinstance(doc, dict) else None)
+        )
 
     def translate_to_fol(
         self,

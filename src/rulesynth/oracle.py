@@ -514,7 +514,7 @@ class TranscriptOracle(Oracle):
         return self._answer(
             achieves_key(goal.id, subset),
             lambda live: bool(live.judge_subset_achieves(goal, subset, causes, principles)),
-            _achieves,
+            parse_achieves,
         )
 
     def translate_to_fol(self, cause, onto, grammar_doc, feedback=None):
@@ -552,7 +552,7 @@ def parse_equivalence(doc: Any) -> EquivalenceVerdict:
     return EquivalenceVerdict(equivalent, merged if equivalent else None)
 
 
-def _achieves(doc: Any) -> bool:
+def parse_achieves(doc: Any) -> bool:
     if not isinstance(doc, bool):
         raise MalformedResponse("achievement answer is not a boolean")
     return doc

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from itertools import count
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -145,11 +146,16 @@ def build_oracle(config: ScenarioConfig) -> Oracle:
 
 
 def resolve_goal(store: TheoryStore, goal_text: str) -> tuple[TheoryStore, Goal]:
-    """Find the goal by exact text, creating a draft goal when absent."""
+    """Find the goal by exact text, creating a draft goal when absent.
+
+    A new goal takes the first free id g<k> from k = len(goals) + 1 up, so
+    a store whose ids are g1..gN gives it g<N+1>."""
     goal = store.goal_by_text(goal_text)
     if goal is not None:
         return store, goal
-    goal = Goal(id=f"g{len(store.goals) + 1}", text=goal_text, status="draft")
+    taken = {g.id for g in store.goals}
+    goal_id = next(f"g{k}" for k in count(len(store.goals) + 1) if f"g{k}" not in taken)
+    goal = Goal(id=goal_id, text=goal_text, status="draft")
     return store.with_goal(goal), goal
 
 

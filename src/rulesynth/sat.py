@@ -27,30 +27,32 @@ The model depends only on the clause set, because:
 3. the decision variable is the lowest unassigned one in an unsatisfied
    clause, and True is tried first;
 4. every variable left unassigned is True;
-5. a switched-off clause counts as satisfied, the same as leaving it out;
-6. a call whose unit propagation conflicts returns None before its set-up.
+5. a switched-off clause counts as satisfied, the same as leaving it out.
 
-For point 6 each index keeps the assignment that propagating its own unit
-clauses forces (`root`).  A call that switches no clause off propagates its
-extra clauses from there, visiting only the clauses of the literals it
-falsifies; a conflict is a refutation, so it returns the None that DPLL
-would, without copying anything of the index's size.  An extended index
+`satisfiable` answers yes or no without a model, and it is the only code
+that refutes a call by propagation.  Each index keeps the assignment that
+propagating its own unit clauses forces (`root`).  A call that switches
+no clause off propagates its extra clauses from there, visiting only the
+clauses of the literals it falsifies; a conflict is a refutation, so it
+returns False before any set-up of the index's size.  An extended index
 propagates its new clauses from the old index's root, not from scratch:
 the old root is a fixpoint of the old clauses, so only a new clause, or
 an old one that a newly set literal falsifies in part, can set more.
+After that, `satisfiable` tries the index's kept witnesses: the models of
+its earlier DPLL calls, as sets of true literals, newest first.  Each is
+overridden by the literals that `root` and the extra clauses force and
+then checked against every clause that is on, the newest clauses first;
+one that satisfies them all answers yes.  Only when none does is DPLL
+run, and its model is kept.  A witness is checked clause by clause, so
+it can only ever answer yes for a clause set that has a model: a wrong
+or stale witness costs a miss, never a wrong answer, and the answer is
+always `solve(...) is not None`.  This is the counterexample cache of
+KLEE (Cadar, Dunbar and Engler, OSDI 2008), close to phase saving
+(Pipatsrisawat and Darwiche, SAT 2007).
 
-`satisfiable` answers yes or no without a model, for callers that read
-none.  After the same refutation by propagation, it tries the index's
-kept witnesses: the models of its earlier DPLL calls, as sets of true
-literals, newest first.  Each is overridden by the literals that `root`
-and the extra clauses force and then checked against every clause that
-is on, the newest clauses first; one that satisfies them all answers
-yes.  Only when none does is DPLL run, and its model is kept.  A witness
-is checked clause by clause, so it can only ever answer yes for a clause
-set that has a model: a wrong or stale witness costs a miss, never a
-wrong answer, and the answer is always `solve(...) is not None`.  This
-is the counterexample cache of KLEE (Cadar, Dunbar and Engler, OSDI
-2008), close to phase saving (Pipatsrisawat and Darwiche, SAT 2007).
+`solve` builds the model.  It runs DPLL on every call, so callers ask
+`satisfiable` first and `solve` only for a clause set they need a model
+of, which is then one DPLL search when no witness answered.
 """
 
 from __future__ import annotations
@@ -191,14 +193,12 @@ def solve(
 
     `clauses` is an Index or a clause list to index.  The clauses in `off`
     are switched off and those in `extra` added, for this call only; an
-    extra clause equal to a switched-off one stays on.  A call that unit
-    propagation does not refute lays its extra clauses over the index with
-    `Index.extended`, and DPLL runs over that one index.  The model covers
-    variables 1 to the largest variable of the index and of `extra`."""
+    extra clause equal to a switched-off one stays on.  The extra clauses
+    are laid over the index with `Index.extended`, and DPLL runs over that
+    one index.  The model covers variables 1 to the largest variable of the
+    index and of `extra`."""
     index = clauses if isinstance(clauses, Index) else Index(clauses)
     extra = [frozenset(c) for c in extra]
-    if not off and (index.root is None or _propagate(index, extra) is None):
-        return None
     if extra:
         off = [c for c in off if c not in extra]  # an extra clause stays on
         index = index.extended(extra)
@@ -306,7 +306,9 @@ def satisfiable(
 ) -> bool:
     """Whether the index's clauses, less `off` and plus `extra`, have a
     model: `solve(index, off=off, extra=extra) is not None`, answered by
-    propagation or a kept witness where they can."""
+    propagation or a kept witness where they can.  A call that switches no
+    clause off and whose unit propagation conflicts returns False before
+    any set-up of the index's size."""
     extra = [frozenset(c) for c in extra]
     forced = index.root or set()  # under `off`, only a guess for the override
     if not off:

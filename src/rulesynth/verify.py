@@ -31,7 +31,7 @@ substitution would.
 
 One `verify()` call asks `ground` for the theory's grounding and, at the
 invariants stage, for that of theory plus candidate, each a ClauseDB with
-its clause index; every check is one solve of one of those two indexes.
+its clause index; every check is one solver call on one of those two indexes.
 The config keeps every grounding in one map: the theory is grounded once
 per theory version, the consistency stage lays the candidate over it, and
 the invariants stage finds that grounding.  Consistency solves it whole; each
@@ -42,12 +42,14 @@ these clause sets, and its atom numbering, equals what grounding that
 check's rules afresh would give, with an attempt's literals as unit
 clauses, up to clause order, and the DPLL answer depends only on those two.
 
-Only an Unsafe verdict reports a model, its countermodel, so only the
-invariants stage asks `sat.solve` for one.  The consistency check, the
-core-shrinking trials, the redundancy stage and `theory_soundness`'s
-satisfiability check ask `sat.satisfiable` for a yes or no, which a model
-kept from an earlier call on the same index lineage often gives after a
-clause-by-clause check, without search; its answer is always DPLL's.
+Every check is a yes-or-no question to `sat.satisfiable`: the consistency
+check, the core-shrinking trials, `theory_soundness`'s satisfiability
+check, and each attempt of the counterexample search.  It refutes by unit
+propagation, or answers yes with a model kept from an earlier call on the
+same index lineage after a clause-by-clause check, without search, and
+its answer is always DPLL's.  Only an Unsafe verdict reports a model, its
+countermodel, so `check_invariants` asks `sat.solve` once, for the
+violated invariant's unrefuted attempt, which is known to have one.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from . import sat
 from .fol import Ontology, Rule, render_rule, validate_schema
@@ -110,22 +112,21 @@ def check_consistency(
 
 
 def counterexample(
-    db: ClauseDB, rule: Rule, config: GroundingConfig, onto: Ontology, ask: Callable[..., Any]
-) -> tuple[dict[str, int], Any] | None:
-    """The first attempt to refute `rule` that `ask`, asked about db's index
-    with the clauses the attempt adds (`extend`), does not refute: the atoms
-    it adds and `ask`'s model or True.  None when db's rules entail `rule`."""
+    db: ClauseDB, rule: Rule, config: GroundingConfig, onto: Ontology
+) -> tuple[dict[str, int], list[frozenset[int]]] | None:
+    """The first attempt to refute `rule` that db's index, with the clauses
+    the attempt adds (`extend`), does not refute (`sat.satisfiable`): the
+    atoms and the clauses it adds.  None when db's rules entail `rule`."""
     for attempt in invariant_attempts(rule, config, onto):
         atoms, clauses = extend(db, attempt, config, onto)
-        answer = ask(db.index, extra=clauses)
-        if answer is not None and answer is not False:  # `solve([])` is the model {}
-            return atoms, answer
+        if sat.satisfiable(db.index, extra=clauses):
+            return atoms, clauses
     return None
 
 
 def check_entailment(theory_db: ClauseDB, candidate: Rule, config: GroundingConfig, onto: Ontology) -> bool:
     """True when the theory grounded in `theory_db` entails the candidate, which is then redundant."""
-    return counterexample(theory_db, candidate, config, onto, sat.satisfiable) is None
+    return counterexample(theory_db, candidate, config, onto) is None
 
 
 @dataclass(frozen=True)
@@ -141,12 +142,14 @@ def check_invariants(
     """Check that the rules grounded in `db` entail each invariant.
 
     The first invariant in store order that has a counterexample
-    (`counterexample`, asking `sat.solve`) is reported with that model, in
-    which its body holds and one head literal fails, as its countermodel."""
+    (`counterexample`) is reported with the model `sat.solve` gives of it,
+    in which its body holds and one head literal fails, as its
+    countermodel."""
     for invariant in invariants:
-        found = counterexample(db, invariant.rule, config, onto, sat.solve)
+        found = counterexample(db, invariant.rule, config, onto)
         if found is not None:
-            atoms, model = found
+            atoms, clauses = found
+            model = sat.solve(db.index, extra=clauses)
             return InvariantResult(False, invariant.id, render_model({**db.atoms, **atoms}, model))
     return InvariantResult(True)
 

@@ -20,6 +20,12 @@ COLLIDE_RULE = "forall X . not collide(X) <- sd_front(X) and sd_rear(X) and not 
 DENSE_RULE = "forall X . sd_front(X) and sd_rear(X) <- not dense(X)"
 
 
+def many_variable_rule(k):
+    """A rule over k vehicle variables: d^k ground instances at domain d."""
+    names = [f"X{i}" for i in range(k)]
+    return f"forall {', '.join(names)} . not collide(X0) <- " + " and ".join(f"sd_front({n})" for n in names)
+
+
 def grounding_parts(db):
     """Everything a grounding determines, orders and duplicates included."""
     return (

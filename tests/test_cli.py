@@ -6,8 +6,9 @@ import pytest
 from rulesynth import analysis, cli
 from rulesynth.cli import main
 from rulesynth.fol import parse_rule
+from rulesynth.grounding import MAX_INSTANCES
 
-from conftest import SCENARIOS
+from conftest import SCENARIOS, many_variable_rule
 
 
 def run(args):
@@ -296,6 +297,31 @@ def test_sorts_whose_fresh_constants_collide_exit_2_before_any_oracle_call(work_
     assert capsys.readouterr().err == "config error: constants pooled more than once: 'v11'\n"
     assert (work_dir / "merge.kb.json").read_bytes() == store_before
     assert not (work_dir / "out").exists()
+
+
+def test_a_domain_size_above_the_instance_bound_exits_2_before_any_oracle_call(work_dir, capsys, monkeypatch):
+    _refuse_oracle(monkeypatch)
+    store_before = (work_dir / "merge.kb.json").read_bytes()
+    size = MAX_INSTANCES + 1
+    assert run(["run-all", "--config", str(work_dir / "scenario1.config.json"), "--domain-size", str(size)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: domain size {size} exceeds {MAX_INSTANCES}")
+    assert (work_dir / "merge.kb.json").read_bytes() == store_before
+    assert not (work_dir / "out").exists()
+
+
+def test_a_rule_with_more_instances_than_the_bound_exits_2(work_dir, capsys):
+    config = str(work_dir / "scenario1.config.json")
+    assert run(["synthesize", "--config", config]) == 0
+    store = read(work_dir / "merge.kb.json")
+    wide = parse_rule(many_variable_rule(21))  # 2^21 instances at domain 2
+    store["causes"][0]["rule"] = {"id": wide.id, "origin": "", "text": many_variable_rule(21)}
+    (work_dir / "merge.kb.json").write_text(json.dumps(store))
+    store_before = (work_dir / "merge.kb.json").read_bytes()
+    capsys.readouterr()
+    assert run(["verify", "--config", config, "--all-unverified", "--domain-size", "2"]) == 2
+    message = f"config error: rule {wide.id} has {2**21} ground instances, more than {MAX_INSTANCES}\n"
+    assert capsys.readouterr().err == message
+    assert (work_dir / "merge.kb.json").read_bytes() == store_before
 
 
 def _refuse_oracle(monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rulesynth import sat
+from rulesynth import grounding, sat
 from rulesynth.fol import (
     AttributeDecl,
     Atom,
@@ -21,6 +21,7 @@ from rulesynth.fol import (
     render_literal,
 )
 from rulesynth.grounding import (
+    MAX_INSTANCES,
     ClauseDB,
     GroundingConfig,
     GroundingError,
@@ -33,7 +34,7 @@ from rulesynth.grounding import (
 from rulesynth.store import TheoryStore, VerifiedRule
 from rulesynth.verify import verify
 
-from conftest import COLLIDE_RULE, DENSE_RULE, grounding_parts
+from conftest import COLLIDE_RULE, DENSE_RULE, grounding_parts, many_variable_rule
 from reference_grounding import reference_ground
 from rulegen import random_rule
 
@@ -125,6 +126,27 @@ def test_default_pools_that_name_one_constant_twice_are_refused():
     store = TheoryStore(verified_rules=tuple(VerifiedRule(rule, "c", "g", "vrep") for rule in theory))
     candidate = parse_rule("forall Y . not speed(Y) > 5 <- q(Y)", onto)
     assert verify(candidate, store, GroundingConfig.default(onto, 10), onto).verdict == "Accepted"
+
+
+def test_a_domain_size_above_the_instance_bound_is_refused(onto):
+    with pytest.raises(GroundingError, match=f"^domain size {MAX_INSTANCES + 1} exceeds {MAX_INSTANCES}"):
+        GroundingConfig.default(onto, MAX_INSTANCES + 1)
+
+
+def test_a_rule_with_more_instances_than_the_bound_is_refused_before_grounding(onto, monkeypatch):
+    config = GroundingConfig.default(onto, 2)
+    wide = parse_rule(many_variable_rule(21), onto)  # 2^21 instances
+    message = f"^rule {wide.id} has {2**21} ground instances, more than {MAX_INSTANCES}$"
+    with pytest.raises(GroundingError, match=message):
+        ground([wide], config, onto)
+    with pytest.raises(GroundingError, match=message):
+        verify(wide, TheoryStore(), config, onto)
+    assert [rules for _, rules, _ in config.groundings.values()] == [()]  # the empty theory only
+    monkeypatch.setattr(grounding, "MAX_INSTANCES", 8)
+    three, four = (parse_rule(many_variable_rule(k), onto) for k in (3, 4))
+    assert len(ground([three], config, onto).rule_clauses[0]) == 8  # at the bound
+    with pytest.raises(GroundingError, match=f"^rule {four.id} has 16 ground instances, more than 8$"):
+        ground([three, four], config, onto)
 
 
 def test_missing_sort_constants_is_grounding_error(onto):
@@ -285,12 +307,12 @@ def test_grounding_map_keeps_one_entry_per_rule_tuple_grounded_without_assumptio
     config = GroundingConfig.default(onto, 2)
     theory = (parse_rule(COLLIDE_RULE, onto),)
     candidate = parse_rule(DENSE_RULE, onto)
-    db = ground([*theory, candidate], config, onto)  # in one go: the map lacks the theory
+    db = ground([*theory, candidate], config, onto)  # from an empty base: the map lacks the theory
     assert {key: (known, rules) for key, (known, rules, _) in config.groundings.items()} == {
         (id(onto), id(theory[0]), id(candidate)): (onto, (*theory, candidate)),
     }
     assert ground((*theory, candidate), config, onto) is db  # the kept grounding
-    base = ground(theory, config, onto)  # in one go
+    base = ground(theory, config, onto)  # from an empty base
     assert len(built) == 2
     committed = ground([*theory, candidate, candidate], config, onto)  # laid over db, after a commit
     rejected = ground([*theory, theory[0]], config, onto)  # laid over base, after a rejection

@@ -120,6 +120,16 @@ def test_malformed_answer_retried_once_then_hard_error():
     assert "failed validation" in retry_prompt
 
 
+@pytest.mark.parametrize("answer", [{"achieves": 1}, {"achieves": "true"}, {}, [True], True])
+def test_achievement_answers_share_the_replay_check(answer):
+    transport = FakeTransport(answer, answer)
+    oracle = LlmOracle(make_config(), transport)
+    cause = Cause("g1-c1", "g1", "driver in control", ("driver in control",))
+    with pytest.raises(MalformedResponse, match="^achievement answer is not a boolean$"):
+        oracle.judge_subset_achieves(GOAL, frozenset(["g1-c1"]), (cause,), PRINCIPLES)
+    assert len(transport.payloads) == 2
+
+
 def test_malformed_then_valid_recovers():
     transport = FakeTransport("not even json-object", {"causes": ["one", "two"]})
     transport.contents[0] = {"bad": True}

@@ -108,6 +108,15 @@ def test_resolve_goal_creates_draft_when_absent(seed_store):
     assert existing == goal and same_store is store
 
 
+@pytest.mark.parametrize("kept, expected", [(("g2",), "g3"), (("g1", "g3"), "g4"), (("g2", "g1"), "g3")])
+def test_a_new_goal_takes_the_first_free_id(seed_store, kept, expected):
+    goals = {goal.id: goal for goal in seed_store.goals}
+    goals["g3"] = Goal("g3", "A third goal")
+    store = replace(seed_store, goals=tuple(goals[goal_id] for goal_id in kept))
+    store, goal = resolve_goal(store, "A brand new goal")
+    assert goal.id == expected and store.goals[-1] == goal
+
+
 def test_resynthesis_replaces_causes_deterministically(work_dir):
     config, onto, store, oracle = scenario1(work_dir)
     store, first = run_synthesize(store, onto, oracle, config)

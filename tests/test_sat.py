@@ -14,7 +14,7 @@ from rulesynth.store import load_store
 from rulesynth.verify import verify
 
 import reference_dpll
-from conftest import SCENARIOS
+from conftest import COLLIDE_RULE, SCENARIOS
 
 
 def truth_table_satisfiable(clauses, num_vars):
@@ -178,6 +178,12 @@ def test_models_equal_reference_with_switched_off_and_extra_clauses():
     assert outcomes == {True, False}
 
 
+UNSAFE = (  # the criterion-6 candidates that break inv-collision-free
+    "forall X . sd_front(X) and sd_rear(X) and not lane_change(X) <- true",
+    "forall X . attentive(X) <- true",
+)
+
+
 def test_models_equal_reference_on_run_all_solver_calls(tmp_path, monkeypatch):
     calls, answers = [], []  # solve calls with their models, satisfiable calls with their answers
     engine, yes_no = sat.solve, sat.satisfiable
@@ -212,7 +218,14 @@ def test_models_equal_reference_on_run_all_solver_calls(tmp_path, monkeypatch):
     grounding = GroundingConfig.default(onto, 3)
     for text in ("forall X . speed(X) > 130 <- true", "forall X . overtake_right(X) <- true"):
         assert verify(parse_rule(text, onto), store, grounding, onto).verdict == "Inconsistent"
-    assert len(calls) > 50 and len(answers) > 50
+    # refuted invariant attempts never reach `solve`, so its calls with
+    # `extra` come from countermodels: those of the criterion-6 Unsafe
+    # candidates, against the shipped store that does not yet entail
+    # collision-freedom
+    shipped = load_store(SCENARIOS / "merge.kb.json", onto)
+    for text in UNSAFE:
+        assert verify(parse_rule(text, onto), shipped, grounding, onto).verdict == "Unsafe"
+    assert len(calls) > 30 and len(answers) > 50
     assert any(kwargs.get("off") for _, kwargs, _, _ in answers)
     assert any(kwargs.get("extra") for _, kwargs, _, _ in answers)
     assert any(kwargs.get("extra") for _, kwargs, _ in calls)
@@ -386,7 +399,7 @@ def test_propagation_refutes_the_unsatisfiable_horn_calls_before_set_up():
         expected = reference_call(index, extra=extra)
         if expected is None:
             index.counts = NoCopy()
-        assert solve(index, extra=extra) == expected
+        assert satisfiable(index, extra=extra) == (expected is not None)
         outcomes.add(expected is None)
         conflicting_roots += index.root is None
         if index.root is not None and expected is None:
@@ -402,12 +415,47 @@ def test_refuted_call_does_no_dense_set_up():
     index = Index([[-1, 2], [-2, 3], [-3, 4], [4, 1]])
     index.counts = NoCopy()
     chain = [[-3, 5], [-5, 6]]
-    assert solve(index, extra=[*chain, [1], [-6]]) is None
-    assert solve(index, extra=[[1], [-4]]) is None
+    assert not satisfiable(index, extra=[*chain, [1], [-6]])
+    assert not satisfiable(index, extra=[[1], [-4]])
     with pytest.raises(DenseSetUp):
-        solve(index, extra=[*chain, [1]])
+        satisfiable(index, extra=[*chain, [1]])
     with pytest.raises(DenseSetUp):  # switched-off clauses keep the dense path
-        solve(index, off=[frozenset({-1, 2})], extra=[[1], [-4]])
+        satisfiable(index, off=[frozenset({-1, 2})], extra=[[1], [-4]])
+
+
+def test_solve_is_asked_only_for_the_countermodel_and_never_for_a_refuted_call(monkeypatch):
+    """Every call that reaches `solve` is one propagation does not refute,
+    and only the countermodel of an Unsafe verdict is asked of it directly,
+    not through `satisfiable`."""
+    onto = load_ontology(SCENARIOS / "traffic.onto.json")
+    store = load_store(SCENARIOS / "merge.kb.json", onto)
+    grounding = GroundingConfig.default(onto, 3)
+    engine, yes_no = sat.solve, sat.satisfiable
+    asking, calls = [], []  # solve calls: whether satisfiable made it, and its arguments
+
+    def recording(index, *, off=(), extra=()):
+        extra = [frozenset(clause) for clause in extra]
+        calls.append((bool(asking), index, off, extra))
+        return engine(index, off=off, extra=extra)
+
+    def recording_yes_no(*args, **kwargs):
+        asking.append(True)
+        try:
+            return yes_no(*args, **kwargs)
+        finally:
+            asking.pop()
+
+    monkeypatch.setattr(sat, "solve", recording)
+    monkeypatch.setattr(sat, "satisfiable", recording_yes_no)
+    # the shipped store does not yet entail collision-freedom, which the
+    # Accepted rule establishes: its invariant attempts are all refuted
+    for text, verdict in [*((text, "Unsafe") for text in UNSAFE), (COLLIDE_RULE, "Accepted")]:
+        calls.clear()
+        report = verify(parse_rule(text, onto), store, grounding, onto)
+        assert report.verdict == verdict
+        assert [asked for asked, *_ in calls].count(False) == (verdict == "Unsafe")
+        for _, index, off, extra in calls:
+            assert off or (index.root is not None and sat._propagate(index, extra) is not None)
 
 
 # --- an index extended by more clauses against one built afresh ---
