@@ -56,7 +56,24 @@ canonical, and walking only canonical attempts finds the same one.  The
 grounding itself (`rule_substitutions`) keeps every substitution.
 A rule's attempts are rendered all at once, on the first walk over them,
 and kept in `GroundingConfig.attempts` by the rule's content, its
-variables' sorts and the constants that no permutation moves.
+variables' sorts and the constants that no permutation moves.  They are
+counted first, and a rule with more than MAX_INSTANCES canonical
+substitutions is refused before any is rendered.
+
+The same argument bounds the domain (the small-model property of EPR:
+Lewis, JCSS 1980; Piskac, de Moura and Bjorner, JAR 2010).  A model of
+universal rules restricts to any sub-domain that keeps the constants the
+rules name, and it extends to a larger domain by copying an
+interchangeable constant.  So whether a grounding is satisfiable, and
+whether it refutes an attempt that uses j interchangeable constants of a
+sort, is the same at every pool that keeps the fixed constants and at
+least j (at least one) others of each sort.  `GroundingConfig.bounded`
+gives the smallest such config for a set of rules that will be walked:
+per sort, the fixed constants and the first m others, where m is the
+most variables of that sort in one of those rules.  A k-variable walk
+takes at most the first k interchangeable constants of a sort, so the
+bound's canonical attempts are the full config's, in the same order, and
+the first one a grounding does not refute is the same at both.
 """
 
 from __future__ import annotations
@@ -64,9 +81,9 @@ from __future__ import annotations
 import operator
 from collections import ChainMap, Counter
 from dataclasses import dataclass, field, replace
-from itertools import chain, combinations, product
+from itertools import chain, combinations, islice, product
 from math import prod
-from typing import AbstractSet, Any, KeysView, Mapping, MutableMapping, Sequence
+from typing import AbstractSet, Any, Iterable, KeysView, Mapping, MutableMapping, Sequence
 
 from . import sat
 from .fol import (
@@ -108,7 +125,9 @@ class GroundingConfig:
     the sort of each quantified variable and the fixed constants
     (`fixed_constants`), which the ontology of each call decides; within
     one config a sort fixes the constants.
-    Neither cache is part of equality, repr or `to_json`, and they live as
+    `bounds` maps the pools of each config `bounded` returned to that
+    config, so that its caches live as long as this one.
+    No cache is part of equality, repr or `to_json`, and they live as
     long as the config, which is one verification batch: a
     `dataclasses.replace`d config starts empty.
     `pooled` holds every constant of the sorts.  No constant may be
@@ -123,6 +142,9 @@ class GroundingConfig:
         default_factory=dict, init=False, compare=False, repr=False
     )
     groundings: dict[tuple[int, ...], tuple[Ontology, tuple[Rule, ...], ClauseDB]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+    bounds: dict[tuple[tuple[str, tuple[str, ...]], ...], GroundingConfig] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
     pooled: frozenset[str] = field(init=False, compare=False, repr=False)
@@ -148,7 +170,10 @@ class GroundingConfig:
         over the ontology's declared constants such as `ego`: a known gap,
         by which `forall X . collide(X) <- true` and
         `forall X . not collide(ego) <- true` check as consistent.
-        A domain size above MAX_INSTANCES is refused.
+        A domain size above MAX_INSTANCES is refused.  Verdicts are
+        decided over `bounded` configs of at most min(domain_size, k)
+        fresh constants per sort, which give the same answers; the domain
+        size sets the recorded pools and an Unsafe verdict's countermodel.
         """
         if domain_size < 1:
             raise GroundingError("domain size must be positive")
@@ -166,6 +191,32 @@ class GroundingConfig:
         """The pool constants that `invariant_attempts` may not permute:
         those `onto` declares, which rules name."""
         return self.pooled.intersection(onto.constants)
+
+    def bounded(self, onto: Ontology, rules: Iterable[Rule]) -> GroundingConfig:
+        """The config whose answers, whether a grounding is satisfiable
+        and which attempt to refute one of `rules` it first leaves
+        unrefuted, are this one's: per sort, the fixed constants and the
+        first m others, in pool order, where m is the most variables of
+        that sort in one rule, at least 1 (see the module docstring).
+
+        `self` when no pool shrinks; otherwise the config kept in
+        `bounds` for these pools, made on the first call."""
+        most: Counter[str] = Counter()
+        for rule in rules:
+            for sort, count in Counter(_sorts(rule, onto)).items():
+                most[sort] = max(most[sort], count)
+        fixed = self.fixed_constants(onto)
+        pools = {}
+        for sort, pool in self.domain_constants.items():
+            kept = fixed.union(islice((c for c in pool if c not in fixed), max(most[sort], 1)))
+            pools[sort] = tuple(c for c in pool if c in kept)
+        if sum(map(len, pools.values())) == len(self.pooled):
+            return self
+        key = tuple(pools.items())
+        bound = self.bounds.get(key)
+        if bound is None:
+            bound = self.bounds[key] = GroundingConfig(pools, self.comparison_mode)
+        return bound
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -307,6 +358,25 @@ def canonical_choices(
     return [prefix for prefix, _ in level]
 
 
+def canonical_count(pools: Sequence[Sequence[str]], sorts: Sequence[str], fixed: AbstractSet[str]) -> int:
+    """len(canonical_choices(pools, sorts, fixed)), counted without
+    building a choice: level by level, per count of non-fixed constants
+    taken per sort, as the walk extends its prefixes."""
+    level: Counter[tuple[tuple[str, int], ...]] = Counter({(): 1})
+    for pool, sort in zip(pools, sorts):
+        pinned = sum(c in fixed for c in pool)
+        extended: Counter[tuple[tuple[str, int], ...]] = Counter()
+        for state, n in level.items():
+            used = dict(state)
+            taken = used.get(sort, 0)
+            if pinned + taken:  # a fixed constant or one taken before
+                extended[state] += n * (pinned + taken)
+            if taken < len(pool) - pinned:  # the next one none took
+                extended[tuple(sorted({**used, sort: taken + 1}.items()))] += n
+        level = extended
+    return sum(level.values())
+
+
 def instantiate_rule(
     rule: Rule, substitution: Mapping[str, str], db: ClauseDB
 ) -> list[frozenset[int]]:
@@ -436,15 +506,22 @@ def invariant_attempts(rule: Rule, config: GroundingConfig, onto: Ontology) -> t
 
     The table is rendered whole on the first call and memoized in
     `config.attempts` by the rule's content, its variables' sorts and the
-    fixed constants; a later call returns the memoized tuple."""
+    fixed constants; a later call returns the memoized tuple.  Raises
+    GroundingError, before rendering any, when there are more than
+    MAX_INSTANCES canonical substitutions (`canonical_count`)."""
     sorts = _sorts(rule, onto)
     fixed = config.fixed_constants(onto)
     key = (rule, sorts, fixed)
     attempts = config.attempts.get(key)
     if attempts is None:
+        pools = _pools(rule, sorts, config)
+        choices = canonical_count(pools, sorts, fixed)
+        if choices > MAX_INSTANCES:
+            raise GroundingError(
+                f"rule {rule.id} has {choices} canonical substitutions, more than {MAX_INSTANCES}")
         names = [t.name for t in rule.quantified_vars]
         rendered = []
-        for choice in canonical_choices(_pools(rule, sorts, config), sorts, fixed):
+        for choice in canonical_choices(pools, sorts, fixed):
             substitution = dict(zip(names, choice))
             body = [ground_literal(lit, substitution) for lit in rule.body]
             rendered.extend((*body, ground_literal(lit.complement(), substitution)) for lit in rule.head)

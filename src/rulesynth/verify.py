@@ -13,7 +13,15 @@ Stages run in a fixed order with fail-fast verdicts:
 
 The quantification semantics is finite-model: rules are grounded over the
 configured constant domain, so every verdict is relative to the grounding
-config recorded in the report.
+config recorded in the report.  Every yes-or-no question is decided over
+that config's bound (`GroundingConfig.bounded`) for the candidate and the
+store's invariants: per sort, the declared constants and min(N, k) fresh
+ones, where k is the most variables of the sort in one of those rules.
+The rule language has the small-model property, so each answer, and the
+first attempt to refute a rule that a grounding does not refute, is the
+same there as at N (see `grounding`).  N is used only to ground theory
+plus candidate again for an Unsafe verdict's countermodel, with the
+attempt the bound's search found.
 
 Redundancy and invariants ask one question, whether a grounding entails a
 rule, and `counterexample` answers both: it walks the attempts to refute
@@ -29,12 +37,13 @@ the first attempt the grounding does not refute is then canonical, and
 the walk finds the same one, with the same model, as a walk over every
 substitution would.
 
-One `verify()` call asks `ground` for the theory's grounding and, at the
-invariants stage, for that of theory plus candidate, each a ClauseDB with
-its clause index; every check is one solver call on one of those two indexes.
-The config keeps every grounding in one map: the theory is grounded once
-per theory version, the consistency stage lays the candidate over it, and
-the invariants stage finds that grounding.  Consistency solves it whole; each
+One `verify()` call asks `ground` for the theory's grounding over the
+bound and, at the invariants stage, for that of theory plus candidate,
+each a ClauseDB with its clause index; every check is one solver call on
+one of those two indexes.  A bound is kept on N's config with its own
+map of groundings: the theory is grounded once per theory version and
+bound, the consistency stage lays the candidate over it, and the
+invariants stage finds that grounding.  Consistency solves it whole; each
 core-shrinking trial switches off the clauses its kept rules and the
 candidate lack; each attempt adds the unit and axiom clauses that its
 assumed literals bring (`extend`), without copying the ClauseDB.  Each of
@@ -66,6 +75,7 @@ from .fol import Ontology, Rule, render_rule, validate_schema
 # ENTRY_POINTS resolve.  Their spans record nothing, because grounding calls
 # its own module's bindings.
 from .grounding import (
+    Attempt,
     ClauseDB,
     GroundingConfig,
     append_comparison_axioms,
@@ -111,16 +121,13 @@ def check_consistency(
     return ConsistencyResult(False, tuple(theory[i].id for i in kept))
 
 
-def counterexample(
-    db: ClauseDB, rule: Rule, config: GroundingConfig, onto: Ontology
-) -> tuple[dict[str, int], list[frozenset[int]]] | None:
+def counterexample(db: ClauseDB, rule: Rule, config: GroundingConfig, onto: Ontology) -> Attempt | None:
     """The first attempt to refute `rule` that db's index, with the clauses
-    the attempt adds (`extend`), does not refute (`sat.satisfiable`): the
-    atoms and the clauses it adds.  None when db's rules entail `rule`."""
+    the attempt adds (`extend`), does not refute (`sat.satisfiable`).
+    None when db's rules entail `rule`."""
     for attempt in invariant_attempts(rule, config, onto):
-        atoms, clauses = extend(db, attempt, config, onto)
-        if sat.satisfiable(db.index, extra=clauses):
-            return atoms, clauses
+        if sat.satisfiable(db.index, extra=extend(db, attempt, config, onto)[1]):
+            return attempt
     return None
 
 
@@ -137,18 +144,31 @@ class InvariantResult:
 
 
 def check_invariants(
-    db: ClauseDB, invariants: Sequence[Invariant], config: GroundingConfig, onto: Ontology
+    db: ClauseDB,
+    invariants: Sequence[Invariant],
+    config: GroundingConfig,
+    onto: Ontology,
+    full: tuple[Sequence[Rule], GroundingConfig] | None = None,
 ) -> InvariantResult:
     """Check that the rules grounded in `db` entail each invariant.
 
     The first invariant in store order that has a counterexample
-    (`counterexample`) is reported with the model `sat.solve` gives of it,
-    in which its body holds and one head literal fails, as its
-    countermodel."""
+    (`counterexample`) is reported with the model `sat.solve` gives of its
+    attempt, in which its body holds and one head literal fails, as its
+    countermodel.  When `full` is (rules, wider), where db is the
+    grounding of those rules over `config` and `config` is wider's bound
+    for these invariants, the model is of the rules grounded over wider:
+    the attempt is also the first there that they do not refute.  The
+    grounding of every rule but the last is kept first, so that the next
+    countermodel over those rules lays its last rule over it."""
     for invariant in invariants:
-        found = counterexample(db, invariant.rule, config, onto)
-        if found is not None:
-            atoms, clauses = found
+        attempt = counterexample(db, invariant.rule, config, onto)
+        if attempt is not None:
+            if full is not None:
+                rules, config = full
+                ground(rules[:-1], config, onto)
+                db = ground(rules, config, onto)
+            atoms, clauses = extend(db, attempt, config, onto)
             model = sat.solve(db.index, extra=clauses)
             return InvariantResult(False, invariant.id, render_model({**db.atoms, **atoms}, model))
     return InvariantResult(True)
@@ -222,17 +242,19 @@ def verify(
     if violations:
         return report("Malformed", tuple(v.message for v in violations))
     theory = store.theory_rules()
-    theory_db = ground(theory, config, onto)
+    bound = config.bounded(onto, [candidate, *(invariant.rule for invariant in store.invariants)])
+    theory_db = ground(theory, bound, onto)
     stages.append("consistency")
-    consistency = check_consistency(theory, candidate, config, onto)
+    consistency = check_consistency(theory, candidate, bound, onto)
     if not consistency.consistent:
         return report("Inconsistent", consistency=consistency)
     stages.append("redundancy")
-    if check_entailment(theory_db, candidate, config, onto):
+    if check_entailment(theory_db, candidate, bound, onto):
         return report("Redundant", consistency=consistency, redundancy="entailed")
     stages.append("invariants")
-    db = ground([*theory, candidate], config, onto)  # the one check_consistency made
-    invariants = check_invariants(db, store.invariants, config, onto)
+    rules = [*theory, candidate]
+    db = ground(rules, bound, onto)  # the one check_consistency made
+    invariants = check_invariants(db, store.invariants, bound, onto, full=(rules, config))
     verdict = "Accepted" if invariants.preserved else "Unsafe"
     return report(verdict, consistency=consistency, redundancy="novel", invariants=invariants)
 
@@ -241,12 +263,14 @@ def theory_soundness(
     store: TheoryStore, config: GroundingConfig, onto: Ontology
 ) -> tuple[bool, str]:
     """Promotion soundness: the committed theory is satisfiable and every
-    declared invariant is entailed by it."""
+    declared invariant is entailed by it, both decided over the bound for
+    the invariants."""
+    bound = config.bounded(onto, [invariant.rule for invariant in store.invariants])
     theory = store.theory_rules()
-    db = ground(theory, config, onto)
+    db = ground(theory, bound, onto)
     if not sat.satisfiable(db.index):
         return False, "verified theory is unsatisfiable"
-    result = check_invariants(db, store.invariants, config, onto)
+    result = check_invariants(db, store.invariants, bound, onto)
     if not result.preserved:
         return False, f"invariant {result.violated_id} not entailed by the theory"
     return True, "ok"

@@ -24,6 +24,7 @@ from rulesynth.grounding import (
     GroundingConfig,
     GroundingError,
     canonical_choices,
+    canonical_count,
     comparison_axioms,
     ground_literal,
     invariant_attempts,
@@ -73,6 +74,16 @@ def test_canonical_choices_are_the_canonical_members_of_the_product_in_order():
         assert list(canonical_choices(pools, sorts, fixed)) == expected, (case, sorts, domain, fixed)
         skipped += len(expected) < len(list(product(*pools)))
     assert skipped > 100, skipped
+
+
+def test_canonical_count_is_the_number_of_canonical_choices():
+    rng = random.Random("canonical-count")
+    for case in range(600):
+        sorts, domain, fixed = random_layout(rng)
+        pools = [domain[sort] for sort in sorts]
+        assert canonical_count(pools, sorts, fixed) == len(canonical_choices(pools, sorts, fixed)), case
+    pool = [f"v{i}" for i in range(1, 10**5 + 1)]
+    assert canonical_count([pool] * 6, ["v"] * 6, frozenset()) == BELL[6]
 
 
 @pytest.mark.parametrize("k", range(len(BELL)))

@@ -324,6 +324,44 @@ def test_a_rule_with_more_instances_than_the_bound_exits_2(work_dir, capsys):
     assert (work_dir / "merge.kb.json").read_bytes() == store_before
 
 
+def _with_first_cause_rule(work_dir, text):
+    """Synthesize, then give the first cause the rule `text`; returns the
+    config path and the rule id."""
+    config = str(work_dir / "scenario1.config.json")
+    assert run(["synthesize", "--config", config]) == 0
+    store = read(work_dir / "merge.kb.json")
+    rule = parse_rule(text)
+    store["causes"][0]["rule"] = {"id": rule.id, "origin": "", "text": text}
+    (work_dir / "merge.kb.json").write_text(json.dumps(store))
+    return config, rule.id
+
+
+FIVE_FRESH = "sd_front(X0) and sd_front(X1) and sd_front(X2) and sd_front(X3) and sd_front(X4)"
+
+
+def test_a_rule_with_more_instances_at_n_than_at_its_bound_gets_a_verdict(work_dir, capsys):
+    """20^5 instances at domain 20, but its verdict is decided over 5
+    fresh constants; an Accepted verdict needs no countermodel."""
+    text = f"forall X0, X1, X2, X3, X4 . not collide(X0) <- {FIVE_FRESH}"
+    config, rule_id = _with_first_cause_rule(work_dir, text)
+    capsys.readouterr()
+    assert run(["verify", "--config", config, "--all-unverified", "--domain-size", "20"]) == 0
+    reports = read(work_dir / "out" / "g1.verification.json")["reports"]
+    assert [r["verdict"] for r in reports if r["rule_id"] == rule_id] == ["Accepted"]
+
+
+def test_an_unsafe_rule_with_more_instances_at_n_than_the_bound_exits_2(work_dir, capsys):
+    """The countermodel of an Unsafe verdict is built over N, where the
+    rule has 20^5 instances."""
+    config, rule_id = _with_first_cause_rule(work_dir, f"forall X0, X1, X2, X3, X4 . attentive(X0) <- {FIVE_FRESH}")
+    store_before = (work_dir / "merge.kb.json").read_bytes()
+    capsys.readouterr()
+    assert run(["verify", "--config", config, "--all-unverified", "--domain-size", "20"]) == 2
+    message = f"config error: rule {rule_id} has {20**5} ground instances, more than {MAX_INSTANCES}\n"
+    assert capsys.readouterr().err == message
+    assert (work_dir / "merge.kb.json").read_bytes() == store_before
+
+
 def _refuse_oracle(monkeypatch):
     def build_oracle(config):
         raise AssertionError("an oracle was built for an invalid configuration")

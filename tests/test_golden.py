@@ -1,20 +1,34 @@
-"""Golden digests of `run-all` on the shipped scenarios.
+"""Golden digests of `run-all` on the shipped scenarios and of the
+curated verification suite's reports.
 
 Scenario 1 then scenario 2 run in one fresh copy of the fixtures, as a
 user would run them, at the configured domain size 3 and at 20.  The
 sha256 of the store and of each goal's three artifacts is pinned, so any
 change to artifact bytes (a verdict, a core, a countermodel, key order)
-fails here.  CI runs this test again under fixed PYTHONHASHSEED values.
+fails here.  The suite (`bench/data/verify_suite.json`) holds the only
+Unsafe verdicts, and so the only countermodels: its 13 reports, verified
+in order after scenario 1's synthesis as the benchmark's suite workload
+verifies them, are pinned as one sha256 per domain size and comparison
+mode.  CI runs this test again under fixed PYTHONHASHSEED values.
 """
 
 import hashlib
+import json
 import shutil
 
 import pytest
 
 from rulesynth.cli import main
+from rulesynth.fol import Atom, Literal, Rule, load_ontology, parse_rule, var
+from rulesynth.grounding import GroundingConfig
+from rulesynth.oracle import DeterministicOracle, DeterministicOracleSpec
+from rulesynth.pipeline import ScenarioConfig, run_synthesize
+from rulesynth.store import commit_verified_rule, json_text, load_store
+from rulesynth.verify import verify
 
 from conftest import SCENARIOS
+
+SUITE = SCENARIOS.parent / "bench" / "data" / "verify_suite.json"
 
 GOLDEN = {
     "3": {
@@ -50,3 +64,50 @@ def test_run_all_artifacts_match_golden_digests(tmp_path, domain_size):
         for name in GOLDEN[domain_size]
     }
     assert digests == GOLDEN[domain_size]
+
+
+SUITE_GOLDEN = {
+    ("opaque", 1): "b539336c6e68cd96dfe2646d19093ecd50ae9e0afd7bdafe052346c365d3e1fb",
+    ("opaque", 3): "89950d7cfdd3235d3e601e3f9d38ffae43dca9360489fc7e81a15cef9723a3c2",
+    ("opaque", 40): "bae2430c4716850a72b4ea111fd24ec88f9de63794c9a91e78df4017e774bcc7",
+    ("interval-axioms", 1): "af07357c4ecb30438338ed344bcc948f6b9b06c4cc6a647265a207129f69ad3e",
+    ("interval-axioms", 3): "ee1230a56574a955b851a2cbc283cd1c0da138beab9582af9de86f263f7cfa05",
+    ("interval-axioms", 40): "441357d0faa485beeb54bcf80447c3712af0dc7e2903095ad658385450e72136",
+}
+
+
+def suite_candidate(entry, onto):
+    if "construct" in entry:  # not expressible in the surface syntax
+        shape = entry["construct"]
+
+        def literals(atoms):
+            return tuple(Literal(False, Atom(pred, tuple(map(var, args)))) for pred, args in atoms)
+
+        return Rule(tuple(map(var, shape["quantified"])), literals(shape["head"]), literals(shape["body"]))
+    return parse_rule(entry["rule"], None if entry.get("schema_free") else onto)
+
+
+def suite_digest(domain_size, mode):
+    """sha256 of the suite's reports as artifact text, one per line, in order."""
+    config = ScenarioConfig.from_file(SCENARIOS / "scenario1.config.json")
+    onto = load_ontology(config.ontology_path)
+    oracle = DeterministicOracle(DeterministicOracleSpec.from_file(config.oracle_spec_path))
+    store, synthesis = run_synthesize(load_store(config.store_path, onto), onto, oracle, config)
+    grounding = GroundingConfig.default(onto, domain_size, mode)
+    digest = hashlib.sha256()
+    entries = json.loads(SUITE.read_text(encoding="utf-8"))["candidates"]
+    for entry in entries:
+        candidate = suite_candidate(entry, onto)
+        report = verify(candidate, store, grounding, onto).to_json_dict()
+        assert report["verdict"] == entry["expected"]
+        digest.update((json_text(report) + "\n").encode("utf-8"))
+        store = store.with_report(report)
+        if report["verdict"] == "Accepted":
+            store, _ = commit_verified_rule(store, candidate, (entry["trace_cause"], synthesis.goal.id), report)
+    assert len(entries) == 13
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("mode, domain_size", sorted(SUITE_GOLDEN))
+def test_suite_reports_match_golden_digests(mode, domain_size):
+    assert suite_digest(domain_size, mode) == SUITE_GOLDEN[mode, domain_size]

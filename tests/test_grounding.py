@@ -31,7 +31,7 @@ from rulesynth.grounding import (
     invariant_attempts,
     rule_substitutions,
 )
-from rulesynth.store import TheoryStore, VerifiedRule
+from rulesynth.store import Invariant, TheoryStore, VerifiedRule
 from rulesynth.verify import verify
 
 from conftest import COLLIDE_RULE, DENSE_RULE, grounding_parts, many_variable_rule
@@ -147,6 +147,22 @@ def test_a_rule_with_more_instances_than_the_bound_is_refused_before_grounding(o
     assert len(ground([three], config, onto).rule_clauses[0]) == 8  # at the bound
     with pytest.raises(GroundingError, match=f"^rule {four.id} has 16 ground instances, more than 8$"):
         ground([three, four], config, onto)
+
+
+@pytest.mark.parametrize("k", [22, 30])
+def test_an_attempt_table_past_the_instance_bound_is_refused_before_rendering(onto, k):
+    """A k-variable rule at domain 2 has 2^(k-1) canonical substitutions:
+    the first variable takes vehicle1, every other either constant."""
+    config = GroundingConfig.default(onto, 2)
+    wide = parse_rule(many_variable_rule(k), onto)
+    message = f"^rule {wide.id} has {2 ** (k - 1)} canonical substitutions, more than {MAX_INSTANCES}$"
+    with pytest.raises(GroundingError, match=message):
+        invariant_attempts(wide, config, onto)
+    assert not config.attempts
+    store = TheoryStore(invariants=(Invariant("inv-wide", wide),))
+    with pytest.raises(GroundingError, match=message):
+        verify(parse_rule(DENSE_RULE, onto), store, config, onto)
+    assert wide not in {rule for rule, _, _ in config.attempts}
 
 
 def test_missing_sort_constants_is_grounding_error(onto):
