@@ -73,7 +73,12 @@ per sort, the fixed constants and the first m others, where m is the
 most variables of that sort in one of those rules.  A k-variable walk
 takes at most the first k interchangeable constants of a sort, so the
 bound's canonical attempts are the full config's, in the same order, and
-the first one a grounding does not refute is the same at both.
+the first one a grounding does not refute is the same at both.  A model
+over the bound is copied out to the full config without grounding
+there (`lift`): each atom takes the value of its copy over the bound, in
+which every constant the bound lacks is replaced by the bound's last
+interchangeable constant of its sort.  Each instance over the full
+config then holds as its copy does, and so does each interval axiom.
 """
 
 from __future__ import annotations
@@ -127,6 +132,7 @@ class GroundingConfig:
     one config a sort fixes the constants.
     `bounds` maps the pools of each config `bounded` returned to that
     config, so that its caches live as long as this one.
+    `lifts` is `lift`'s memo on such a kept bound, keyed like `attempts`.
     No cache is part of equality, repr or `to_json`, and they live as
     long as the config, which is one verification batch: a
     `dataclasses.replace`d config starts empty.
@@ -145,6 +151,9 @@ class GroundingConfig:
         default_factory=dict, init=False, compare=False, repr=False
     )
     bounds: dict[tuple[tuple[str, tuple[str, ...]], ...], GroundingConfig] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+    lifts: dict[tuple[Rule, tuple[str, ...], frozenset[str]], tuple[tuple[str, str], ...]] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
     pooled: frozenset[str] = field(init=False, compare=False, repr=False)
@@ -171,9 +180,10 @@ class GroundingConfig:
         by which `forall X . collide(X) <- true` and
         `forall X . not collide(ego) <- true` check as consistent.
         A domain size above MAX_INSTANCES is refused.  Verdicts are
-        decided over `bounded` configs of at most min(domain_size, k)
-        fresh constants per sort, which give the same answers; the domain
-        size sets the recorded pools and an Unsafe verdict's countermodel.
+        decided, and an Unsafe verdict's countermodel solved, over
+        `bounded` configs of at most min(domain_size, k) fresh constants
+        per sort, which give the same answers; the domain size sets the
+        recorded pools and the constants the countermodel is copied to.
         """
         if domain_size < 1:
             raise GroundingError("domain size must be positive")
@@ -560,6 +570,34 @@ def extend(
         axioms = comparison_axioms(ChainMap(comparisons, db.comparisons), ChainMap(atoms, known), onto)
     ids = db.index.ids
     return atoms, [c for c in dict.fromkeys(chain(units, axioms)) if c not in ids]
+
+
+def lift(
+    atoms: Mapping[str, int], rules: Sequence[Rule], config: GroundingConfig,
+    bound: GroundingConfig, onto: Ontology,
+) -> dict[str, int]:
+    """`atoms`, a numbering that holds ground(rules, bound, onto)'s atoms,
+    where `bound` is config's bound, with each atom of ground(rules, config,
+    onto) that the bound lacks numbered as its copy (see the module
+    docstring), so that a model over the bound reads as its copy to config.
+    Each rule's (atom, copy) pairs come from `rule_substitutions` over
+    config, which refuses a rule with more than MAX_INSTANCES instances,
+    and are memoized in `bound.lifts`, keyed like `attempts`."""
+    fixed = bound.fixed_constants(onto)
+    lifted = dict(atoms)
+    for rule in rules:
+        key = (rule, _sorts(rule, onto), fixed)
+        if key not in bound.lifts:
+            copy = {c: [b for b in bound.domain_constants[sort] if b not in fixed][-1]
+                    for sort, pool in config.domain_constants.items() for c in pool if c not in bound.pooled}
+            table = {}
+            for substitution in rule_substitutions(rule, config, onto):
+                copied = {name: copy.get(c, c) for name, c in substitution.items()}
+                for lit in rule.literals() if copied != substitution else ():
+                    table[render_inner(lit.inner, substitution)] = render_inner(lit.inner, copied)
+            bound.lifts[key] = tuple(table.items())
+        lifted.update({name: atoms[image] for name, image in bound.lifts[key]})
+    return lifted
 
 
 def rule_subset(db: ClauseDB, indexes: Sequence[int]) -> list[frozenset[int]]:

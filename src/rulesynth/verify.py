@@ -19,9 +19,9 @@ store's invariants: per sort, the declared constants and min(N, k) fresh
 ones, where k is the most variables of the sort in one of those rules.
 The rule language has the small-model property, so each answer, and the
 first attempt to refute a rule that a grounding does not refute, is the
-same there as at N (see `grounding`).  N is used only to ground theory
-plus candidate again for an Unsafe verdict's countermodel, with the
-attempt the bound's search found.
+same there as at N (see `grounding`).  Nothing is grounded or solved at
+N: an Unsafe verdict's countermodel is the bound's DPLL model of its
+attempt, copied out to N's constants (`lift`).
 
 Redundancy and invariants ask one question, whether a grounding entails a
 rule, and `counterexample` answers both: it walks the attempts to refute
@@ -83,6 +83,7 @@ from .grounding import (
     ground,
     instantiate_rule,
     invariant_attempts,
+    lift,
     render_model,
     rule_subset,
     rule_substitutions,
@@ -157,20 +158,19 @@ def check_invariants(
     attempt, in which its body holds and one head literal fails, as its
     countermodel.  When `full` is (rules, wider), where db is the
     grounding of those rules over `config` and `config` is wider's bound
-    for these invariants, the model is of the rules grounded over wider:
-    the attempt is also the first there that they do not refute.  The
-    grounding of every rule but the last is kept first, so that the next
-    countermodel over those rules lays its last rule over it."""
+    for these invariants, that model is copied out to wider (`lift`): it
+    assigns every atom of the rules grounded over wider, satisfies them
+    and falsifies the invariant there, with nothing grounded or solved
+    over wider."""
     for invariant in invariants:
         attempt = counterexample(db, invariant.rule, config, onto)
         if attempt is not None:
-            if full is not None:
-                rules, config = full
-                ground(rules[:-1], config, onto)
-                db = ground(rules, config, onto)
             atoms, clauses = extend(db, attempt, config, onto)
             model = sat.solve(db.index, extra=clauses)
-            return InvariantResult(False, invariant.id, render_model({**db.atoms, **atoms}, model))
+            atoms = {**db.atoms, **atoms}
+            if full is not None:
+                atoms = lift(atoms, *full, config, onto)
+            return InvariantResult(False, invariant.id, render_model(atoms, model))
     return InvariantResult(True)
 
 
@@ -254,7 +254,8 @@ def verify(
     stages.append("invariants")
     rules = [*theory, candidate]
     db = ground(rules, bound, onto)  # the one check_consistency made
-    invariants = check_invariants(db, store.invariants, bound, onto, full=(rules, config))
+    full = None if bound is config else (rules, config)
+    invariants = check_invariants(db, store.invariants, bound, onto, full=full)
     verdict = "Accepted" if invariants.preserved else "Unsafe"
     return report(verdict, consistency=consistency, redundancy="novel", invariants=invariants)
 
@@ -270,7 +271,7 @@ def theory_soundness(
     db = ground(theory, bound, onto)
     if not sat.satisfiable(db.index):
         return False, "verified theory is unsatisfiable"
-    result = check_invariants(db, store.invariants, bound, onto)
-    if not result.preserved:
-        return False, f"invariant {result.violated_id} not entailed by the theory"
+    for invariant in store.invariants:
+        if counterexample(db, invariant.rule, bound, onto) is not None:
+            return False, f"invariant {invariant.id} not entailed by the theory"
     return True, "ok"

@@ -5,12 +5,16 @@ walk of every substitution.
 The full-walk reference grounds each check's rules afresh, tries every
 substitution `rule_substitutions` gives, per head literal, and solves each
 attempt with the reference DPLL solver (`reference_dpll`), not with
-`rulesynth.sat`.  `verify` reports and `theory_soundness` answers must
+`rulesynth.sat`.  It solves the first attempt not refuted again over the
+small-model bound and copies that model out to every constant by renaming
+atoms, as `verify` reports an Unsafe verdict's countermodel, but through
+a copy of its own.  `verify` reports and `theory_soundness` answers must
 equal it on seeded random cases, and two deliberately wrong canonicalizers
 must make the comparison fail.
 """
 
 import random
+import re
 from collections import Counter
 from dataclasses import replace
 from itertools import chain, product
@@ -18,7 +22,7 @@ from itertools import chain, product
 import pytest
 
 from rulesynth import grounding
-from rulesynth.fol import PredicateDecl, parse_rule, render_rule, validate_schema
+from rulesynth.fol import PredicateDecl, parse_rule, render_rule, validate_schema, variable_sorts
 from rulesynth.grounding import (
     ClauseDB,
     GroundingConfig,
@@ -141,16 +145,51 @@ def solve_reference(rules, config, onto, assumptions, base):
     return db, reference_dpll.solve(clauses, num_vars=len(db.atoms))
 
 
-def full_walk(rules, rule, config, onto):
+def reference_bound(config, onto, rules):
+    """Per sort, the pool's declared constants and its first m others, in
+    pool order, where m is the most variables of the sort in one of
+    `rules`, at least 1: the small-model bound, derived afresh."""
+    most = Counter()
+    for rule in rules:
+        for sort, count in Counter(variable_sorts(rule, onto).values()).items():
+            most[sort] = max(most[sort], count)
+    pools = {}
+    for sort, pool in config.domain_constants.items():
+        free = [c for c in pool if c not in onto.constants][: max(most[sort], 1)]
+        pools[sort] = tuple(c for c in pool if c in onto.constants or c in free)
+    return GroundingConfig(pools, config.comparison_mode)
+
+
+def copied_out(names, bound_db, model, config, bound, onto):
+    """`model`, a model of bound_db, copied out to the atoms `names` over
+    `config`: each takes the value of the atom named with every constant
+    the bound lacks replaced by the bound's last undeclared constant of
+    that sort.  Names are renamed word by word; no predicate, attribute or
+    value is named like a pool constant."""
+    copy = {}
+    for sort, pool in config.domain_constants.items():
+        kept = bound.domain_constants[sort]
+        last = [c for c in kept if c not in onto.constants][-1:]
+        copy.update((c, last[0]) for c in pool if c not in kept)
+    numbers = {name: bound_db.atoms[re.sub(r"\w+", lambda word: copy.get(word[0], word[0]), name)] for name in names}
+    return render_model(numbers, model)
+
+
+def full_walk(rules, rule, config, onto, bound):
     """The countermodel of the first attempt over every substitution that
-    the rules do not refute, or None when they entail `rule`."""
+    the rules do not refute, or None when they entail `rule`: the model
+    reference_dpll gives of that attempt over `bound`, copied out to
+    `config`."""
     base = reference_ground(rules, config, onto)
     for substitution in rule_substitutions(rule, config, onto):
         body = [(lit, substitution) for lit in rule.body]
         for head_lit in rule.head:
-            db, model = solve_reference(rules, config, onto, [*body, (head_lit.complement(), substitution)], base)
+            assumptions = [*body, (head_lit.complement(), substitution)]
+            db, model = solve_reference(rules, config, onto, assumptions, base)
             if model is not None:
-                return render_model(db.atoms, model)
+                bound_base = reference_ground(rules, bound, onto)
+                bound_db, bound_model = solve_reference(rules, bound, onto, assumptions, bound_base)
+                return copied_out(db.atoms, bound_db, bound_model, config, bound, onto)
     return None
 
 
@@ -167,10 +206,11 @@ def reference_report(theory, candidate, invariants, config, onto):
             if not satisfiable([*trial, candidate]):
                 kept = trial
         return "Inconsistent", tuple(r.id for r in kept), None
-    if full_walk(theory, candidate, config, onto) is None:
+    bound = reference_bound(config, onto, [candidate, *(invariant.rule for invariant in invariants)])
+    if full_walk(theory, candidate, config, onto, bound) is None:
         return "Redundant", (), None
     for invariant in invariants:
-        countermodel = full_walk([*theory, candidate], invariant.rule, config, onto)
+        countermodel = full_walk([*theory, candidate], invariant.rule, config, onto, bound)
         if countermodel is not None:
             return "Unsafe", (), (False, invariant.id, countermodel)
     return "Accepted", (), (True, None, ())
@@ -180,7 +220,8 @@ def reference_soundness(theory, invariants, config, onto):
     db = reference_ground(theory, config, onto)
     if reference_dpll.solve(db.clauses, num_vars=len(db.atoms)) is None:
         return False
-    return all(full_walk(theory, invariant.rule, config, onto) is None for invariant in invariants)
+    bound = reference_bound(config, onto, [invariant.rule for invariant in invariants])
+    return all(full_walk(theory, invariant.rule, config, onto, bound) is None for invariant in invariants)
 
 
 def vocabularies(onto):

@@ -179,6 +179,32 @@ def test_theory_soundness_on_seed_store_fails_until_collide_rule_committed(
     assert not ok and "inv-collision-free" in reason
 
 
+def test_theory_soundness_builds_no_countermodel(onto, seed_store, monkeypatch):
+    """On the unsound seed store, at a domain where the bound shrinks, the
+    soundness check asks `sat.satisfiable` only: no `sat.solve` call of
+    its own and no rendered model."""
+    asking, direct, rendered = [], [], []
+    solve, satisfiable = rulesynth.sat.solve, rulesynth.sat.satisfiable
+
+    def recording_solve(*args, **kwargs):
+        direct.append(not asking)
+        return solve(*args, **kwargs)
+
+    def recording_satisfiable(*args, **kwargs):
+        asking.append(True)
+        try:
+            return satisfiable(*args, **kwargs)
+        finally:
+            asking.pop()
+
+    monkeypatch.setattr(rulesynth.sat, "solve", recording_solve)
+    monkeypatch.setattr(rulesynth.sat, "satisfiable", recording_satisfiable)
+    monkeypatch.setattr(rulesynth.verify, "render_model", lambda *args: rendered.append(args))
+    ok, reason = theory_soundness(seed_store, GroundingConfig.default(onto, 6), onto)
+    assert not ok and "inv-collision-free" in reason
+    assert not any(direct) and not rendered
+
+
 def test_report_ids_are_content_derived(onto, config, seed_store):
     candidate = parse_rule(COLLIDE_RULE, onto)
     first = verify(candidate, seed_store, config, onto)
