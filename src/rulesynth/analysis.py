@@ -1,9 +1,9 @@
 """Minimal necessary and minimal sufficient cause-set search.
 
-Cause sets are int bitmasks from the kernel to the answer cache (bit i is
-universe[i]); the judge is a callable int -> bool.  Ids are decoded from a
-mask only on a cache miss, for monotonicity witnesses and for the output
-families.
+Cause sets are int bitmasks from the kernel through the answer cache to
+the oracle backend (bit i is universe[i]); the judge is a callable int ->
+bool.  Ids are decoded from a mask only for monotonicity witnesses, the
+output families, and a backend's transcript key or prompt.
 
 One kernel, `minimal_sets`, serves the two searches.  It walks masks
 bottom-up: ascending cardinality, lexicographic by cause index within a
@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Any, Callable, Iterable, Sequence, Sized
 
-from .oracle import CachedAchievementJudge, Oracle, mask_ids
+from .oracle import CachedAchievementJudge, Oracle
 from .store import Cause, Goal, TheoryStore
 
 Judge = Callable[[int], bool]
@@ -59,6 +59,38 @@ class UniverseTooLarge(ValueError):
 def _check_universe_size(universe: Sized) -> None:
     if len(universe) > BRUTE_FORCE_LIMIT:
         raise UniverseTooLarge(f"|universe| = {len(universe)} exceeds {BRUTE_FORCE_LIMIT}")
+
+
+def mask_ids(universe: Sequence[str]) -> Callable[[int], frozenset[str]]:
+    """Decoder from a bitmask (bit i is universe[i], no bit at or past
+    len(universe)) to the frozenset of its ids.
+
+    One table of frozensets per 8 causes holds at entry b the causes of b's
+    bits.  Up to 8 causes a mask decodes with one lookup and no allocation,
+    up to 16 with one union of two lookups, and wider universes fold one
+    more union per further 8 bits.  Equal id sets built by different
+    unions may iterate in different orders, so every consumer sorts the
+    ids or tests membership."""
+    tables = []
+    for lo in range(0, max(len(universe), 1), 8):
+        table: list[frozenset[str]] = [frozenset()]
+        for cause in universe[lo : lo + 8]:
+            table += [t | {cause} for t in table]
+        tables.append(table)
+    if len(tables) == 1:
+        return tables[0].__getitem__
+    low, high, *wider = tables
+    if not wider:
+        return lambda mask: low[mask & 255] | high[mask >> 8]
+
+    def ids(mask: int) -> frozenset[str]:
+        out = low[mask & 255]
+        for table in tables[1:]:
+            mask >>= 8
+            out |= table[mask & 255]
+        return out
+
+    return ids
 
 
 @dataclass(frozen=True)

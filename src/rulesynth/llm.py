@@ -298,12 +298,12 @@ class LlmOracle(Oracle):
     def judge_subset_achieves(
         self,
         goal: Goal,
-        subset: frozenset[str],
+        subset: int,
         causes: Sequence[Cause],
         principles: Sequence[Principle],
     ) -> bool:
-        # judgments are made on the natural-language cause texts
-        chosen = [c.text for c in causes if c.id in subset]
+        # judgments are made on the natural-language cause texts, in causes order
+        chosen = [c.text for i, c in enumerate(causes) if subset >> i & 1]
         listing = "\n".join(f"- {text}" for text in chosen) or "- (no causes hold)"
         prompt = self.config.template("achieves").format(
             goal=goal.text, principles=format_principles(principles), subset=listing

@@ -13,10 +13,10 @@ and translation of a cause into the rule language.  Implementations:
 Every query has a canonical string key (subset ids sorted, equivalence
 pairs ordered), built only in TranscriptOracle.  It checks each answer's
 JSON form, recorded or live, before serving or recording it; the LLM
-backend shares the necessity and translation checks.  The achievement
-judge is called with the cause search's own bitmask and keeps answers
-by that int, one-to-one with the string key; only a new mask is decoded
-(`mask_ids`) to the cause ids the backend is asked about, so a repeated
+backend shares the necessity and translation checks.  A cause subset is
+one int bitmask (bit i is causes[i]) from the cause search to the backend.
+The achievement judge keeps answers by that int, one-to-one with the string
+key; ids are decoded only for a transcript key or a prompt, so a repeated
 subset costs a dict lookup and the distinct backend queries stay the same.
 """
 
@@ -113,11 +113,13 @@ class Oracle:
     def judge_subset_achieves(
         self,
         goal: Goal,
-        subset: frozenset[str],
+        subset: int,
         causes: Sequence[Cause],
         principles: Sequence[Principle],
     ) -> bool:
-        """True iff the cause subset achieves the goal under the principles."""
+        """True iff the cause subset achieves the goal under the principles.
+        `subset` is a bitmask over `causes`: bit i stands for causes[i], and
+        no bit is set at or past len(causes)."""
         raise NotImplementedError
 
     def translate_to_fol(
@@ -273,6 +275,8 @@ class DeterministicOracle(Oracle):
         self._merged: dict[tuple[str, str], str] = {}
         for script in spec.goals.values():
             self._merged.update(script.merged_texts())
+        # (goal, causes, family as masks), held so no identity check matches a reused id
+        self._family: tuple[Goal | None, Sequence[Cause], tuple[int, ...]] = (None, (), ())
 
     def _script(self, goal_id: str) -> GoalScript:
         script = self.spec.goals.get(goal_id)
@@ -309,12 +313,18 @@ class DeterministicOracle(Oracle):
     def judge_subset_achieves(
         self,
         goal: Goal,
-        subset: frozenset[str],
+        subset: int,
         causes: Sequence[Cause],
         principles: Sequence[Principle],
     ) -> bool:
-        for required in self._script(goal.id).sufficient_family:
-            if required <= subset:
+        held_goal, held_causes, family = self._family
+        if held_goal is not goal or held_causes is not causes:
+            bits = {cause.id: 1 << i for i, cause in enumerate(causes)}
+            past = 1 << len(causes)  # for an id not among the causes: a bit no subset has
+            family = tuple(sum({bits.get(i, past) for i in s}) for s in self._script(goal.id).sufficient_family)
+            self._family = (goal, causes, family)
+        for required in family:
+            if required & subset == required:
                 return True
         return False
 
@@ -336,46 +346,14 @@ class DeterministicOracle(Oracle):
 # --- the achievement judge ---
 
 
-def mask_ids(universe: Sequence[str]) -> Callable[[int], frozenset[str]]:
-    """Decoder from a bitmask (bit i is universe[i], no bit at or past
-    len(universe)) to the frozenset of its ids.
-
-    One table of frozensets per 8 causes holds at entry b the causes of b's
-    bits.  Up to 8 causes a mask decodes with one lookup and no allocation,
-    up to 16 with one union of two lookups, and wider universes fold one
-    more union per further 8 bits.  Equal id sets built by different
-    unions may iterate in different orders, so every consumer sorts the
-    ids or tests membership."""
-    tables = []
-    for lo in range(0, max(len(universe), 1), 8):
-        table: list[frozenset[str]] = [frozenset()]
-        for cause in universe[lo : lo + 8]:
-            table += [t | {cause} for t in table]
-        tables.append(table)
-    if len(tables) == 1:
-        return tables[0].__getitem__
-    low, high, *wider = tables
-    if not wider:
-        return lambda mask: low[mask & 255] | high[mask >> 8]
-
-    def ids(mask: int) -> frozenset[str]:
-        out = low[mask & 255]
-        for table in tables[1:]:
-            mask >>= 8
-            out |= table[mask & 255]
-        return out
-
-    return ids
-
-
 class CachedAchievementJudge:
     """Binds an oracle to one goal and its causes and keeps its answers.
 
     The judge is a plain callable int -> bool over the cause search's own
     bitmasks: bit i stands for causes[i].  Answers are kept in one dict
-    keyed by the mask, so a hit costs one lookup and no decoding.  A miss
-    checks the mask's width, decodes it to a frozenset of cause ids and
-    asks the oracle's `judge_subset_achieves` about it, so backends,
+    keyed by the mask, so a hit costs one lookup.  A miss checks the
+    mask's width and asks the oracle's `judge_subset_achieves` about the
+    same mask, over the same causes tuple on every query, so backends,
     recorders and transcripts see the same queries as with string keys.
     An answer that raised is not kept, so the number of kept answers is
     the number of distinct backend queries, the query budget.  A mask with
@@ -432,7 +410,6 @@ def _judge_path(
     answers: dict[int, bool] = {}
     lookup = answers.get
     width = len(causes)
-    ids = mask_ids([cause.id for cause in causes])
     hits = 0
 
     def ask(mask: int) -> bool:
@@ -443,7 +420,7 @@ def _judge_path(
             return answer
         if mask >> width:  # also true for a negative mask
             raise ValueError(f"mask {mask:#x} has a bit beyond the {width} causes of goal {goal.id!r}")
-        answer = answers[mask] = bool(achieves(goal, ids(mask), causes, principles))
+        answer = answers[mask] = bool(achieves(goal, mask, causes, principles))
         return answer
 
     return ask, answers, lambda: hits
@@ -511,8 +488,9 @@ class TranscriptOracle(Oracle):
         )
 
     def judge_subset_achieves(self, goal, subset, causes, principles):
+        ids = frozenset(cause.id for i, cause in enumerate(causes) if subset >> i & 1)
         return self._answer(
-            achieves_key(goal.id, subset),
+            achieves_key(goal.id, ids),
             lambda live: bool(live.judge_subset_achieves(goal, subset, causes, principles)),
             parse_achieves,
         )

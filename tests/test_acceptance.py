@@ -116,10 +116,10 @@ def test_criterion_2_scenario2_replication(tmp_path):
         assert report.minimal_necessary.to_json() == expected_necessary
         universe = report.cause_ids
         causes = store.causes_for_goal("g2")
-        judge = on_masks(universe, lambda s: oracle.judge_subset_achieves(
-            store.goal_by_id("g2"), s, causes, store.principles
+        assert tuple(c.id for c in causes) == universe  # bit i of a mask is causes[i]
+        brute_sufficient, brute_necessary = brute_force_families(universe, lambda mask: (
+            oracle.judge_subset_achieves(store.goal_by_id("g2"), mask, causes, store.principles)
         ))
-        brute_sufficient, brute_necessary = brute_force_families(universe, judge)
         assert brute_necessary.to_json() == expected_necessary
         assert minimal_transversals(brute_sufficient).to_json() == expected_necessary
         assert elapsed < 1.0

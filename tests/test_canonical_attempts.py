@@ -41,7 +41,7 @@ from rulesynth.verify import theory_soundness, verify
 import reference_dpll
 from reference_canonical import canonical_substitutions, is_canonical
 from reference_grounding import reference_ground
-from rulegen import random_rule
+from rulegen import is_threshold_rule, random_rule, threshold_rule
 
 BELL = [1, 1, 2, 5, 15, 52, 203]
 
@@ -254,6 +254,10 @@ def valid_rule(rng, vocabulary):
             return rule
 
 
+def some_rule(rng, vocabulary):
+    return threshold_rule(rng, vocabulary) if rng.random() < 0.25 else valid_rule(rng, vocabulary)
+
+
 CASES = {1: 40, 2: 40, 3: 30, 4: 20, 5: 12, 6: 8}  # per domain size and mode
 
 
@@ -268,9 +272,9 @@ def cross_check(onto):
             for case in range(count):
                 vocabulary = rng.choice(vocabularies(onto))
                 config = configs(vocabulary, rng, domain_size, mode)
-                theory = [valid_rule(rng, vocabulary) for _ in range(rng.randint(0, 3))]
-                candidate = valid_rule(rng, vocabulary)
-                invariants = [Invariant(f"inv{i}", valid_rule(rng, vocabulary)) for i in range(rng.randint(1, 2))]
+                theory = [some_rule(rng, vocabulary) for _ in range(rng.randint(0, 3))]
+                candidate = some_rule(rng, vocabulary)
+                invariants = [Invariant(f"inv{i}", some_rule(rng, vocabulary)) for i in range(rng.randint(1, 2))]
                 store = TheoryStore(
                     verified_rules=tuple(VerifiedRule(r, "c", "g", "vrep") for r in theory),
                     invariants=tuple(invariants),
@@ -288,6 +292,9 @@ def cross_check(onto):
                 seen["two sorts"] += vocabulary.predicates["dense"].sorts == ("zone",)
                 seen["names ego"] += any("ego" in render_rule(r) for r in [*theory, candidate])
                 seen["three variables"] += len(candidate.quantified_vars) == 3
+                seen["threshold candidate"] += is_threshold_rule(candidate)
+                seen["threshold invariant"] += any(is_threshold_rule(i.rule) for i in invariants)
+                seen["threshold theory"] += any(map(is_threshold_rule, theory))
     return mismatches, seen
 
 
@@ -296,6 +303,7 @@ def test_counterexample_search_matches_the_full_walk(onto):
     assert mismatches == [], mismatches
     assert min(seen[v] for v in ("Inconsistent", "Redundant", "Unsafe", "Accepted")) >= 10, seen
     assert min(seen[k] for k in ("ego pooled", "two sorts", "names ego", "three variables")) >= 20, seen
+    assert min(seen[k] for k in ("threshold candidate", "threshold invariant", "threshold theory")) >= 40, seen
 
 
 def test_constants_pooled_by_two_sorts_are_refused():

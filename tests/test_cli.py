@@ -232,7 +232,8 @@ def test_strict_monotone_duality_mismatch_exits_5(work_dir, capsys):
         # achieves exactly the full set or the first cause alone; adding
         # causes to {g1-c1} destroys achievement, breaking duality
         def judge_subset_achieves(self, goal, subset, causes, principles):
-            return len(subset) == len(causes) or subset == frozenset(["g1-c1"])
+            first = [c.id for c in causes].index("g1-c1")
+            return subset == (1 << len(causes)) - 1 or subset == 1 << first
 
     config = ScenarioConfig.from_file(work_dir / "scenario1.config.json")
     onto = load_ontology(config.ontology_path)

@@ -91,10 +91,28 @@ def test_principles_are_listed_with_ids():
     transport = FakeTransport({"achieves": True})
     oracle = LlmOracle(make_config(), transport)
     cause = Cause("g1-c1", "g1", "driver in control", ("driver in control",))
-    assert oracle.judge_subset_achieves(GOAL, frozenset(["g1-c1"]), (cause,), PRINCIPLES)
+    assert oracle.judge_subset_achieves(GOAL, 0b1, (cause,), PRINCIPLES)
     prompt = transport.payloads[0]["messages"][1]["content"]
     assert "[p-control] (legal)" in prompt
     assert "driver in control" in prompt  # subsets are judged on cause texts
+
+
+def test_achievement_prompt_lists_the_mask_in_causes_order():
+    # bits 0 and 1 stand for g1-c3 and g1-c1, out of id order: the listing
+    # follows the causes, byte for byte as when subsets were sets of ids
+    transport = FakeTransport({"achieves": True})
+    oracle = LlmOracle(make_config(), transport)
+    causes = tuple(
+        Cause(cause_id, "g1", text, (text,))
+        for cause_id, text in (("g1-c3", "gap ahead"), ("g1-c1", "driver in control"), ("g1-c2", "signal on"))
+    )
+    assert oracle.judge_subset_achieves(GOAL, 0b011, causes, PRINCIPLES)
+    assert transport.payloads[0]["messages"][1]["content"] == (
+        "Goal: Successfully merge into heavy traffic\n\nPrinciples:\n"
+        "[p-control] (legal) stay in control\n[s-friction] (safety) keep friction\n\n"
+        "Assume exactly the following causes hold, and no others:\n- gap ahead\n- driver in control\n\n"
+        "Under the principles, does this set of causes achieve the goal?"
+    )
 
 
 def test_equivalence_prompt_uses_canonical_pair_order():
@@ -126,7 +144,7 @@ def test_achievement_answers_share_the_replay_check(answer):
     oracle = LlmOracle(make_config(), transport)
     cause = Cause("g1-c1", "g1", "driver in control", ("driver in control",))
     with pytest.raises(MalformedResponse, match="^achievement answer is not a boolean$"):
-        oracle.judge_subset_achieves(GOAL, frozenset(["g1-c1"]), (cause,), PRINCIPLES)
+        oracle.judge_subset_achieves(GOAL, 0b1, (cause,), PRINCIPLES)
     assert len(transport.payloads) == 2
 
 

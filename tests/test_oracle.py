@@ -1,10 +1,10 @@
-import itertools
 import json
 import random
 import shutil
 
 import pytest
 
+from rulesynth.analysis import mask_ids
 from rulesynth.cli import main as cli_main
 from rulesynth.llm import LlmOracle, LlmOracleConfig
 from rulesynth.oracle import (
@@ -20,7 +20,6 @@ from rulesynth.oracle import (
     achieves_key,
     check_necessity,
     equivalence_key,
-    mask_ids,
     query_key,
 )
 from rulesynth.store import Cause, Goal, Principle
@@ -127,33 +126,66 @@ def test_necessity_requires_cited_principle():
         check_necessity(NecessityVerdict(True, "because it matters"), PRINCIPLES)
 
 
+def family_spec(families, ids):
+    """A spec whose goal g has sufficient_family families[g], every id declared."""
+    return DeterministicOracleSpec.from_json({"goals": {
+        goal_id: {
+            "raw_causes": ["x"],
+            "individual_necessity": {i: {"necessary": False} for i in ids},
+            "sufficient_family": family,
+        }
+        for goal_id, family in families.items()
+    }})
+
+
+def decode(mask, causes):
+    return frozenset(cause.id for i, cause in enumerate(causes) if mask >> i & 1)
+
+
+def achieves_by_definition(family, mask, causes):
+    """The sufficient family's definition: the subset contains some member."""
+    return any(frozenset(required) <= decode(mask, causes) for required in family)
+
+
 def test_deterministic_achievement_matches_family_exhaustively():
-    # twelve causes, a three-member sufficient family: judge(S) must equal
-    # "S contains some family member" on all 4096 subsets
+    # twelve causes, a three-member sufficient family: judge(mask) must equal
+    # "the mask's ids contain some family member" on all 4096 masks
     ids = [f"t-c{i}" for i in range(1, 13)]
     family = [["t-c1", "t-c2"], ["t-c3"], ["t-c4", "t-c5", "t-c6"]]
-    spec = DeterministicOracleSpec.from_json(
-        {
-            "goals": {
-                "t": {
-                    "raw_causes": ["x"],
-                    "equivalence_classes": [],
-                    "individual_necessity": {i: {"necessary": False} for i in ids},
-                    "sufficient_family": family,
-                    "translations": {},
-                }
-            }
-        }
-    )
-    oracle = DeterministicOracle(spec)
+    oracle = DeterministicOracle(family_spec({"t": family}, ids))
     goal = Goal("t", "test")
     causes = make_causes("t", 12)
-    members = [frozenset(f) for f in family]
-    for size in range(len(ids) + 1):
-        for combo in itertools.combinations(ids, size):
-            subset = frozenset(combo)
-            expected = any(m <= subset for m in members)
-            assert oracle.judge_subset_achieves(goal, subset, causes, PRINCIPLES) == expected
+    answers = [oracle.judge_subset_achieves(goal, mask, causes, PRINCIPLES) for mask in range(1 << 12)]
+    assert answers == [achieves_by_definition(family, mask, causes) for mask in range(1 << 12)]
+    assert sum(answers) and not all(answers)
+
+
+def test_deterministic_achievement_follows_each_goal_and_causes_order():
+    # one oracle asked in turn about two goals, and about two orders of the
+    # same causes, keeps no family compiled for another goal or order
+    causes = make_causes("t", 6)
+    orders = (causes, causes[::-1], tuple(causes[i] for i in (2, 0, 5, 1, 4, 3)))
+    families = {"t": [["t-c1", "t-c2"], ["t-c6"]], "u": [["t-c3", "t-c4", "t-c5"]]}
+    oracle = DeterministicOracle(family_spec(families, [c.id for c in causes]))
+    goals = (Goal("t", "first"), Goal("u", "second"))
+    rng = random.Random(6)
+    for _ in range(400):
+        goal, order, mask = rng.choice(goals), rng.choice(orders), rng.randrange(1 << 6)
+        expected = achieves_by_definition(families[goal.id], mask, order)
+        assert oracle.judge_subset_achieves(goal, mask, order, PRINCIPLES) is expected
+    # a new tuple equal to a compiled one answers the same
+    assert oracle.judge_subset_achieves(goals[0], 0b100000, tuple(list(causes)), PRINCIPLES) is True
+
+
+def test_deterministic_achievement_of_ids_outside_the_causes_and_of_the_empty_set():
+    causes = make_causes("t", 3)
+    ids = [c.id for c in causes] + ["t-c8", "t-c9"]
+    outside = DeterministicOracle(family_spec({"t": [["t-c1", "t-c9"], ["t-c8", "t-c9"], ["t-c9"]]}, ids))
+    empty = DeterministicOracle(family_spec({"t": [[], ["t-c9"]]}, ids))
+    goal = Goal("t", "test")
+    for mask in range(1 << 3):
+        assert outside.judge_subset_achieves(goal, mask, causes, PRINCIPLES) is False
+        assert empty.judge_subset_achieves(goal, mask, causes, PRINCIPLES) is True
 
 
 def test_spec_rejects_undeclared_ids_in_family():
@@ -316,7 +348,7 @@ class CountingOracle(DeterministicOracle):
         self.asked = []
 
     def judge_subset_achieves(self, goal, subset, causes, principles):
-        self.asked.append(subset)
+        self.asked.append(subset)  # the mask, as the backend gets it
         return super().judge_subset_achieves(goal, subset, causes, principles)
 
 
@@ -365,11 +397,7 @@ def test_cached_judge_matches_uncached_oracle_and_asks_once_per_key(seed):
     causes = make_causes("g1", n)
     ids = [c.id for c in causes]
     family = [sorted(rng.sample(ids, rng.randint(1, min(4, n)))) for _ in range(rng.randint(0, 4))]
-    spec = DeterministicOracleSpec.from_json({"goals": {"g1": {
-        "raw_causes": ["x"],
-        "individual_necessity": {i: {"necessary": False} for i in ids},
-        "sufficient_family": family,
-    }}})
+    spec = family_spec({"g1": family}, ids)
     uncached = DeterministicOracle(spec)
     counting = CountingOracle(spec)
     recorder = TranscriptOracle(live=counting)
@@ -377,16 +405,14 @@ def test_cached_judge_matches_uncached_oracle_and_asks_once_per_key(seed):
     pool = [rng.randrange(1 << n) for _ in range(60)]
     queries = [rng.choice(pool) for _ in range(300)]  # repeats on purpose
 
-    def decoded(mask):
-        return frozenset(ids[i] for i in range(n) if mask >> i & 1)
-
     for mask in queries:
-        assert judge(mask) is uncached.judge_subset_achieves(GOAL, decoded(mask), causes, PRINCIPLES)
-    keys = {achieves_key(GOAL.id, decoded(mask)) for mask in queries}
+        expected = achieves_by_definition(family, mask, causes)
+        assert judge(mask) is uncached.judge_subset_achieves(GOAL, mask, causes, PRINCIPLES) is expected
+    keys = {achieves_key(GOAL.id, decode(mask, causes)) for mask in queries}
     assert judge.query_count == len(keys) == len(counting.asked)
     assert set(recorder.entries) == keys
     assert judge.cache.hits == len(queries) - len(keys)
-    assert sorted(map(sorted, counting.asked)) == sorted(sorted(decoded(m)) for m in set(queries))
+    assert sorted(counting.asked) == sorted(set(queries))
 
 
 def test_cached_judge_rejects_bits_beyond_its_causes():
@@ -430,7 +456,7 @@ def test_transcript_record_and_replay_round_trip(tmp_path, onto):
     verdict = recorder.judge_equivalent(raw[0], raw[1])
     cause = Cause("g1-c1", "g1", verdict.merged_text, (raw[0], raw[1]))
     recorder.judge_individual_necessity(cause, GOAL, PRINCIPLES)
-    recorder.judge_subset_achieves(GOAL, frozenset(["g1-c1"]), (cause,), PRINCIPLES)
+    recorder.judge_subset_achieves(GOAL, 0b1, (cause,), PRINCIPLES)
     recorder.translate_to_fol(cause, onto, "grammar")
     path = tmp_path / "transcript.json"
     recorder.save(path)
@@ -439,7 +465,7 @@ def test_transcript_record_and_replay_round_trip(tmp_path, onto):
     assert replay.live is None
     assert replay.generate_causes(GOAL, PRINCIPLES, 8) == raw
     assert replay.judge_equivalent(raw[1], raw[0]) == verdict  # symmetric key
-    assert replay.judge_subset_achieves(GOAL, frozenset(["g1-c1"]), (cause,), PRINCIPLES) is False
+    assert replay.judge_subset_achieves(GOAL, 0b1, (cause,), PRINCIPLES) is False
     assert (
         replay.translate_to_fol(cause, onto, "grammar").rule_text
         == inner.translate_to_fol(cause, onto, "grammar").rule_text
@@ -475,7 +501,7 @@ def test_transcript_missing_key_names_it(tmp_path):
     path.write_text(json.dumps({"version": 1, "entries": {}}))
     replay = TranscriptOracle.from_file(path)
     with pytest.raises(OracleUnavailable) as err:
-        replay.judge_subset_achieves(GOAL, frozenset(["g1-c1"]), (), PRINCIPLES)
+        replay.judge_subset_achieves(GOAL, 0b1, make_causes("g1", 1), PRINCIPLES)
     assert achieves_key("g1", frozenset(["g1-c1"])) in str(err.value)
 
 
@@ -483,11 +509,32 @@ def test_transcript_asks_live_once_per_key():
     counting = CountingOracle(scenario1_oracle().spec)
     recorder = TranscriptOracle(live=counting)
     causes = make_causes("g1", 4)
-    subsets = [frozenset(["g1-c1"]), frozenset(["g1-c1", "g1-c2"]), frozenset(["g1-c1"])]
+    subsets = [0b0001, 0b0011, 0b0001]  # {g1-c1}, {g1-c1, g1-c2}, {g1-c1}
     answers = [recorder.judge_subset_achieves(GOAL, s, causes, PRINCIPLES) for s in subsets]
     assert answers[0] is answers[2] is False
     assert counting.asked == subsets[:2]  # the repeat is served from the transcript
-    assert set(recorder.entries) == {achieves_key("g1", s) for s in subsets}
+    assert set(recorder.entries) == {
+        achieves_key("g1", frozenset(["g1-c1"])), achieves_key("g1", frozenset(["g1-c1", "g1-c2"]))
+    }
+
+
+def test_transcript_keys_are_the_decoded_ids_in_any_causes_order():
+    # the same subsets over causes in a scrambled order: the keys name the
+    # ids each mask's bits stand for, and replay answers them from the keys
+    causes = make_causes("g1", 4)
+    scrambled = tuple(causes[i] for i in (3, 1, 0, 2))
+    recorder = TranscriptOracle(live=scenario1_oracle())
+    answers = {}
+    for order in (causes, scrambled):
+        for mask in range(1 << 4):
+            key = achieves_key("g1", decode(mask, order))
+            answer = recorder.judge_subset_achieves(GOAL, mask, order, PRINCIPLES)
+            assert recorder.entries[key] is answers.setdefault(key, answer) is answer
+    assert set(recorder.entries) == set(answers) and len(answers) == 1 << 4
+    replay = TranscriptOracle(recorder.entries)
+    for mask in range(1 << 4):
+        assert replay.judge_subset_achieves(GOAL, mask, scrambled, PRINCIPLES) is answers[
+            achieves_key("g1", decode(mask, scrambled))]
 
 
 def test_transcript_recorded_over_the_golden_replay_gives_back_its_entries(tmp_path):

@@ -27,7 +27,7 @@ from rulesynth.store import Invariant, TheoryStore, VerifiedRule
 from rulesynth.verify import theory_soundness, verify
 
 from countermodel_check import countermodel_problem
-from rulegen import random_rule
+from rulegen import random_rule, threshold_rule
 
 CASES = {1: 10, 2: 30, 3: 30, 4: 20, 5: 12, 6: 8}  # per domain size and mode
 
@@ -60,19 +60,6 @@ def valid_rule(rng, vocabulary):
         rule = random_rule(rng, vocabulary)
         if not validate_schema(rule, vocabulary):
             return rule
-
-
-def threshold_rule(rng, vocabulary):
-    """A rule whose body asks for two distinct constants of a sort, so
-    that it holds over one constant of that sort and not, by itself, over
-    two: the case a bound one constant short gets wrong."""
-    unary = sorted(p for p, decl in vocabulary.predicates.items() if decl.arity == 1)
-    body, head = rng.choice(unary), rng.choice(unary)
-    same_sort = vocabulary.predicates[body].sorts == vocabulary.predicates[head].sorts
-    head_var = rng.choice("XYZ" if same_sort else "Z")
-    names = ", ".join(sorted({"X", "Y", head_var}))
-    sign = rng.choice(["", "not "])
-    return parse_rule(f"forall {names} . {sign}{head}({head_var}) <- {body}(X) and not {body}(Y)", vocabulary)
 
 
 def some_rule(rng, vocabulary):

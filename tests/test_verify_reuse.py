@@ -7,7 +7,11 @@ solver, not with `rulesynth.sat`.
 
 Verdicts, conflict cores and countermodels must be equal on seeded random
 theories, candidates and invariants in both comparison modes and at domain
-sizes 1 to 3.
+sizes 1 to 3.  One rule in four is a threshold rule (`p(X) and not p(Y)`),
+whose verdict depends on how many constants a sort has.  A `verify`
+report's countermodel is compared with the full-walk reference of
+`test_canonical_attempts`, which copies the model over the small-model
+bound out to every constant as `verify` does.
 """
 
 import random
@@ -45,7 +49,8 @@ import reference_dpll
 from conftest import grounding_parts
 from reference_canonical import canonical_substitutions
 from reference_grounding import reference_ground
-from rulegen import random_rule
+from rulegen import is_threshold_rule, random_rule, threshold_rule
+from test_canonical_attempts import full_walk, reference_bound
 
 
 # --- reference: one fresh grounding per check ---
@@ -98,13 +103,20 @@ def reference_invariants(theory, candidate, invariants, config, onto):
 
 
 def reference_verify(theory, candidate, invariants, config, onto):
-    """(verdict, core, invariant outcome) as the staged pipeline decides them."""
+    """(verdict, core, invariant outcome) as the staged pipeline decides
+    them.  An Unsafe report's countermodel is the violated attempt's model
+    over the small-model bound copied out to `config`, as `verify` reports
+    it; `full_walk` derives it with a bound and a copy of its own."""
     consistent, core = reference_consistency(theory, candidate, config, onto)
     if not consistent:
         return "Inconsistent", core, None
     if reference_entailment(theory, candidate, config, onto):
         return "Redundant", (), None
     outcome = reference_invariants(theory, candidate, invariants, config, onto)
+    if not outcome[0]:
+        bound = reference_bound(config, onto, [candidate, *(i.rule for i in invariants)])
+        violated = next(i.rule for i in invariants if i.id == outcome[1])
+        outcome = (False, outcome[1], full_walk([*theory, candidate], violated, config, onto, bound))
     return ("Accepted" if outcome[0] else "Unsafe"), (), outcome
 
 
@@ -117,16 +129,30 @@ def valid_rule(rng, vocabulary, onto):
             return rule
 
 
+def some_rule(rng, vocabulary, onto):
+    """A threshold rule one time in four, else a schema-valid random rule."""
+    return threshold_rule(rng, vocabulary) if rng.random() < 0.25 else valid_rule(rng, vocabulary, onto)
+
+
 def random_case(rng, vocabulary, onto):
-    theory = [valid_rule(rng, vocabulary, onto) for _ in range(rng.randint(0, 4))]
+    theory = [some_rule(rng, vocabulary, onto) for _ in range(rng.randint(0, 4))]
     if theory and rng.random() < 0.2:
         theory.append(theory[0])  # the same rule object twice
-    candidate = valid_rule(rng, vocabulary, onto)
+    candidate = some_rule(rng, vocabulary, onto)
     invariants = [
-        Invariant(f"inv{i}", valid_rule(rng, vocabulary, onto))
+        Invariant(f"inv{i}", some_rule(rng, vocabulary, onto))
         for i in range(rng.randint(0, 2))
     ]
     return theory, candidate, invariants
+
+
+def thresholds(theory, candidate, invariants):
+    """Which parts of a case hold a threshold rule."""
+    return Counter({
+        "threshold theory": any(map(is_threshold_rule, theory)),
+        "threshold candidate": is_threshold_rule(candidate),
+        "threshold invariant": any(is_threshold_rule(i.rule) for i in invariants),
+    })
 
 
 def small_vocabulary(onto):
@@ -178,9 +204,11 @@ def test_shared_grounding_matches_fresh_groundings(onto, mode):
     vocabulary = small_vocabulary(onto)
     rng = random.Random(f"shared-grounding-{mode}")
     verdicts = Counter()
+    drawn = Counter()
     for case in range(60):
         config = GroundingConfig.default(onto, case % 3 + 1, mode)
         theory, candidate, invariants = random_case(rng, vocabulary, onto)
+        drawn += thresholds(theory, candidate, invariants)
         store = TheoryStore(
             verified_rules=tuple(VerifiedRule(r, "c", "g", "vrep") for r in theory),
             invariants=tuple(invariants),
@@ -213,6 +241,7 @@ def test_shared_grounding_matches_fresh_groundings(onto, mode):
         preserved = reference_invariants(theory, None, invariants, config, onto)[0]
         assert theory_soundness(store, config, onto)[0] == (satisfiable and preserved), case
     assert set(verdicts) == {"Inconsistent", "Redundant", "Unsafe", "Accepted"}, verdicts
+    assert min(drawn.values()) >= 8 and len(drawn) == 3, drawn
 
 
 def random_sequence(rng, vocabulary, onto):
@@ -318,9 +347,11 @@ def test_redundancy_and_invariants_give_one_entailment_answer(onto, mode, domain
     vocabulary = small_vocabulary(onto)
     rng = random.Random(f"one-entailment-{mode}-{domain_size}")
     answers = Counter()
+    drawn = Counter()
     for case in range(40):
         config = GroundingConfig.default(onto, domain_size, mode)
         theory, candidate, _ = random_case(rng, vocabulary, onto)
+        drawn += thresholds(theory, candidate, ())
         theory_db = ground(theory, config, onto)
         kept = dict(config.groundings)
         entailed = check_entailment(theory_db, candidate, config, onto)
@@ -329,6 +360,7 @@ def test_redundancy_and_invariants_give_one_entailment_answer(onto, mode, domain
         assert entailed == check_invariants(theory_db, [Invariant("c", candidate)], config, onto).preserved, case
         answers[entailed] += 1
     assert answers[True] and answers[False], answers
+    assert drawn["threshold theory"] >= 5 and drawn["threshold candidate"] >= 5, drawn
 
 
 # --- the attempt table against the per-attempt loop ---
@@ -415,6 +447,7 @@ def test_attempt_table_checks_invariants_like_the_per_attempt_loop(onto, mode, d
         theory = [random_rule(rng, vocabularies[0]) for _ in range(rng.randint(0, 3))]
         rules = [random_rule(rng, vocabularies[0]) for _ in range(rng.randint(1, 3))]
         rules.append(Rule(rules[0].quantified_vars, rules[0].head, ()))  # an empty body
+        rules.insert(0, threshold_rule(rng, vocabularies[0]))  # checked first
         invariants = [Invariant(f"inv{i}", rule) for i, rule in enumerate(rules)]
         for _ in range(6):
             vocabulary = rng.choice(vocabularies)
@@ -433,6 +466,7 @@ def test_attempt_table_checks_invariants_like_the_per_attempt_loop(onto, mode, d
                 seen["new atoms"] += bool(atoms)
                 seen["axioms"] += any(len(clause) > 1 for clause in clauses)
             seen["violated"] += not result.preserved
+            seen["threshold violated"] += result.violated_id == invariants[0].id
             if rng.random() < 0.5:
                 theory.append(candidate)
     sorts = {rule: set() for rule, _, _ in config.attempts}
@@ -440,6 +474,7 @@ def test_attempt_table_checks_invariants_like_the_per_attempt_loop(onto, mode, d
         sorts[rule].add(key)
     seen["two sorts"] = sum(len(keys) > 1 for keys in sorts.values())
     assert seen["new atoms"] and seen["violated"] and seen["two sorts"], seen
+    assert domain_size == 1 or seen["threshold violated"], seen  # one constant per sort rarely violates one
     assert mode == "opaque" or seen["axioms"], seen
 
 
