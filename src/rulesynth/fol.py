@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -122,7 +123,9 @@ class Rule:
     Structural equality covers the logical content only; ``id`` and
     ``origin`` are bookkeeping and excluded from comparison.  A missing
     id is derived from the canonical rendering, so re-parsing the same
-    text always yields the same id.
+    text always yields the same id.  That rendering (``text``, which
+    `render_rule` returns) and the content hash are derived once, on
+    construction; a `dataclasses.replace`d rule derives its own.
     """
 
     quantified_vars: tuple[Term, ...]
@@ -130,6 +133,8 @@ class Rule:
     body: tuple[Literal, ...]
     id: str = field(default="", compare=False)
     origin: str = field(default="", compare=False)
+    text: str = field(init=False, compare=False, repr=False)
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.head:
@@ -141,9 +146,17 @@ class Rule:
         for part in (self.head, self.body):
             if len(set(part)) != len(part):
                 raise ValueError("duplicate literal in head or body")
+        variables = ", ".join(t.name for t in self.quantified_vars)
+        head = " and ".join(map(render_literal, self.head))
+        body = " and ".join(map(render_literal, self.body)) or "true"
+        object.__setattr__(self, "text", f"forall {variables} . {head} <- {body}")
+        object.__setattr__(self, "_hash", hash((self.quantified_vars, self.head, self.body)))
         if not self.id:
-            digest = hashlib.sha256(render_rule(self).encode("utf-8")).hexdigest()
+            digest = hashlib.sha256(self.text.encode("utf-8")).hexdigest()
             object.__setattr__(self, "id", "r" + digest[:12])
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def literals(self) -> Iterator[Literal]:
         yield from self.head
@@ -186,6 +199,11 @@ class Ontology:
     Names must be unique across predicates, numeric attributes, and
     constants.  Numeric attributes carry a unit and a finite value domain
     used by the interval-axiom grounding mode.
+
+    The sorts are derived once, on construction.  `rule_facts` keeps what
+    the ontology decides about each rule's content (`facts`): its schema
+    violations and its variables' sorts.  Neither is part of equality or
+    repr, and a `dataclasses.replace`d ontology derives its own.
     """
 
     predicates: Mapping[str, PredicateDecl]
@@ -193,6 +211,8 @@ class Ontology:
     constants: Mapping[str, str]
     comparison_ops: frozenset[str] = frozenset(COMPARISON_OPS)
     default_sort: str | None = None
+    rule_facts: dict[Rule, RuleFacts] = field(default_factory=dict, init=False, compare=False, repr=False)
+    _sorts: tuple[str, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         names = [*self.predicates, *self.numeric_attributes, *self.constants]
@@ -204,7 +224,12 @@ class Ontology:
         bad_ops = self.comparison_ops - set(COMPARISON_OPS)
         if bad_ops or not self.comparison_ops:
             raise OntologyError(f"bad comparison operator set {sorted(bad_ops)}")
-        for sort in self.sorts():  # grounding names a sort's constants <sort>1, <sort>2, ...
+        found = {s for d in self.predicates.values() for s in d.sorts}
+        found.update(self.constants.values())
+        if self.default_sort:
+            found.add(self.default_sort)
+        object.__setattr__(self, "_sorts", tuple(sorted(found)))
+        for sort in self._sorts:  # grounding names a sort's constants <sort>1, <sort>2, ...
             if not CONSTANT_RE.match(sort):
                 raise OntologyError(f"bad sort name {sort!r}")
             for name in self.constants:  # a declared constant may not alias them
@@ -212,11 +237,15 @@ class Ontology:
                     raise OntologyError(f"constant {name!r} is named like a fresh constant of sort {sort!r}")
 
     def sorts(self) -> tuple[str, ...]:
-        found = {s for d in self.predicates.values() for s in d.sorts}
-        found.update(self.constants.values())
-        if self.default_sort:
-            found.add(self.default_sort)
-        return tuple(sorted(found))
+        return self._sorts
+
+    def facts(self, rule: Rule) -> RuleFacts:
+        """What this ontology decides about `rule`'s content, derived on
+        the first call and kept in `rule_facts`."""
+        facts = self.rule_facts.get(rule)
+        if facts is None:
+            facts = self.rule_facts[rule] = _rule_facts(rule, self)
+        return facts
 
 
 def load_ontology(path: str | Path) -> Ontology:
@@ -462,11 +491,9 @@ def render_literal(lit: Literal) -> str:
 
 
 def render_rule(rule: Rule) -> str:
-    """Render the canonical surface form (an empty body renders as true)."""
-    variables = ", ".join(t.name for t in rule.quantified_vars)
-    head = " and ".join(render_literal(lit) for lit in rule.head)
-    body = " and ".join(render_literal(lit) for lit in rule.body) or "true"
-    return f"forall {variables} . {head} <- {body}"
+    """The canonical surface form (an empty body renders as true), which
+    the rule derived on construction."""
+    return rule.text
 
 
 @dataclass(frozen=True)
@@ -475,12 +502,29 @@ class SchemaViolation:
     message: str
 
 
+class RuleFacts(NamedTuple):
+    """What an ontology decides about one rule's content (`Ontology.facts`)."""
+
+    violations: tuple[SchemaViolation, ...]
+    # each quantified variable's sort, in declaration order, and the number
+    # of variables of each sort; None and () when the ontology has no sorts
+    sorts: tuple[str, ...] | None
+    sort_counts: tuple[tuple[str, int], ...]
+
+
 def validate_schema(rule: Rule, onto: Ontology) -> list[SchemaViolation]:
     """Check a structurally well-formed rule against the ontology.
 
     Returns the (possibly empty) list of violations; an empty list means
-    the rule is valid.  Violations are data, not exceptions.
+    the rule is valid.  Violations are data, not exceptions.  The check
+    runs once per rule content and ontology (`Ontology.facts`).
     """
+    return list(onto.facts(rule).violations)
+
+
+def _rule_facts(rule: Rule, onto: Ontology) -> RuleFacts:
+    """`validate_schema`'s violations and `variable_sorts`' sorts, found in
+    one walk: a variable's sort is that of its first atom position."""
     violations: list[SchemaViolation] = []
     seen: set[tuple[str, str]] = set()
 
@@ -537,7 +581,11 @@ def validate_schema(rule: Rule, onto: Ontology) -> list[SchemaViolation]:
             if cmp.op not in onto.comparison_ops:
                 report("undeclared-comparison-op", f"comparison operator {cmp.op} not declared")
             check_position(cmp.subject, None, cmp.attribute)
-    return violations
+    fallback = onto.default_sort or (onto.sorts()[0] if onto.sorts() else None)
+    if fallback is None:
+        return RuleFacts(tuple(violations), None, ())
+    sorts = tuple(var_sorts.get(t.name, fallback) for t in rule.quantified_vars)
+    return RuleFacts(tuple(violations), sorts, tuple(Counter(sorts).items()))
 
 
 def variable_sorts(rule: Rule, onto: Ontology) -> dict[str, str]:
@@ -546,20 +594,15 @@ def variable_sorts(rule: Rule, onto: Ontology) -> dict[str, str]:
     Variables constrained only by comparisons (or unused) fall back to the
     ontology's default sort, else the alphabetically first declared sort.
     """
-    inferred: dict[str, str] = {}
-    for lit in rule.literals():
-        if not isinstance(lit.inner, Atom):
-            continue
-        decl = onto.predicates.get(lit.inner.predicate)
-        if decl is None:
-            continue
-        for position, arg in enumerate(lit.inner.args):
-            if arg.kind == "variable" and position < decl.arity:
-                inferred.setdefault(arg.name, decl.sorts[position])
-    fallback = onto.default_sort or (onto.sorts()[0] if onto.sorts() else None)
-    if fallback is None:
+    return dict(zip((t.name for t in rule.quantified_vars), rule_sorts(rule, onto)))
+
+
+def rule_sorts(rule: Rule, onto: Ontology) -> tuple[str, ...]:
+    """`variable_sorts`' values, in declaration order, as `onto` keeps them."""
+    sorts = onto.facts(rule).sorts
+    if sorts is None:
         raise OntologyError("ontology declares no sorts")
-    return {t.name: inferred.get(t.name, fallback) for t in rule.quantified_vars}
+    return sorts
 
 
 def grammar_reference(onto: Ontology) -> str:

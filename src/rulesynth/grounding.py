@@ -79,6 +79,12 @@ there (`lift`): each atom takes the value of its copy over the bound, in
 which every constant the bound lacks is replaced by the bound's last
 interchangeable constant of its sort.  Each instance over the full
 config then holds as its copy does, and so does each interval axiom.
+
+What depends only on a rule's content and the ontology is derived once
+and then looked up: each rule's variable sorts and their counts are kept
+by the ontology (`Ontology.facts`, read through `rule_sorts`), and
+`bounded` merges the counts into per-sort maxima and looks its answer up
+by those and the fixed constants before it builds or scans any pool.
 """
 
 from __future__ import annotations
@@ -99,7 +105,7 @@ from .fol import (
     Rule,
     const,
     render_inner,
-    variable_sorts,
+    rule_sorts,
 )
 
 COMPARISON_MODES = ("opaque", "interval-axioms")
@@ -131,7 +137,9 @@ class GroundingConfig:
     (`fixed_constants`), which the ontology of each call decides; within
     one config a sort fixes the constants.
     `bounds` maps the pools of each config `bounded` returned to that
-    config, so that its caches live as long as this one.
+    config, so that its caches live as long as this one, and `maxima`
+    maps the fixed constants and per-sort maxima of each `bounded` call
+    to its answer (None for this config).
     `lifts` is `lift`'s memo on such a kept bound, keyed like `attempts`.
     No cache is part of equality, repr or `to_json`, and they live as
     long as the config, which is one verification batch: a
@@ -151,6 +159,9 @@ class GroundingConfig:
         default_factory=dict, init=False, compare=False, repr=False
     )
     bounds: dict[tuple[tuple[str, tuple[str, ...]], ...], GroundingConfig] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+    maxima: dict[tuple[frozenset[str], frozenset[tuple[str, int]]], GroundingConfig | None] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
     lifts: dict[tuple[Rule, tuple[str, ...], frozenset[str]], tuple[tuple[str, str], ...]] = field(
@@ -210,23 +221,26 @@ class GroundingConfig:
         that sort in one rule, at least 1 (see the module docstring).
 
         `self` when no pool shrinks; otherwise the config kept in
-        `bounds` for these pools, made on the first call."""
-        most: Counter[str] = Counter()
+        `bounds` for these pools, made on the first call.  The answer is
+        kept in `maxima` by the fixed constants and the per-sort maxima of
+        the rules' kept sort counts (`Ontology.facts`), and looked up there
+        before any pool is built."""
+        most: dict[str, int] = {}
         for rule in rules:
-            for sort, count in Counter(_sorts(rule, onto)).items():
-                most[sort] = max(most[sort], count)
+            for sort, count in onto.facts(rule).sort_counts:
+                if count > most.get(sort, 0):
+                    most[sort] = count
         fixed = self.fixed_constants(onto)
-        pools = {}
-        for sort, pool in self.domain_constants.items():
-            kept = fixed.union(islice((c for c in pool if c not in fixed), max(most[sort], 1)))
-            pools[sort] = tuple(c for c in pool if c in kept)
-        if sum(map(len, pools.values())) == len(self.pooled):
-            return self
-        key = tuple(pools.items())
-        bound = self.bounds.get(key)
-        if bound is None:
-            bound = self.bounds[key] = GroundingConfig(pools, self.comparison_mode)
-        return bound
+        key = (fixed, frozenset(most.items()))
+        if key not in self.maxima:
+            pools = {}
+            for sort, pool in self.domain_constants.items():
+                kept = fixed.union(islice((c for c in pool if c not in fixed), max(most.get(sort, 0), 1)))
+                pools[sort] = tuple(c for c in pool if c in kept)
+            shrinks = sum(map(len, pools.values())) < len(self.pooled)
+            self.maxima[key] = self.bounds.setdefault(
+                tuple(pools.items()), GroundingConfig(pools, self.comparison_mode)) if shrinks else None
+        return self.maxima[key] or self
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -297,18 +311,12 @@ def rule_substitutions(
 
     Raises GroundingError, before building any, when there are more than
     MAX_INSTANCES of them: the product of the variables' pool sizes."""
-    pools = _pools(rule, _sorts(rule, onto), config)
+    pools = _pools(rule, rule_sorts(rule, onto), config)
     instances = prod(map(len, pools))
     if instances > MAX_INSTANCES:
         raise GroundingError(f"rule {rule.id} has {instances} ground instances, more than {MAX_INSTANCES}")
     names = [t.name for t in rule.quantified_vars]
     return [dict(zip(names, choice)) for choice in product(*pools)]
-
-
-def _sorts(rule: Rule, onto: Ontology) -> tuple[str, ...]:
-    """The sort of each quantified variable, in declaration order."""
-    sorts = variable_sorts(rule, onto)
-    return tuple(sorts[term.name] for term in rule.quantified_vars)
 
 
 def _pools(rule: Rule, sorts: Sequence[str], config: GroundingConfig) -> list[Sequence[str]]:
@@ -519,7 +527,7 @@ def invariant_attempts(rule: Rule, config: GroundingConfig, onto: Ontology) -> t
     fixed constants; a later call returns the memoized tuple.  Raises
     GroundingError, before rendering any, when there are more than
     MAX_INSTANCES canonical substitutions (`canonical_count`)."""
-    sorts = _sorts(rule, onto)
+    sorts = rule_sorts(rule, onto)
     fixed = config.fixed_constants(onto)
     key = (rule, sorts, fixed)
     attempts = config.attempts.get(key)
@@ -586,7 +594,7 @@ def lift(
     fixed = bound.fixed_constants(onto)
     lifted = dict(atoms)
     for rule in rules:
-        key = (rule, _sorts(rule, onto), fixed)
+        key = (rule, rule_sorts(rule, onto), fixed)
         if key not in bound.lifts:
             copy = {c: [b for b in bound.domain_constants[sort] if b not in fixed][-1]
                     for sort, pool in config.domain_constants.items() for c in pool if c not in bound.pooled}

@@ -352,8 +352,9 @@ def test_a_rule_with_more_instances_at_n_than_at_its_bound_gets_a_verdict(work_d
 
 
 def test_an_unsafe_rule_with_more_instances_at_n_than_the_bound_exits_2(work_dir, capsys):
-    """The countermodel of an Unsafe verdict is built over N, where the
-    rule has 20^5 instances."""
+    """The countermodel of an Unsafe verdict is solved over the bound and
+    copied out to N by `lift`, which refuses the rule: its copy table
+    would list the rule's 20^5 substitutions over N."""
     config, rule_id = _with_first_cause_rule(work_dir, f"forall X0, X1, X2, X3, X4 . attentive(X0) <- {FIVE_FRESH}")
     store_before = (work_dir / "merge.kb.json").read_bytes()
     capsys.readouterr()

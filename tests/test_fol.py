@@ -24,13 +24,15 @@ from rulesynth.fol import (
     parse_rule,
     render_number,
     render_rule,
+    rule_sorts,
     _tokenize,
     validate_schema,
     var,
+    variable_sorts,
 )
 
 from conftest import COLLIDE_RULE, DENSE_RULE, SCENARIOS
-from rulegen import random_rule
+from rulegen import random_rule, threshold_rule
 
 
 def test_parse_collide_rule(onto):
@@ -182,6 +184,46 @@ def test_canonical_rendering_is_injective(onto):
         if text in rendered:
             assert rendered[text] == rule
         rendered[text] = rule
+
+
+def test_kept_rule_facts_equal_those_of_a_fresh_parse(onto):
+    """An ontology keeps each rule's sorts and schema violations, and a
+    rule its text and content hash.  Each equals what a newly parsed equal
+    rule gets from a new ontology, also for a `replace`d rule, which keeps
+    the id of a rule with another body."""
+    by_zone = replace(onto, predicates={
+        "collide": onto.predicates["collide"],
+        "dense": PredicateDecl(1, ("zone",)),
+        "near": PredicateDecl(2, ("vehicle", "zone")),
+    })
+    rng = random.Random(20240817)
+    rules = [random_rule(rng, onto) for _ in range(200)] + [threshold_rule(rng, onto) for _ in range(20)]
+    derived = [replace(a, body=b.body) for a, b in zip(rules, rules[1:])
+               if a.body != b.body and b.variables() <= set(a.quantified_vars)]
+    assert len(derived) > 20
+    for vocabulary in (onto, by_zone):
+        kinds = set()
+        for rule in rules + derived:
+            kept = [(rule_sorts(rule, vocabulary), variable_sorts(rule, vocabulary),
+                     validate_schema(rule, vocabulary), render_rule(rule), hash(rule)) for _ in range(2)]
+            fresh, fresh_vocabulary = parse_rule(render_rule(rule), id="fresh"), replace(vocabulary)
+            assert fresh == rule and hash(rule) == hash((rule.quantified_vars, rule.head, rule.body))
+            assert kept[0] == kept[1] == (
+                rule_sorts(fresh, fresh_vocabulary), variable_sorts(fresh, fresh_vocabulary),
+                validate_schema(fresh, fresh_vocabulary), render_rule(fresh), hash(fresh))
+            kinds.update(v.kind for v in kept[0][2])
+        assert kinds == (set() if vocabulary is onto else {"unknown-predicate", "sort-mismatch"})
+
+
+def test_each_ontology_keeps_its_own_facts_of_one_rule(onto):
+    rule = parse_rule("forall X, Y . collide(X) <- dense(Y) and speed(Y) > 30")
+    by_zone = replace(onto, predicates={**onto.predicates, "dense": PredicateDecl(1, ("zone",))},
+                      numeric_attributes={})
+    for vocabulary, sorts, kinds in [(onto, ("vehicle", "vehicle"), set()),
+                                     (by_zone, ("vehicle", "zone"), {"unknown-attribute"}),
+                                     (onto, ("vehicle", "vehicle"), set())]:
+        assert rule_sorts(rule, vocabulary) == sorts
+        assert {v.kind for v in validate_schema(rule, vocabulary)} == kinds
 
 
 @settings(max_examples=300, deadline=None)

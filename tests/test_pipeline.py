@@ -1,3 +1,5 @@
+import gc
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -137,6 +139,29 @@ def test_verify_commits_grow_the_theory_in_order(work_dir):
         cause = store.cause_by_id(entry.cause_id)
         assert cause.goal_id == entry.goal_id == "g1"
         assert store.report_by_id(entry.report_id) is not None
+
+
+def test_no_memo_keeps_a_verify_batch_alive(work_dir, monkeypatch):
+    """Once dropped, the batch's grounding config, its bounds, the store
+    and the candidate rules are freed; the ontology keeps the rules it
+    judged only as long as it lives."""
+    config, onto, store, oracle = scenario1(work_dir)
+    store, _ = run_synthesize(store, onto, oracle, config)
+    made = []
+    grounding_config = ScenarioConfig.grounding_config
+    monkeypatch.setattr(ScenarioConfig, "grounding_config",
+                        lambda self, onto: made.append(grounding_config(self, onto)) or made[-1])
+    store, reports = run_verify(store, onto, config)
+    assert [r.verdict for r in reports] == ["Accepted"] * 4 and len(made) == 1 and made[0].bounds
+    batch = [weakref.ref(x) for x in (made[0], *made[0].bounds.values(), store)]
+    rules = [weakref.ref(cause.rule) for cause in store.causes_for_goal("g1")]
+    made.clear()
+    del store, reports, _
+    gc.collect()
+    assert [ref() for ref in batch] == [None] * len(batch)
+    del onto
+    gc.collect()
+    assert [ref() for ref in rules] == [None] * len(rules)
 
 
 CONFIG_DOC = {

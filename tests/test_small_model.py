@@ -172,6 +172,26 @@ def test_the_bound_keeps_declared_constants_and_the_first_fresh_ones_in_pool_ord
     assert small.bounded(onto, [two]) is small and not small.bounds  # no pool shrinks
 
 
+def test_the_bound_is_looked_up_by_the_most_variables_of_each_sort(onto, seed_store):
+    """Rules with the same most variables per sort get the very bound
+    `bounds` holds, and an added invariant with more variables of a sort
+    gets the wider bound."""
+    config = GroundingConfig.default(onto, 6)
+    two, twin, three = (parse_rule(text, onto) for text in (
+        "forall X, Y . collide(X) <- dense(Y)",
+        "forall Y, X . not merge_ok(X) <- dense(Y) and not dense(X)",
+        "forall X, Y, Z . not collide(X) <- dense(Y) and dense(Z)",
+    ))
+    invariants = [invariant.rule for invariant in seed_store.invariants]
+    bound = config.bounded(onto, [two, *invariants])
+    assert config.bounds == {(("vehicle", ("vehicle1", "vehicle2")),): bound}
+    assert config.bounded(onto, [twin, *invariants]) is bound
+    store = replace(seed_store, invariants=(*seed_store.invariants, Invariant("inv-three", three)))
+    wider = config.bounded(onto, [two, *(invariant.rule for invariant in store.invariants)])
+    assert config.bounds[(("vehicle", ("vehicle1", "vehicle2", "vehicle3")),)] is wider
+    assert config.bounded(onto, [twin, *invariants]) is bound and len(config.bounds) == 2
+
+
 @pytest.mark.parametrize("mode", ["opaque", "interval-axioms"])
 def test_a_batch_grounds_its_theory_once_per_config(onto, seed_store, mode, monkeypatch):
     """Rejected candidates of one, two and three variables against the
