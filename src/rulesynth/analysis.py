@@ -2,8 +2,9 @@
 
 Cause sets are int bitmasks from the kernel through the answer cache to
 the oracle backend (bit i is universe[i]); the judge is a callable int ->
-bool.  Ids are decoded from a mask only for monotonicity witnesses, the
-output families, and a backend's transcript key or prompt.
+bool.  A mask is decoded, by `oracle.mask_items` alone, only into the
+output families (`CauseSetFamily.from_masks`), monotonicity witnesses, and
+a backend's transcript key or prompt.
 
 One kernel, `minimal_sets`, serves the two searches.  It walks masks
 bottom-up: ascending cardinality, lexicographic by cause index within a
@@ -44,7 +45,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Any, Callable, Iterable, Sequence, Sized
 
-from .oracle import CachedAchievementJudge, Oracle
+from .oracle import CachedAchievementJudge, Oracle, mask_items
 from .store import Cause, Goal, TheoryStore
 
 Judge = Callable[[int], bool]
@@ -59,38 +60,6 @@ class UniverseTooLarge(ValueError):
 def _check_universe_size(universe: Sized) -> None:
     if len(universe) > BRUTE_FORCE_LIMIT:
         raise UniverseTooLarge(f"|universe| = {len(universe)} exceeds {BRUTE_FORCE_LIMIT}")
-
-
-def mask_ids(universe: Sequence[str]) -> Callable[[int], frozenset[str]]:
-    """Decoder from a bitmask (bit i is universe[i], no bit at or past
-    len(universe)) to the frozenset of its ids.
-
-    One table of frozensets per 8 causes holds at entry b the causes of b's
-    bits.  Up to 8 causes a mask decodes with one lookup and no allocation,
-    up to 16 with one union of two lookups, and wider universes fold one
-    more union per further 8 bits.  Equal id sets built by different
-    unions may iterate in different orders, so every consumer sorts the
-    ids or tests membership."""
-    tables = []
-    for lo in range(0, max(len(universe), 1), 8):
-        table: list[frozenset[str]] = [frozenset()]
-        for cause in universe[lo : lo + 8]:
-            table += [t | {cause} for t in table]
-        tables.append(table)
-    if len(tables) == 1:
-        return tables[0].__getitem__
-    low, high, *wider = tables
-    if not wider:
-        return lambda mask: low[mask & 255] | high[mask >> 8]
-
-    def ids(mask: int) -> frozenset[str]:
-        out = low[mask & 255]
-        for table in tables[1:]:
-            mask >>= 8
-            out |= table[mask & 255]
-        return out
-
-    return ids
 
 
 @dataclass(frozen=True)
@@ -113,11 +82,10 @@ class CauseSetFamily:
         return cls(tuple(universe), tuple(canonical))
 
     @classmethod
-    def from_id_sets(
-        cls, universe: Sequence[str], sets: Iterable[Iterable[str]]
-    ) -> "CauseSetFamily":
-        index = {cause_id: i for i, cause_id in enumerate(universe)}
-        return cls.build(universe, ([index[c] for c in s] for s in sets))
+    def from_masks(cls, universe: Sequence[str], masks: Iterable[int]) -> "CauseSetFamily":
+        """The family of the sets given as bitmasks (bit i is universe[i])."""
+        indices = range(len(universe))
+        return cls.build(universe, (mask_items(indices, mask) for mask in masks))
 
     def id_sets(self) -> tuple[frozenset[str], ...]:
         return tuple(frozenset(self.universe[i] for i in s) for s in self.sets)
@@ -165,8 +133,7 @@ class MonotoneMonitor:
     """
 
     def __init__(self, universe: Sequence[str]):
-        self.universe = frozenset(universe)
-        self.ids = mask_ids(universe)
+        self.universe = tuple(universe)
         self.sufficient: list[int] = []
         self.necessary: list[int] = []
         self.violations: list[MonotonicityViolation] = []
@@ -178,8 +145,8 @@ class MonotoneMonitor:
                     self.violations.append(
                         MonotonicityViolation(
                             "achieving-subset-of-failing-set",
-                            tuple(sorted(self.ids(subset))),
-                            tuple(sorted(self.universe - self.ids(removal))),
+                            self._witness(subset),
+                            self._witness(~removal),  # the universe minus the removal set
                         )
                     )
         else:
@@ -188,10 +155,14 @@ class MonotoneMonitor:
                     self.violations.append(
                         MonotonicityViolation(
                             "failing-superset-of-sufficient-set",
-                            tuple(sorted(self.ids(sufficient))),
-                            tuple(sorted(self.ids(subset))),
+                            self._witness(sufficient),
+                            self._witness(subset),
                         )
                     )
+
+    def _witness(self, mask: int) -> tuple[str, ...]:
+        """The ids of the mask's bits, sorted by id."""
+        return tuple(sorted(mask_items(self.universe, mask)))
 
 
 @functools.cache
@@ -274,7 +245,7 @@ def _monitored_search(
         return result
 
     minimal_sets(len(universe), holds, found, violations)
-    return CauseSetFamily.from_id_sets(universe, map(monitor.ids, found))
+    return CauseSetFamily.from_masks(universe, found)
 
 
 def minimal_sufficient_search(
@@ -320,11 +291,7 @@ def brute_force_families(
             sufficient.append(mask)
         if not answers[full ^ mask] and not any(f & mask == f for f in necessary):
             necessary.append(mask)
-    ids = mask_ids(universe)
-    return (
-        CauseSetFamily.from_id_sets(universe, map(ids, sufficient)),
-        CauseSetFamily.from_id_sets(universe, map(ids, necessary)),
-    )
+    return CauseSetFamily.from_masks(universe, sufficient), CauseSetFamily.from_masks(universe, necessary)
 
 
 def minimal_transversals(family: CauseSetFamily) -> CauseSetFamily:
@@ -344,7 +311,7 @@ def minimal_transversals(family: CauseSetFamily) -> CauseSetFamily:
         hit = [t for t in transversals if t & target]
         grown = {t | 1 << i for t in transversals if not t & target for i in member}
         transversals = hit + [g for g in grown if all(h & g != h for h in hit)]
-    return CauseSetFamily.from_id_sets(family.universe, map(mask_ids(family.universe), transversals))
+    return CauseSetFamily.from_masks(family.universe, transversals)
 
 
 @dataclass(frozen=True)

@@ -5,17 +5,21 @@ a run-all composite.  Exit codes:
 
   0  success
   2  configuration error (bad arguments, bad config or grounding
-     settings, an ontology with no sorts to ground over for verify and
-     run-all, a grounding pool that repeats a constant, such as `v11`
-     for sorts `v` and `v1` at --domain-size 11, a rule with more
-     ground instances than grounding.MAX_INSTANCES or a --domain-size
-     above it, missing file, unknown goal/rule, a cause search, pruned
-     or --brute-force, over more causes than analysis.BRUTE_FORCE_LIMIT,
-     a --record path that is a directory or whose directory does not
-     exist)
+     settings, a bad store or ontology, among them a domain value with a
+     zero denominator such as "1/0", a number in a domain or a stored
+     rule with more digits than int() converts, and comparison_ops that
+     are not a list of strings, an ontology with no sorts to ground over
+     for verify and run-all, a grounding pool that repeats a constant,
+     such as `v11` for sorts `v` and `v1` at --domain-size 11, a rule
+     with more ground instances than grounding.MAX_INSTANCES or a
+     --domain-size above it, missing file, unknown goal/rule, a cause
+     search, pruned or --brute-force, over more causes than
+     analysis.BRUTE_FORCE_LIMIT, a --record path that is a directory or
+     whose directory does not exist)
   3  oracle error (backend unavailable, malformed answer, malformed
      oracle spec or transcript, missing transcript key)
-  4  translation failure (names the cause id)
+  4  translation failure (names the cause id), an over-long number in a
+     translation included
   5  duality mismatch under --strict-monotone
   6  verification found an Inconsistent or Unsafe rule
 

@@ -27,6 +27,7 @@ from .oracle import (
     Oracle,
     OracleUnavailable,
     Translation,
+    mask_items,
     parse_achieves,
     parse_causes,
     parse_equivalence,
@@ -303,8 +304,7 @@ class LlmOracle(Oracle):
         principles: Sequence[Principle],
     ) -> bool:
         # judgments are made on the natural-language cause texts, in causes order
-        chosen = [c.text for i, c in enumerate(causes) if subset >> i & 1]
-        listing = "\n".join(f"- {text}" for text in chosen) or "- (no causes hold)"
+        listing = "\n".join(f"- {c.text}" for c in mask_items(causes, subset)) or "- (no causes hold)"
         prompt = self.config.template("achieves").format(
             goal=goal.text, principles=format_principles(principles), subset=listing
         )

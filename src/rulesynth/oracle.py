@@ -16,8 +16,10 @@ JSON form, recorded or live, before serving or recording it; the LLM
 backend shares the necessity and translation checks.  A cause subset is
 one int bitmask (bit i is causes[i]) from the cause search to the backend.
 The achievement judge keeps answers by that int, one-to-one with the string
-key; ids are decoded only for a transcript key or a prompt, so a repeated
-subset costs a dict lookup and the distinct backend queries stay the same.
+key, so a repeated subset costs a dict lookup and the distinct backend
+queries stay the same.  `mask_items` is the one decoder of a mask; a
+backend uses it only for a transcript key or a prompt, and the cause
+search only for its families and monotonicity witnesses.
 """
 
 from __future__ import annotations
@@ -26,10 +28,12 @@ import json
 from dataclasses import asdict, dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .fol import Ontology
 from .store import Cause, Goal, Principle, json_text, replace_file
+
+T = TypeVar("T")
 
 
 class OracleUnavailable(RuntimeError):
@@ -53,7 +57,7 @@ def query_key(kind: str, *parts: str | int) -> str:
     return json.dumps([kind, *parts], separators=(",", ":"), ensure_ascii=False)
 
 
-def achieves_key(goal_id: str, subset: frozenset[str]) -> str:
+def achieves_key(goal_id: str, subset: Iterable[str]) -> str:
     return query_key("achieves", goal_id, *sorted(subset))
 
 
@@ -93,6 +97,13 @@ def check_necessity(verdict: NecessityVerdict, principles: Sequence[Principle]) 
     return verdict
 
 
+def mask_items(items: Sequence[T], mask: int) -> tuple[T, ...]:
+    """The items whose bits are set in `mask`, in order: bit i stands for
+    items[i], the convention of `Oracle.judge_subset_achieves`.  Bits at or
+    past len(items) are ignored, so `~m` gives the items `m` leaves out."""
+    return tuple(item for i, item in enumerate(items) if mask >> i & 1)
+
+
 class Oracle:
     """Interface; implementations answer deterministically per query key."""
 
@@ -119,7 +130,7 @@ class Oracle:
     ) -> bool:
         """True iff the cause subset achieves the goal under the principles.
         `subset` is a bitmask over `causes`: bit i stands for causes[i], and
-        no bit is set at or past len(causes)."""
+        no bit is set at or past len(causes); `mask_items` decodes it."""
         raise NotImplementedError
 
     def translate_to_fol(
@@ -488,9 +499,8 @@ class TranscriptOracle(Oracle):
         )
 
     def judge_subset_achieves(self, goal, subset, causes, principles):
-        ids = frozenset(cause.id for i, cause in enumerate(causes) if subset >> i & 1)
         return self._answer(
-            achieves_key(goal.id, ids),
+            achieves_key(goal.id, (cause.id for cause in mask_items(causes, subset))),
             lambda live: bool(live.judge_subset_achieves(goal, subset, causes, principles)),
             parse_achieves,
         )

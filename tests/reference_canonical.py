@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import AbstractSet, Mapping, Sequence
 
-from rulesynth.fol import Ontology, Rule, variable_sorts
+from rulesynth.fol import Ontology, Rule, rule_sorts
 from rulesynth.grounding import GroundingConfig, rule_substitutions
 
 
@@ -45,8 +45,7 @@ def fixed_constants(config: GroundingConfig, onto: Ontology) -> set[str]:
 
 def canonical_substitutions(rule: Rule, config: GroundingConfig, onto: Ontology) -> list[dict[str, str]]:
     """`rule_substitutions` restricted to the canonical ones, in its order."""
-    sorts_of = variable_sorts(rule, onto)
-    sorts = [sorts_of[term.name] for term in rule.quantified_vars]
+    sorts = list(rule_sorts(rule, onto))
     fixed = fixed_constants(config, onto)
     return [
         s for s in rule_substitutions(rule, config, onto)

@@ -96,10 +96,10 @@ def test_empty_set_tested_first():
 
 
 def test_transversal_examples():
-    fam = CauseSetFamily.from_id_sets(("a", "b", "c"), [["a", "b"], ["b", "c"]])
+    fam = CauseSetFamily.build(("a", "b", "c"), [(0, 1), (1, 2)])
     result = minimal_transversals(fam)
     assert result.id_sets() == (frozenset(["b"]), frozenset(["a", "c"]))
-    single = CauseSetFamily.from_id_sets(("a",), [["a"]])
+    single = CauseSetFamily.from_masks(("a",), [0b1])
     assert minimal_transversals(single).id_sets() == (frozenset(["a"]),)
 
 
@@ -144,12 +144,8 @@ def test_transversals_over_a_universe_no_mask_walk_could_cover():
 
 def test_scenario2_transversals_match_necessary_sets():
     universe = ids(6)
-    family = CauseSetFamily.from_id_sets(
-        universe, [["c1", "c2", "c3", "c4"], ["c1", "c2", "c3", "c5"]]
-    )
-    expected = CauseSetFamily.from_id_sets(
-        universe, [["c1"], ["c2"], ["c3"], ["c4", "c5"]]
-    )
+    family = CauseSetFamily.build(universe, [(0, 1, 2, 3), (0, 1, 2, 4)])
+    expected = CauseSetFamily.from_masks(universe, [0b1, 0b10, 0b100, 0b11000])
     assert minimal_transversals(family) == expected
     judge = on_masks(universe, monotone_judge(family.id_sets()))
     assert minimal_necessary_search(universe, judge) == expected
@@ -313,7 +309,7 @@ def _reference_monitored_search(universe, judge, monitor, removal):
 
     found = monitor.necessary if removal else monitor.sufficient
     minimal_sets(len(universe), holds, found, monitor.violations)
-    return CauseSetFamily.from_id_sets(universe, map(monitor.ids, found))
+    return CauseSetFamily.from_masks(universe, found)
 
 
 def _pruned_search(universe, judge, monitor, removal):
@@ -400,6 +396,7 @@ def test_non_monotone_oracle_detected_and_pruning_disabled():
 def test_family_canonical_order_and_dedup():
     family = CauseSetFamily.build(ids(3), [(2, 1), (0,), (1, 2), (0,)])
     assert family.sets == ((0,), (1, 2))
+    assert CauseSetFamily.from_masks(ids(3), [0b110, 0b1, 0b110, 0b1]) == family
 
 
 def _scenario_store(work_dir, n):

@@ -22,7 +22,7 @@ from itertools import chain, product
 import pytest
 
 from rulesynth import grounding
-from rulesynth.fol import PredicateDecl, parse_rule, render_rule, validate_schema, variable_sorts
+from rulesynth.fol import PredicateDecl, parse_rule, render_rule, rule_sorts, validate_schema
 from rulesynth.grounding import (
     ClauseDB,
     GroundingConfig,
@@ -151,7 +151,7 @@ def reference_bound(config, onto, rules):
     `rules`, at least 1: the small-model bound, derived afresh."""
     most = Counter()
     for rule in rules:
-        for sort, count in Counter(variable_sorts(rule, onto).values()).items():
+        for sort, count in Counter(rule_sorts(rule, onto)).items():
             most[sort] = max(most[sort], count)
     pools = {}
     for sort, pool in config.domain_constants.items():

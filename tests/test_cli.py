@@ -218,6 +218,47 @@ def test_untranslatable_cause_exits_4(work_dir, capsys):
     assert read(work_dir / "merge.kb.json")["causes"] == []
 
 
+LONG_NUMBER_RULE = "forall X . speed(X) > " + "1" * 5000 + " <- true"  # past int()'s 4,300 digits
+
+
+def test_a_translation_with_a_number_too_long_to_convert_exits_4(work_dir, capsys):
+    spec_path = work_dir / "scenario1.oracle.json"
+    doc = read(spec_path)
+    for translation in doc["goals"]["g1"]["translations"].values():
+        translation["rule"] = LONG_NUMBER_RULE
+    spec_path.write_text(json.dumps(doc))
+    assert run(["synthesize", "--config", str(work_dir / "scenario1.config.json")]) == 4
+    err = capsys.readouterr().err
+    assert err == "translation failure: cause g1-c1: translation failed to parse after retry: " \
+        "number has too many digits at position 22\n"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda onto, store: store["causes"][0]["rule"].update(text=LONG_NUMBER_RULE),
+         "$.causes[0].rule.text: number has too many digits at position 22"),
+        (lambda onto, store: onto["numeric_attributes"]["speed"]["domain"].append("1/0"),
+         "traffic.onto.json: speed.domain has a zero denominator"),
+        (lambda onto, store: onto.update(comparison_ops="<="),
+         "traffic.onto.json: comparison_ops must be a list of strings"),
+    ],
+    ids=["stored-rule-number", "domain-zero-denominator", "comparison-ops-string"],
+)
+def test_a_malformed_number_or_operator_list_exits_2_naming_it(work_dir, capsys, edit, message):
+    config = str(work_dir / "scenario1.config.json")
+    assert run(["synthesize", "--config", config]) == 0
+    onto, store = read(work_dir / "traffic.onto.json"), read(work_dir / "merge.kb.json")
+    edit(onto, store)
+    (work_dir / "traffic.onto.json").write_text(json.dumps(onto))
+    (work_dir / "merge.kb.json").write_text(json.dumps(store))
+    capsys.readouterr()
+    assert run(["run-all", "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.endswith(message + "\n") and "Traceback" not in err
+    assert err.count("\n") == 1
+
+
 def test_strict_monotone_duality_mismatch_exits_5(work_dir, capsys):
     from rulesynth.fol import load_ontology
     from rulesynth.oracle import (

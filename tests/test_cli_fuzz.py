@@ -38,8 +38,11 @@ COMMANDS = (
     ("analyze", "--brute-force", "--strict-monotone"),
     ("verify", "--all-unverified"),
 )
-# copied per draw: a later edit may change a container placed earlier
-REPLACEMENTS = st.sampled_from([None, True, 0, -1, 2.5, "", "x", [], {}, [1], {"x": 1}]).map(copy.deepcopy)
+# copied per draw: a later edit may change a container placed earlier; "1/0"
+# has a zero denominator and the last string more digits than int() converts
+REPLACEMENTS = st.sampled_from(
+    [None, True, 0, -1, 2.5, "", "x", [], {}, [1], {"x": 1}, "1/0", "1" * 4301]
+).map(copy.deepcopy)
 
 
 def _paths(doc, path=()):

@@ -81,6 +81,17 @@ def test_comparison_numbers_round_trip(onto):
         assert parse_rule(render_rule(rule), onto) == rule
 
 
+@pytest.mark.parametrize(
+    "number", ["1" * 5000, "0." + "1" * 5000, "1/" + "1" * 5000], ids=["integer", "decimal", "denominator"]
+)
+def test_a_number_too_long_to_convert_is_a_syntax_error_at_its_position(onto, number):
+    text = "forall X . merge_ok(X) <- speed(X) > " + number
+    with pytest.raises(RuleSyntaxError) as err:
+        parse_rule(text, onto)
+    assert err.value.position == text.index(number)
+    assert "too many digits" in str(err.value)
+
+
 def test_render_number_forms():
     assert render_number(Fraction(50)) == "50"
     assert render_number(Fraction(1, 2)) == "0.5"
@@ -306,12 +317,31 @@ def test_grammar_reference_lists_vocabulary(onto):
     ],
 )
 def test_load_ontology_rejects_malformed_documents(tmp_path, edit):
+    with pytest.raises(OntologyError):
+        _load_edited_ontology(tmp_path, edit)
+
+
+def _load_edited_ontology(tmp_path, edit):
+    """The shipped ontology, loaded after `edit` changed its JSON document."""
     doc = json.loads((SCENARIOS / "traffic.onto.json").read_text())
     edit(doc)
-    path = tmp_path / "bad.onto.json"
+    path = tmp_path / "edited.onto.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(OntologyError):
-        load_ontology(path)
+    return load_ontology(path)
+
+
+@pytest.mark.parametrize("value", ["1/0", "1" * 5000], ids=["zero-denominator", "5000-digits"])
+def test_load_ontology_names_the_attribute_of_a_bad_domain_number(tmp_path, value):
+    with pytest.raises(OntologyError, match=r"speed\.domain"):
+        _load_edited_ontology(tmp_path, lambda doc: doc["numeric_attributes"]["speed"]["domain"].append(value))
+
+
+def test_load_ontology_takes_comparison_ops_only_as_a_list_of_strings(tmp_path):
+    for ops in ("<=", ["<", 5]):
+        with pytest.raises(OntologyError, match="comparison_ops must be a list of strings"):
+            _load_edited_ontology(tmp_path, lambda doc: doc.update(comparison_ops=ops))
+    every = _load_edited_ontology(tmp_path, lambda doc: doc.pop("comparison_ops"))
+    assert every.comparison_ops == frozenset({"<", "<=", "=", ">=", ">", "!="})
 
 
 @pytest.mark.parametrize("name", ["vehicle0", "vehicle01", "vehicles1", "vehicle_1", "lane1"])

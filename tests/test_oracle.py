@@ -4,7 +4,6 @@ import shutil
 
 import pytest
 
-from rulesynth.analysis import mask_ids
 from rulesynth.cli import main as cli_main
 from rulesynth.llm import LlmOracle, LlmOracleConfig
 from rulesynth.oracle import (
@@ -20,6 +19,7 @@ from rulesynth.oracle import (
     achieves_key,
     check_necessity,
     equivalence_key,
+    mask_items,
     query_key,
 )
 from rulesynth.store import Cause, Goal, Principle
@@ -423,24 +423,17 @@ def test_cached_judge_rejects_bits_beyond_its_causes():
     assert judge.query_count == 0
 
 
-def test_mask_ids_equals_bit_by_bit_decode():
-    # one table (up to 8 causes), two (9 to 16) and a fold past 16
+def test_mask_items_lists_the_items_of_the_set_bits_in_order():
     rng = random.Random(8)
-    for n in range(1, 21):
-        universe = [f"c{i}" for i in range(n)]
-        decode = mask_ids(universe)
+    for n in range(0, 21):
+        items = [f"c{i}" for i in range(n)]
         full = (1 << n) - 1
-        masks = [0, full, 1, 1 << (n - 1)] + [rng.randrange(1 << n) for _ in range(200)]
+        masks = [0, full] + [rng.randrange(1 << n) for _ in range(50)]
         for mask in masks:
-            got = decode(mask)
-            assert type(got) is frozenset
-            assert got == frozenset(universe[i] for i in range(n) if mask >> i & 1), (n, mask)
-    for n in (8, 9, 16, 17):  # every mask, on both sides of the table edges
-        universe = [f"c{i}" for i in range(n)]
-        decode = mask_ids(universe)
-        for mask in range(1 << n):
-            assert decode(mask) == frozenset(universe[i] for i in range(n) if mask >> i & 1)
-    assert mask_ids([])(0) == frozenset()
+            got = mask_items(items, mask)
+            assert got == tuple(items[i] for i in range(n) if mask & (1 << i)), (n, mask)
+            assert mask_items(items, ~mask) == tuple(c for c in items if c not in got)  # the complement
+    assert mask_items(range(5), 0b10110) == (1, 2, 4)
 
 
 def test_query_keys_are_canonical():

@@ -21,7 +21,7 @@ from itertools import islice
 import pytest
 
 from rulesynth import grounding
-from rulesynth.fol import PredicateDecl, parse_rule, render_rule, validate_schema, variable_sorts
+from rulesynth.fol import PredicateDecl, parse_rule, render_rule, rule_sorts, validate_schema
 from rulesynth.grounding import GroundingConfig
 from rulesynth.store import Invariant, TheoryStore, VerifiedRule
 from rulesynth.verify import theory_soundness, verify
@@ -139,7 +139,7 @@ def test_cross_check_fails_when_the_bound_is_one_constant_short(onto, monkeypatc
         """`bounded` with m - 1 fresh constants per sort, at least 1."""
         most = Counter()
         for rule in rules:
-            for sort, count in Counter(variable_sorts(rule, onto).values()).items():
+            for sort, count in Counter(rule_sorts(rule, onto)).items():
                 most[sort] = max(most[sort], count)
         fixed = self.fixed_constants(onto)
         pools = {}
